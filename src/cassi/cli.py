@@ -457,11 +457,13 @@ def cmd_bench(args) -> int:
     cube = HSICube(config, rng.random((nc, h, w)))
     meas = op.forward(cube)
     zero_q = HSICube(config, np.zeros((nc, h, w)))
+    prior = TvPrior()
 
     targets = {
         "phi_apply": lambda: op.forward(cube),
         "pinv_apply": lambda: op.pinv(meas),
         "rnd_combine": lambda: op.rnd_combine(meas, zero_q),
+        "tv_denoise": lambda: prior.denoise(cube, 0.1),
     }
     print(f"height {config.height}")
     print(f"width {config.width}")
@@ -589,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-sigma", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("bench", help="time the operator kernels")
+    p = sub.add_parser("bench", help="time the operator kernels and the TV prox")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--bands", type=int, required=True)

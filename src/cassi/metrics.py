@@ -3,7 +3,9 @@
 Both cubes are clamped to [0, 1] before comparison (peak 1.0).  SSIM uses
 the classical 11x11 Gaussian window with sigma 1.5 and stabilizers
 (0.01)^2 and (0.03)^2; window statistics are computed on the valid interior
-only (no padding), so bands must be at least 11x11.
+only (no padding), so bands must be at least 11x11.  The window is the
+outer product of a normalised 1-D Gaussian and is applied separably, one
+1-D pass per axis.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from scipy.ndimage import correlate1d
 
 from .core import HSICube
 from .errors import DimensionMismatch
@@ -58,22 +60,33 @@ def psnr(reference: HSICube, test: HSICube) -> float:
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """Normalised 1-D Gaussian; the 2-D window is its outer product."""
     offsets = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(offsets**2) / (2.0 * sigma**2))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
 _WINDOW = _gaussian_window()
+_HALF = _WINDOW.size // 2
+
+
+def _window_means(stack: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted means over every valid window of each plane.
+
+    Two 1-D passes of the symmetric window (correlation equals convolution),
+    then a crop to the positions where the window fits inside the plane.
+    """
+    out = correlate1d(stack, _WINDOW, axis=-2)
+    correlate1d(out, _WINDOW, axis=-1, output=out)
+    return out[..., _HALF:-_HALF, _HALF:-_HALF]
 
 
 def _ssim_plane(a: np.ndarray, b: np.ndarray) -> float:
-    win = _WINDOW
-    mu_a = convolve2d(a, win, mode="valid")
-    mu_b = convolve2d(b, win, mode="valid")
-    var_a = convolve2d(a * a, win, mode="valid") - mu_a * mu_a
-    var_b = convolve2d(b * b, win, mode="valid") - mu_b * mu_b
-    cov = convolve2d(a * b, win, mode="valid") - mu_a * mu_b
+    stack = np.stack((a, b, a * a, b * b, a * b))
+    mu_a, mu_b, e_aa, e_bb, e_ab = _window_means(stack)
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return float(np.mean(num / den))

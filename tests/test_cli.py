@@ -315,6 +315,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "pinv_apply_median_ms" in out
         assert "rnd_combine_p95_ms" in out
+        assert "tv_denoise_median_ms" in out
         assert "operator_bytes" in out
 
 

@@ -85,6 +85,42 @@ class TestSsim:
             ssim(cube, cube)
 
 
+def brute_force_ssim_plane(a, b):
+    """Mean SSIM over every valid 11x11 window, summed window by window
+    with the normalised outer-product Gaussian (sigma 1.5)."""
+    offsets = np.arange(11) - 5.0
+    g = np.exp(-(offsets**2) / (2.0 * 1.5**2))
+    win = np.outer(g, g)
+    win /= win.sum()
+    c1, c2 = 0.01**2, 0.03**2
+    values = []
+    for i in range(a.shape[0] - 10):
+        for j in range(a.shape[1] - 10):
+            pa = a[i : i + 11, j : j + 11]
+            pb = b[i : i + 11, j : j + 11]
+            mu_a, mu_b = np.sum(win * pa), np.sum(win * pb)
+            var_a = np.sum(win * pa * pa) - mu_a**2
+            var_b = np.sum(win * pb * pb) - mu_b**2
+            cov = np.sum(win * pa * pb) - mu_a * mu_b
+            values.append(
+                (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
+            )
+    return float(np.mean(values))
+
+
+class TestSsimReference:
+    @pytest.mark.parametrize("h,w", [(11, 11), (11, 37), (40, 23)])
+    def test_matches_brute_force_window_sum(self, h, w):
+        config = SceneConfig(h, w, 2, 1)
+        rng = np.random.Generator(np.random.Philox(h * 100 + w))
+        ref = rng.random((2, h, w))
+        test = np.clip(ref + 0.2 * rng.standard_normal((2, h, w)), 0.0, 1.0)
+        got = ssim_bands(HSICube(config, ref), HSICube(config, test))
+        expected = [brute_force_ssim_plane(ref[c], test[c]) for c in range(2)]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 class TestEvaluate:
     def test_report_means_match_per_band(self):
         a = gen_scene(CFG, 5, seed=8)

@@ -1,3 +1,6 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 from cassi import (
     HSICube,
+    build_operator,
+    bundled_suite,
     Measurement,
     NonFiniteValue,
     SceneConfig,
@@ -22,6 +27,7 @@ from cassi import (
     shift_cube,
     tv_denoise,
 )
+from cassi import recon
 
 from conftest import make_operator, random_cube, random_meas, rel_err
 from test_operator import operator_configs
@@ -167,6 +173,120 @@ class TestTvDenoise:
 
         out = tv_denoise(cube, strength, 40)
         assert tv(out.data) <= tv(cube.data) + 1e-12
+
+
+def sha256_of(data: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
+
+
+def reference_tv_prox(f, lam, iters):
+    """Whole-stack TV prox with fresh temporaries at every step: the
+    arithmetic, in the order, that the blocked kernel must reproduce."""
+
+    def div(p, q):
+        x = np.zeros(f.shape)
+        x[:, :-1, :] += p
+        x[:, 1:, :] -= p
+        x[:, :, :-1] += q
+        x[:, :, 1:] -= q
+        return x
+
+    p = np.zeros((f.shape[0], f.shape[1] - 1, f.shape[2]))
+    q = np.zeros((f.shape[0], f.shape[1], f.shape[2] - 1))
+    step = 1.0 / (8.0 * lam)
+    for _ in range(iters):
+        x = f - lam * div(p, q)
+        p = np.clip(p + step * (x[:, :-1, :] - x[:, 1:, :]), -1.0, 1.0)
+        q = np.clip(q + step * (x[:, :, :-1] - x[:, :, 1:]), -1.0, 1.0)
+    return f - lam * div(p, q)
+
+
+class TestTvOutputBytesPinned:
+    """SHA-256 of output bytes, fixed before the TV prox was blocked; any
+    rounding change in the kernel breaks these."""
+
+    RND_DIGESTS = {
+        (0, True): "4116cbec441377b477b966ee58c202d7be423de8264b04b3cc67f11d7a4b1f3d",
+        (0, False): "92de2c01179aebfa026a841edab665c4f9b6204fe0b46e3a030045485af685c4",
+        (1, True): "cded542c0fe424c6034016e95dc2d26eb7a0cea2099d1af532882ba125cbef68",
+        (1, False): "879946ffea755d894945b7e2d4c1d5bebf5efd81d96280aa4cf46ab2c22bde9b",
+    }
+    TV_DIGESTS = {
+        # blocks of 16 + 4 bands: several blocks, ragged last block
+        (20, 64, 64): (
+            "33389e7674b0752865cfaf13314bf92483fa027b8d24e75c19c85175f153a1d0"
+        ),
+        # blocks of 2 + 1 bands
+        (3, 181, 181): (
+            "9a84174235bd96c082c87d5be9cba9c6bcd44a0df2df98618d6bfb747e594c4a"
+        ),
+    }
+
+    @pytest.mark.parametrize("scene_index,crop", sorted(RND_DIGESTS))
+    def test_rnd_reconstruct_on_bundled_suite(self, scene_index, crop):
+        config, mask, scenes = bundled_suite(n_scenes=2)
+        op = build_operator(mask, config)
+        out = rnd_reconstruct(
+            op,
+            op.forward(scenes[scene_index]),
+            TvPrior(20),
+            SolverConfig(crop_denoiser_input=crop),
+        )
+        assert sha256_of(out.data) == self.RND_DIGESTS[(scene_index, crop)]
+
+    @pytest.mark.parametrize("shape", sorted(TV_DIGESTS))
+    def test_multi_block_tv_denoise(self, shape):
+        c, h, w = shape
+        assert recon._TV_BLOCK_BYTES // (h * w * 8) < c  # really multi-block
+        rng = np.random.Generator(np.random.Philox(2024))
+        cube = HSICube(SceneConfig(h, w, c, 1), rng.random(shape))
+        assert sha256_of(tv_denoise(cube, 0.1, 20).data) == self.TV_DIGESTS[shape]
+
+
+def per_band_tv(data: np.ndarray, strength: float, iterations: int) -> np.ndarray:
+    c, h, w = data.shape
+    config = SceneConfig(h, w, 1, 1)
+    bands = [HSICube(config, band[None]) for band in data]
+    return np.concatenate([tv_denoise(b, strength, iterations).data for b in bands])
+
+
+def assert_band_independent(shape, seed, strength, iterations):
+    """Byte-equal to the bands denoised one at a time, and to the reference."""
+    c, h, w = shape
+    rng = np.random.Generator(np.random.Philox(seed))
+    data = rng.random(shape)
+    out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), strength, iterations)
+    assert out.data.tobytes() == per_band_tv(data, strength, iterations).tobytes()
+    assert out.data.tobytes() == reference_tv_prox(data, strength, iterations).tobytes()
+
+
+class TestTvBandIndependence:
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(8, 6000),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.01, 0.5),
+        st.integers(1, 8),
+    )
+    def test_any_block_budget(self, c, h, w, budget, seed, strength, iterations):
+        # Budgets from below one plane (one band per block) to above the
+        # whole stack (a single block), with ragged last blocks between.
+        with mock.patch.object(recon, "_TV_BLOCK_BYTES", budget):
+            assert_band_independent((c, h, w), seed, strength, iterations)
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 2),
+        st.one_of(st.integers(1, 64), st.integers(20_000, 45_000)),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_module_budget_with_line_planes(self, c, thin, long, transpose, seed):
+        # H = 1 or W = 1 (or 2), with H*W on both sides of the budget.
+        shape = (c, long, thin) if transpose else (c, thin, long)
+        assert_band_independent(shape, seed, 0.1, 5)
 
 
 def brute_force_tv_prox(plane, lam):
