@@ -30,7 +30,6 @@ from .operator import (
     SensingOperator,
     build_operator,
     shift_cube,
-    shift_mask,
     unshift_cube,
 )
 from .dense import (
@@ -50,8 +49,6 @@ from .recon import (
     SolveStats,
     SolverConfig,
     TvPrior,
-    crop_to_scene,
-    gap_solve,
     gap_solve_with_stats,
     init_repeat,
     init_roll,

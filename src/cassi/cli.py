@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .core import CodedAperture, HSICube, Measurement, SceneConfig
-from .cubefile import read_cube, write_cube, write_pgm
+from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
 from .dense import (
     MAX_DENSE_ENTRIES,
     build_dense,
@@ -143,11 +143,8 @@ def _cross_check(file_cfg: dict, **derived: int) -> None:
             )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +247,13 @@ def cmd_reconstruct(args) -> int:
             )
         if args.report and not os.path.isdir(args.report):
             raise ConfigFileError("--report must be a directory for batch input")
+        stems = [_stem(path) for path in meas_paths]
+        repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
+        if repeated:
+            raise ConfigFileError(
+                f"inputs share the output stem(s) {', '.join(repeated)}; "
+                "their results would overwrite each other"
+            )
 
     def run(meas_path: str) -> None:
         meas_arr, _ = read_cube(meas_path)
@@ -271,8 +275,7 @@ def cmd_reconstruct(args) -> int:
         x, stats = _reconstruct_one(op, meas, args.method, scfg)
         elapsed = time.perf_counter() - started
         if multi:
-            stem = os.path.splitext(os.path.basename(meas_path))[0]
-            out_path = os.path.join(args.out, f"{stem}.recon.hsic")
+            out_path = os.path.join(args.out, f"{_stem(meas_path)}.recon.hsic")
         else:
             out_path = args.out
         write_cube(out_path, x.data, dtype=args.dtype)
@@ -306,13 +309,12 @@ def cmd_reconstruct(args) -> int:
                 ("wall_time_s", repr(elapsed)),
             ]
             if multi:
-                stem = os.path.splitext(os.path.basename(meas_path))[0]
-                report_path = os.path.join(args.report, f"{stem}.report.txt")
+                name = f"{_stem(meas_path)}.report.txt"
+                report_path = os.path.join(args.report, name)
             else:
                 report_path = args.report
-            _atomic_write_text(
-                report_path, "".join(f"{k} {v}\n" for k, v in pairs)
-            )
+            text = "".join(f"{k} {v}\n" for k, v in pairs)
+            _atomic_write(report_path, text.encode("utf-8"))
 
     try:
         if multi:
@@ -393,13 +395,6 @@ def cmd_oracle_check(args) -> int:
         gen_mask(args.height, args.width, 0.7, seed=args.seed), config
     )
     op = build_operator(mask, config)
-    if args.corrupt_sigma:
-        # Fault-injection hook for the exit-code contract: perturb one
-        # reciprocal Gram entry so pinv disagrees with the dense oracle.
-        tampered = op.inv_sigma.copy()
-        tampered[0, tampered.shape[1] // 2] *= 1.01
-        tampered.setflags(write=False)
-        object.__setattr__(op, "inv_sigma", tampered)
 
     dense = build_dense(op)
     dpinv = dense_pinv(dense)
@@ -588,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=int, required=True)
     p.add_argument("--shift-step", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--corrupt-sigma", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("bench", help="time the operator kernels and the TV prox")

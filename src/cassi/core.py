@@ -14,7 +14,7 @@ ordering; nothing outside the dense oracle depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +74,21 @@ def _checked_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _adopt_readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+class _Adoptable:
+    """Shared fast constructor of the frozen (config, data) value types."""
+
+    @classmethod
+    def _adopt(cls, config: SceneConfig, data: np.ndarray):
+        """Wrap a freshly allocated, correctly shaped array without copying."""
+        data.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "config", config)
+        object.__setattr__(obj, "data", data)
+        return obj
 
 
 @dataclass(frozen=True)
-class HSICube:
+class HSICube(_Adoptable):
     """A spectral cube in scene coordinates, stored as (bands, H, W).
 
     Scene content is conventionally in [0, 1] but the library never clamps;
@@ -96,17 +104,9 @@ class HSICube:
             self, "data", _checked_array(self.data, (c, h, w), "HSICube")
         )
 
-    @classmethod
-    def _adopt(cls, config: SceneConfig, data: np.ndarray) -> "HSICube":
-        """Wrap a freshly allocated, correctly shaped array without copying."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "config", config)
-        object.__setattr__(obj, "data", _adopt_readonly(data))
-        return obj
-
 
 @dataclass(frozen=True)
-class ShiftedCube:
+class ShiftedCube(_Adoptable):
     """A measurement-width tensor, stored as (bands, H, W').
 
     Tensors produced by shifting a scene or mask have band c supported on
@@ -124,13 +124,6 @@ class ShiftedCube:
         object.__setattr__(
             self, "data", _checked_array(self.data, (c, h, wp), "ShiftedCube")
         )
-
-    @classmethod
-    def _adopt(cls, config: SceneConfig, data: np.ndarray) -> "ShiftedCube":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "config", config)
-        object.__setattr__(obj, "data", _adopt_readonly(data))
-        return obj
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ class CodedAperture:
 
 
 @dataclass(frozen=True)
-class Measurement:
+class Measurement(_Adoptable):
     """A single detector image, stored as (H, W')."""
 
     config: SceneConfig
@@ -172,13 +165,6 @@ class Measurement:
         object.__setattr__(
             self, "data", _checked_array(self.data, (h, wp), "Measurement")
         )
-
-    @classmethod
-    def _adopt(cls, config: SceneConfig, data: np.ndarray) -> "Measurement":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "config", config)
-        object.__setattr__(obj, "data", _adopt_readonly(data))
-        return obj
 
 
 def validate(config: SceneConfig, obj) -> None:

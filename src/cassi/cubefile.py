@@ -35,6 +35,22 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {"f32": 0, "f64": 1}
 
 
+def _atomic_write(path: str | os.PathLike, *chunks: bytes) -> None:
+    """Write ``chunks`` to a fresh temporary file beside ``path``, then
+    rename it over ``path``.  The temporary file is removed on any error."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") -> None:
     """Write a (C, H, W) or (H, W) array; 2-D input is stored with C = 1."""
     if dtype not in _CODES:
@@ -48,17 +64,7 @@ def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") ->
     c, h, w = arr.shape
     header = MAGIC + struct.pack("<HBBIII", VERSION, code, 0, h, w, c)
     payload = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, header, payload)
 
 
 def read_cube(path: str | os.PathLike) -> tuple[np.ndarray, str]:
@@ -110,14 +116,4 @@ def write_pgm(path: str | os.PathLike, plane: np.ndarray) -> None:
         raise ValueError(f"expected 2-D plane, got shape {arr.shape}")
     h, w = arr.shape
     body = np.round(arr * 255.0).astype(np.uint8).tobytes()
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii"), body)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import HSICube, Measurement, SceneConfig
 from .errors import DimensionMismatch, InstanceTooLarge, NumericalFailure
-from .operator import SensingOperator, shift_cube, unshift_cube
+from .operator import SensingOperator, shift_cube
 
 # 4_194_304 float64 entries = 32 MB; not configurable by design.
 MAX_DENSE_ENTRIES = 4_194_304
@@ -66,8 +66,12 @@ def vec_to_meas(vec: np.ndarray, config: SceneConfig) -> Measurement:
 
 
 def build_dense(op: SensingOperator) -> np.ndarray:
-    """Materialize the n x (n*C) sensing matrix, n = H * W'."""
-    h, _, nc, _ = op.config.geometry
+    """Materialize the n x (n*C) sensing matrix, n = H * W'.
+
+    Block c is the diagonal of the mask shifted d*c columns, built with
+    :func:`shift_cube` rather than the operator's own kernels.
+    """
+    h, w, nc, _ = op.config.geometry
     wp = op.config.measurement_width()
     n = h * wp
     if n * n * nc > MAX_DENSE_ENTRIES:
@@ -75,10 +79,11 @@ def build_dense(op: SensingOperator) -> np.ndarray:
             f"dense matrix would hold {n * n * nc} entries "
             f"(cap {MAX_DENSE_ENTRIES})"
         )
+    shifted = shift_cube(HSICube(op.config, np.broadcast_to(op.mask, (nc, h, w))))
     mat = np.zeros((n, n * nc))
     idx = np.arange(n)
     for c in range(nc):
-        mat[idx, c * n + idx] = op.shifted_mask.data[c].ravel(order="F")
+        mat[idx, c * n + idx] = shifted.data[c].ravel(order="F")
     return mat
 
 

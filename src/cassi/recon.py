@@ -22,7 +22,13 @@ import numpy as np
 
 from .core import HSICube, Measurement, SceneConfig, ShiftedCube
 from .errors import DimensionMismatch, NonFiniteValue
-from .operator import SensingOperator, shift_cube, unshift_cube
+from .operator import (
+    SensingOperator,
+    _backproject,
+    _forward,
+    _on_support,
+    shift_cube,
+)
 
 
 class InitStrategy(enum.Enum):
@@ -52,7 +58,7 @@ class Prior(Protocol):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`gap_solve`; defaults favor the bundled TV prior.
+    """Knobs for :func:`gap_solve_with_stats`; defaults favor the bundled TV prior.
 
     ``convergence_tol`` of 0 runs all iterations; a positive value stops
     early once the max-norm iterate change falls below ``tol`` relative to
@@ -127,11 +133,6 @@ _INITS = {
     InitStrategy.REPEAT: init_repeat,
     InitStrategy.ROLL: init_roll,
 }
-
-
-def crop_to_scene(shifted: ShiftedCube) -> HSICube:
-    """Drop the dispersed margin, keeping each band's H x W support region."""
-    return unshift_cube(shifted)
 
 
 # Bytes per working array of one band block in the TV prox.  A block holds
@@ -252,7 +253,6 @@ def gap_solve_with_stats(
         raise DimensionMismatch("measurement geometry disagrees with operator")
     h, w, nc, d = op.config.geometry
     wp = op.config.measurement_width()
-    m = op.shifted_mask.data
 
     if x0 is None:
         z = _INITS[cfg.init](meas).data
@@ -268,26 +268,17 @@ def gap_solve_with_stats(
     iterations_run = 0
     for _ in range(cfg.iterations):
         z_prev = z
-        y_hat = np.zeros((h, wp))
-        for c in range(nc):
-            lo = d * c
-            y_hat[:, lo : lo + w] += z[c, :, lo : lo + w] * m[c, :, lo : lo + w]
-        corr = (meas.data - y_hat) * op.inv_sigma
+        corr = (meas.data - _forward(op.mask, d, _on_support(z, d))) * op.inv_sigma
         z = z.copy()
-        for c in range(nc):
-            lo = d * c
-            z[c, :, lo : lo + w] += m[c, :, lo : lo + w] * corr[:, lo : lo + w]
+        support = _on_support(z, d)
+        _backproject(op.mask, d, corr, support, accumulate=True)
 
         if cfg.crop_denoiser_input:
-            core = np.empty((nc, h, w))
-            for c in range(nc):
-                core[c] = z[c, :, d * c : d * c + w]
-            den = prior.denoise(HSICube._adopt(op.config, core), cfg.tv_weight)
-            for c in range(nc):
-                z[c, :, d * c : d * c + w] = den.data[c]
+            core = HSICube._adopt(op.config, support.copy())
+            support[...] = prior.denoise(core, cfg.tv_weight).data
         else:
-            den = prior.denoise(HSICube._adopt(wide, z), cfg.tv_weight)
-            z = den.data
+            z = prior.denoise(HSICube._adopt(wide, z), cfg.tv_weight).data
+            support = _on_support(z, d)
 
         if not np.isfinite(z).all():
             raise NonFiniteValue(
@@ -295,10 +286,7 @@ def gap_solve_with_stats(
             )
         iterations_run += 1
 
-        y_post = np.zeros((h, wp))
-        for c in range(nc):
-            lo = d * c
-            y_post[:, lo : lo + w] += z[c, :, lo : lo + w] * m[c, :, lo : lo + w]
+        y_post = _forward(op.mask, d, support)
         residuals.append(float(np.linalg.norm(meas.data - y_post)))
 
         if cfg.convergence_tol > 0.0:
@@ -307,28 +295,13 @@ def gap_solve_with_stats(
             if delta <= cfg.convergence_tol * scale:
                 break
 
-    out = np.empty((nc, h, w))
-    for c in range(nc):
-        out[c] = z[c, :, d * c : d * c + w]
     pixels = nc * h * (w if cfg.crop_denoiser_input else wp)
     stats = SolveStats(
         iterations_run=iterations_run,
         residual_l2=tuple(residuals),
         denoised_pixels_per_iteration=pixels,
     )
-    return HSICube._adopt(op.config, out), stats
-
-
-def gap_solve(
-    op: SensingOperator,
-    meas: Measurement,
-    prior: Prior,
-    cfg: SolverConfig,
-    x0: HSICube | ShiftedCube | None = None,
-) -> HSICube:
-    """GAP iteration; see :func:`gap_solve_with_stats`."""
-    cube, _ = gap_solve_with_stats(op, meas, prior, cfg, x0)
-    return cube
+    return HSICube._adopt(op.config, _on_support(z, d).copy()), stats
 
 
 def rnd_reconstruct(
@@ -343,5 +316,5 @@ def rnd_reconstruct(
     component is replaced by the pseudo-inverse solution, so the result
     reproduces the measurement for any candidate quality.
     """
-    q = gap_solve(op, meas, prior, cfg)
+    q, _ = gap_solve_with_stats(op, meas, prior, cfg)
     return op.rnd_combine(meas, q)

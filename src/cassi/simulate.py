@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import CodedAperture, HSICube, Measurement, SceneConfig
 from .errors import CropTooLarge, NegativeMeasurement
+from .operator import _gram_diagonal
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -68,12 +69,9 @@ def repair_mask(mask: CodedAperture, config: SceneConfig) -> CodedAperture:
     the entry of the highest contributing band to one; flips only add
     energy, so one pass suffices.  Deterministic, no seed.
     """
-    h, w, nc, d = config.geometry
-    wp = config.measurement_width()
+    _, w, nc, d = config.geometry
     data = mask.data.copy()
-    sigma = np.zeros((h, wp))
-    for c in range(nc):
-        sigma[:, d * c : d * c + w] += data * data
+    sigma = _gram_diagonal(data, config)
     for u, v in np.argwhere(sigma == 0.0):
         c_hi = min(int(v) // d, nc - 1)
         if v - d * c_hi >= w:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -27,6 +29,11 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = np.linalg.norm(b)
     diff = np.linalg.norm(np.asarray(a) - np.asarray(b))
     return float(diff if scale == 0.0 else diff / scale)
+
+
+def sha256_of(data: np.ndarray) -> str:
+    """Digest of the little-endian float64 bytes of ``data``."""
+    return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
 
 
 def full_rank_mask(config: SceneConfig, density: float, seed: int) -> CodedAperture:

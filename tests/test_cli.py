@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cassi import SceneConfig, bundled_suite, build_operator, gen_scene
+from cassi import cli
 from cassi.cli import main, parse_run_config
 from cassi.cubefile import read_cube, write_cube
 from cassi.errors import ConfigFileError
@@ -204,6 +205,34 @@ class TestReconstruct:
         for name in names:
             assert (out_dir / name).read_bytes() == (single / name).read_bytes()
 
+    def test_batch_rejects_shared_output_stem(self, tmp_path, capsys):
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        other = tmp_path / "b"
+        other.mkdir()
+        twin = other / meas_path.name
+        twin.write_bytes(meas_path.read_bytes())
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, twin, "--mask", mask_path,
+            "--shift-step", 2, "--method", "pinv", "--out", out_dir,
+        )
+        assert code == 2
+        assert "output stem(s) meas" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
+    def test_failed_report_write_leaves_no_temp_file(self, tmp_path):
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        blocked = tmp_path / "report"
+        blocked.mkdir()  # the rename over a directory fails
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", "pinv", "--out", tmp_path / "o.hsic",
+            "--report", blocked,
+        )
+        assert code == 2
+        assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_solver_exits_4(self, tmp_path, capsys):
         # A faint gray mask makes the Gram diagonal tiny, so the weighted
@@ -286,10 +315,20 @@ class TestOracleCheck:
         )
         assert code == 2
 
-    def test_corrupted_sigma_exits_5(self, capsys):
+    def test_corrupted_sigma_exits_5(self, capsys, monkeypatch):
+        # Perturb one reciprocal Gram entry, so pinv disagrees with the
+        # dense oracle, which is built from the mask alone.
+        def tampered_operator(mask, config):
+            op = build_operator(mask, config)
+            inv_sigma = op.inv_sigma.copy()
+            inv_sigma[0, inv_sigma.shape[1] // 2] *= 1.01
+            object.__setattr__(op, "inv_sigma", inv_sigma)
+            return op
+
+        monkeypatch.setattr(cli, "build_operator", tampered_operator)
         code = run_cli(
             "oracle-check", "--height", 4, "--width", 4, "--bands", 3,
-            "--shift-step", 1, "--seed", 7, "--corrupt-sigma",
+            "--shift-step", 1, "--seed", 7,
         )
         assert code == 5
         assert "exceeds tolerance" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cassi import (
@@ -12,12 +12,19 @@ from cassi import (
     SceneConfig,
     build_operator,
     shift_cube,
-    shift_mask,
     unshift_cube,
 )
 from cassi.dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
+from cassi.operator import _on_support
 
-from conftest import full_rank_mask, make_operator, random_cube, random_meas, rel_err
+from conftest import (
+    full_rank_mask,
+    make_operator,
+    random_cube,
+    random_meas,
+    rel_err,
+    sha256_of,
+)
 
 
 def operator_configs(max_hw=6, max_c=4, max_d=2):
@@ -36,24 +43,31 @@ def operator_configs(max_hw=6, max_c=4, max_d=2):
     )
 
 
+def shifted_mask(mask, config):
+    """Per-band shifted copies of the mask, built as the dense oracle
+    builds the diagonals of its blocks."""
+    h, w, nc, _ = config.geometry
+    return shift_cube(HSICube(config, np.broadcast_to(mask.data, (nc, h, w)))).data
+
+
 class TestShift:
     def test_shift_mask_all_ones(self, tiny_config):
         mask = CodedAperture.from_array(np.ones((2, 2)))
-        shifted = shift_mask(mask, tiny_config)
-        assert shifted.data.shape == (2, 2, 3)
-        np.testing.assert_array_equal(shifted.data[0], [[1, 1, 0], [1, 1, 0]])
-        np.testing.assert_array_equal(shifted.data[1], [[0, 1, 1], [0, 1, 1]])
+        shifted = shifted_mask(mask, tiny_config)
+        assert shifted.shape == (2, 2, 3)
+        np.testing.assert_array_equal(shifted[0], [[1, 1, 0], [1, 1, 0]])
+        np.testing.assert_array_equal(shifted[1], [[0, 1, 1], [0, 1, 1]])
 
     def test_shift_mask_single_band_is_identity(self):
         config = SceneConfig(2, 2, 1, 1)
         mask = CodedAperture.from_array(np.array([[1.0, 0.0], [0.5, 1.0]]))
-        shifted = shift_mask(mask, config)
-        assert shifted.data.shape == (1, 2, 2)
-        np.testing.assert_array_equal(shifted.data[0], mask.data)
+        shifted = shifted_mask(mask, config)
+        assert shifted.shape == (1, 2, 2)
+        np.testing.assert_array_equal(shifted[0], mask.data)
 
     def test_shift_mask_dimension_mismatch(self, tiny_config):
         with pytest.raises(DimensionMismatch):
-            shift_mask(CodedAperture.from_array(np.ones((3, 2))), tiny_config)
+            build_operator(CodedAperture.from_array(np.ones((3, 2))), tiny_config)
 
     def test_shift_cube_hand_example(self, tiny_config):
         cube = HSICube(
@@ -89,6 +103,39 @@ class TestShift:
             margin = shifted[c].copy()
             margin[:, d * c : d * c + w] = 0.0
             assert not margin.any()
+
+
+class TestOnSupportView:
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 7),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @example(nc=1, h=3, w=4, d=3, fortran=False, seed=0)
+    @example(nc=4, h=2, w=3, d=3, fortran=True, seed=1)
+    def test_equals_per_band_slices(self, nc, h, w, d, fortran, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        t = rng.random((nc, h, w + d * (nc - 1)))
+        if fortran:
+            t = np.asfortranarray(t)
+        view = _on_support(t, d)
+        assert view.shape == (nc, h, w)
+        for c in range(nc):
+            assert np.array_equal(view[c], t[c, :, d * c : d * c + w])
+
+        # Writes through the view land on the support and nowhere else.
+        values = rng.random((nc, h, w))
+        expected = t.copy()
+        for c in range(nc):
+            expected[c, :, d * c : d * c + w] = values[c]
+        _on_support(t, d)[...] = values
+        assert np.array_equal(t, expected)
+
+        t.setflags(write=False)
+        assert not _on_support(t, d).flags.writeable
 
 
 class TestBuildOperator:
@@ -386,3 +433,124 @@ class TestRndCombine:
         a = op.rnd_combine(y, q)
         b = op.rnd_combine(y, shifted_q)
         assert rel_err(b.data, a.data) < 1e-10
+
+
+class TestOperatorBytesPinned:
+    """SHA-256 of every operator output, fixed before the operator stored
+    only the 2-D mask.  Any change in the per-band arithmetic, or in the
+    order of the band sums, breaks these."""
+
+    GEOMETRIES = {
+        "256x256x28/d2": SceneConfig(256, 256, 28, 2),
+        "7x5x4/d3": SceneConfig(7, 5, 4, 3),
+        "16x9x6/d1": SceneConfig(16, 9, 6, 1),
+    }
+    DIGESTS = {
+        "256x256x28/d2": {
+            "sigma": (
+                "a35689090ee3c5617060bdbea85e674a639178fa95c5f8d568bc0d35b89aefce"
+            ),
+            "inv_sigma": (
+                "facaed3a5fd260cc13990c854623d8b8210beea6e1624d2f57c0040ee68040b2"
+            ),
+            "forward": (
+                "16c1ca258e4a5678ef2b106c7ee2543768460928c9b839fac87915ecb6253c6b"
+            ),
+            "adjoint": (
+                "c91fde4ed641a5565904835ed1ee4e45265bccbfac63b9855480d136f5abc3c7"
+            ),
+            "pinv": (
+                "9b1596f6234ff0477de12a988e1443b7eb95927f333be8441c20c37bd841cdb9"
+            ),
+            "range_project": (
+                "40a745ffa7d2ab319d287f4acfb6f288dab9ebe835f409eb97d87db45f06e3a3"
+            ),
+            "null_project": (
+                "9af4ed944743d96ad17785de9dd80f2b8e1f4e7ef4f491020e98e10c86e4c0a1"
+            ),
+            "rnd_combine": (
+                "e9bd58807893ba9ec6bcc6217846bcef86a37ccfa9f8ffadb3ec673a299a895a"
+            ),
+        },
+        "7x5x4/d3": {
+            "sigma": (
+                "7f26623118ca2d36cce89747be42f51730065ed0823593c44d2752d630b040f3"
+            ),
+            "inv_sigma": (
+                "83ff099cd8790ed08ee93327e72c119293dbf48fb27a2c05446d6b6c47f0a4d1"
+            ),
+            "forward": (
+                "70a0439afc2ea77cdfeddd24ed2655e7671ac47b0c6fb151cefa363b5028f773"
+            ),
+            "adjoint": (
+                "0e32c0df9c90c8ac352151acbe07545a669d5f66201cbd7ae553795d610bd4ff"
+            ),
+            "pinv": (
+                "69ff00a49538a477b430a5ca68d007356cc67e536c39d041e0d6fc3acfdd72c6"
+            ),
+            "range_project": (
+                "3219e4f1b7ef697154d9087ccbb9f783218ddd036d8b1af1e8ff57e0295af00f"
+            ),
+            "null_project": (
+                "b283815af0e8196a16c2155ea5ba605a5dc9f51213f0af92dc9228ed75ec06ae"
+            ),
+            "rnd_combine": (
+                "6fe958c864f8f80f1ec04a64f19c4b892b84f0c6931bf7c8416b0ee26ba386ad"
+            ),
+        },
+        "16x9x6/d1": {
+            "sigma": (
+                "59df8f1bdcabbec5bc5ec32fd9ff170582da3f20d8fe1aa6daa2ef3847b259d4"
+            ),
+            "inv_sigma": (
+                "d7fb694a81cce78f7306bc7875f6632b2d11ce4e0204e23f9dd15de4dba1d83a"
+            ),
+            "forward": (
+                "00b5aff649ee72991a8dc249af1b261caa852d1d0d60e95b4878f3de885bc32e"
+            ),
+            "adjoint": (
+                "5a01256dec08c80334c15608a786b9f2fb36326bf52967d4ee28958c03a90517"
+            ),
+            "pinv": (
+                "ca9b32c38a85660609e5131eea6fe912d40b238ce8bb18be85059343dc9b59ff"
+            ),
+            "range_project": (
+                "434d05bcf66a44e1f1079fe312adbc94f13d6144b54daf64ce082d4af108d4bc"
+            ),
+            "null_project": (
+                "8d92fc15a219f50afc059f774ec82a4c30f6e9fa434079e584f86d5958d2854a"
+            ),
+            "rnd_combine": (
+                "2dd3ba33a24d8a83fa24e27a2d03c4a2f7b2e69b2bc87d5c22bfa1ba0fbbbd90"
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_outputs(self, name):
+        config = self.GEOMETRIES[name]
+        op = make_operator(config, seed=31)
+        x = random_cube(config, 32)
+        y = random_meas(config, 33)
+        q = random_cube(config, 34)
+        got = {
+            "sigma": sha256_of(op.sigma),
+            "inv_sigma": sha256_of(op.inv_sigma),
+            "forward": sha256_of(op.forward(x).data),
+            "adjoint": sha256_of(op.adjoint(y).data),
+            "pinv": sha256_of(op.pinv(y).data),
+            "range_project": sha256_of(op.range_project(x).data),
+            "null_project": sha256_of(op.null_project(x).data),
+            "rnd_combine": sha256_of(op.rnd_combine(y, q).data),
+        }
+        assert got == self.DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "config", [SceneConfig(256, 256, 28, 2), SceneConfig(7, 5, 4, 3)]
+)
+def test_nbytes_is_mask_sigma_and_reciprocal(config):
+    # The 2-D mask plus two detector-sized planes; no per-band copies.
+    op = make_operator(config)
+    h, w = config.height, config.width
+    assert op.nbytes() == 8 * (h * w + 2 * h * config.measurement_width())

@@ -1,4 +1,3 @@
-import hashlib
 from unittest import mock
 
 import numpy as np
@@ -13,12 +12,11 @@ from cassi import (
     Measurement,
     NonFiniteValue,
     SceneConfig,
+    ShiftedCube,
     IdentityPrior,
     InitStrategy,
     SolverConfig,
     TvPrior,
-    crop_to_scene,
-    gap_solve,
     gap_solve_with_stats,
     init_repeat,
     init_roll,
@@ -26,10 +24,11 @@ from cassi import (
     rnd_reconstruct,
     shift_cube,
     tv_denoise,
+    unshift_cube,
 )
 from cassi import recon
 
-from conftest import make_operator, random_cube, random_meas, rel_err
+from conftest import make_operator, random_cube, random_meas, rel_err, sha256_of
 from test_operator import operator_configs
 
 
@@ -110,12 +109,12 @@ class TestInitRoll:
 class TestCropToScene:
     def test_inverts_shift(self, tiny_config):
         cube = random_cube(tiny_config, 5)
-        np.testing.assert_array_equal(crop_to_scene(shift_cube(cube)).data, cube.data)
+        np.testing.assert_array_equal(unshift_cube(shift_cube(cube)).data, cube.data)
 
     @given(operator_configs())
     def test_output_width_is_scene_width(self, case):
         config, seed = case
-        cropped = crop_to_scene(init_repeat(random_meas(config, seed)))
+        cropped = unshift_cube(init_repeat(random_meas(config, seed)))
         assert cropped.data.shape == (config.bands, config.height, config.width)
 
 
@@ -173,10 +172,6 @@ class TestTvDenoise:
 
         out = tv_denoise(cube, strength, 40)
         assert tv(out.data) <= tv(cube.data) + 1e-12
-
-
-def sha256_of(data: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
 
 
 def reference_tv_prox(f, lam, iters):
@@ -383,7 +378,9 @@ class TestGapSolve:
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 15))
         x0 = op.pinv(meas)
-        out = gap_solve(op, meas, IdentityPrior(), SolverConfig(iterations=5), x0=x0)
+        out, _ = gap_solve_with_stats(
+            op, meas, IdentityPrior(), SolverConfig(iterations=5), x0=x0
+        )
         assert rel_err(out.data, x0.data) < 1e-12
 
     def test_invalid_x0_rejected(self):
@@ -392,7 +389,7 @@ class TestGapSolve:
         from cassi import DimensionMismatch
 
         with pytest.raises(DimensionMismatch):
-            gap_solve(
+            gap_solve_with_stats(
                 op,
                 meas,
                 IdentityPrior(),
@@ -404,14 +401,14 @@ class TestGapSolve:
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 16))
         with pytest.raises(NonFiniteValue):
-            gap_solve(op, meas, _NanPrior(), SolverConfig(iterations=3))
+            gap_solve_with_stats(op, meas, _NanPrior(), SolverConfig(iterations=3))
 
     def test_deterministic(self):
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 17))
         cfg = SolverConfig(iterations=10)
-        a = gap_solve(op, meas, TvPrior(10), cfg)
-        b = gap_solve(op, meas, TvPrior(10), cfg)
+        a, _ = gap_solve_with_stats(op, meas, TvPrior(10), cfg)
+        b, _ = gap_solve_with_stats(op, meas, TvPrior(10), cfg)
         assert np.array_equal(a.data, b.data)
 
     def test_convergence_tol_stops_early(self):
@@ -467,9 +464,101 @@ class TestGapSolve:
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 20))
         cfg = SolverConfig(iterations=3, init=init, crop_denoiser_input=crop)
-        out = gap_solve(op, meas, TvPrior(5), cfg)
+        out, _ = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
         assert out.data.shape == (2, 4, 4)
         assert np.isfinite(out.data).all()
+
+
+class TestGapSolveBytesPinned:
+    """SHA-256 of the solver output and of its residual trace, fixed before
+    the data step and the crops went through the operator's kernels."""
+
+    # The shift and roll inits agree on the band support, so with the crop
+    # their outputs are the same.
+    DIGESTS = {
+        "shift/crop=True": (
+            "cac453937b982a2018a656236c333358b0aab712d945572b47cd6195144dd1bf",
+            "b1b03c3afa6f5b84efa4b12886ce66eab089c5c09c13c150bc5836f00515cedb",
+            4,
+        ),
+        "shift/crop=False": (
+            "6a47f5eca4c62b90fe096e8e20ffa9840a36ee512a7e58a25dd2358affd704ab",
+            "29c2a3d3f10f46f941c6813c955a9ae0a19fa1c83d2af7835d2d2f15047edd7d",
+            4,
+        ),
+        "repeat/crop=True": (
+            "4ec1f0b67ab69c59124dae968e874eaefe908884cea7f859cf08d4cef20cfd16",
+            "8a78a9726cdf40477ecfb39d04689009d773e8f9b697726178752cbb57b70f07",
+            4,
+        ),
+        "repeat/crop=False": (
+            "a8c77630dab8c6e49a67408f1f40058cffd0fab30b56c025bead985cd7d00a96",
+            "6b0c4ae2f016518986571ba0896d761fb20a098d2cc18643603ed8f36d14f0f7",
+            4,
+        ),
+        "roll/crop=True": (
+            "cac453937b982a2018a656236c333358b0aab712d945572b47cd6195144dd1bf",
+            "b1b03c3afa6f5b84efa4b12886ce66eab089c5c09c13c150bc5836f00515cedb",
+            4,
+        ),
+        "roll/crop=False": (
+            "5f69f8e1e08250138430bf0464b6a3a9d697c56bdf8f1b3ab370eb7420ce66cf",
+            "062194d1578db0ad2e69a9f0594cdf891109d8012f1786111631828ee68f1138",
+            4,
+        ),
+        "tol": (
+            "88fa1d0976952450d216372d4e40582ee15791a328b83675f1e0321736330200",
+            "6252a34247706ac71b4b6dd9dc7cd905c53c32518a75dba9e6783479c6ad5b6f",
+            14,
+        ),
+        "x0=pinv": (
+            "2b6184d53ed06c26786b2f2bd629e026e04d903956a5df64d90f8be37756922c",
+            "86a44f7de5c0a083f88990a08748453c3bc7fcaa96452729f57655766dbcc8df",
+            4,
+        ),
+        "x0=shifted/crop=True": (
+            "36034a31be7f5dc7f055337d7707f7cb7d2a0fa81f640d36469aa32db08801a2",
+            "1fff1b4ccbf6325cf8a944d7986ee0f289fff54ec6497dcb7d0a1e5be7c7078f",
+            4,
+        ),
+        "x0=shifted/crop=False": (
+            "1b77fa27dcfda8f5d234be8cc2a921f0b7c5712d1818acc0c6dbb2977de740c4",
+            "c44aebcb72e254b98ba2be27bb624f15b75060a7e9616a41a1e619423d709455",
+            4,
+        ),
+    }
+
+    @staticmethod
+    def case(key, op, meas):
+        """Solver config and x0 for ``key``; "init/crop=..." keys run 4 iterations."""
+        config = op.config
+        h, _, nc, _ = config.geometry
+        if key == "tol":
+            return SolverConfig(iterations=60, convergence_tol=1e-2), None
+        if key == "x0=pinv":
+            return SolverConfig(iterations=4), op.pinv(meas)
+        head, crop = key.split("/crop=")
+        cfg = dict(iterations=4, crop_denoiser_input=crop == "True")
+        if head == "x0=shifted":
+            # Nonzero margin values, which the full-width prior sees.
+            rng = np.random.Generator(np.random.Philox(43))
+            data = rng.random((nc, h, config.measurement_width()))
+            return SolverConfig(**cfg), ShiftedCube(config, data)
+        return SolverConfig(**cfg, init=InitStrategy.from_name(head)), None
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_output_and_residual_trace(self, key):
+        config = SceneConfig(10, 8, 5, 2)
+        op = make_operator(config, seed=41)
+        meas = op.forward(random_cube(config, 42))
+        cfg, x0 = self.case(key, op, meas)
+        q, stats = gap_solve_with_stats(op, meas, TvPrior(5), cfg, x0=x0)
+        got = (
+            sha256_of(q.data),
+            sha256_of(np.asarray(stats.residual_l2)),
+            stats.iterations_run,
+        )
+        assert got == self.DIGESTS[key]
 
 
 class TestRndReconstruct:
