@@ -9,6 +9,9 @@ Exit codes (exhaustive):
 * 4 - solver divergence (non-finite iterate)
 * 5 - oracle-check tolerance breach
 
+A batch ``reconstruct`` attempts every input, names each failed one, and
+exits with the code of the first failure in command-line order.
+
 Flags take precedence over config-file values, which take precedence over
 defaults.  ``CASSI_THREADS`` caps the worker count used for batch
 reconstruction; it never changes numerical results.
@@ -20,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,7 +45,7 @@ from .errors import (
     MaskDegenerate,
     NonFiniteValue,
 )
-from .operator import build_operator
+from .operator import SensingOperator, build_operator
 from .recon import (
     InitStrategy,
     SolverConfig,
@@ -119,6 +123,16 @@ def _resolve(name: str, flag_value, file_cfg: dict, default=None):
 
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
+
+
+def _exit_status(exc: Exception) -> tuple[int, str] | None:
+    """Documented exit code and message of a library error; None for an
+    unexpected exception, which is left to propagate."""
+    if isinstance(exc, MaskDegenerate):
+        return 3, str(exc)
+    if isinstance(exc, (CassiError, ValueError, OSError)):
+        return 2, str(exc)
+    return None
 
 
 def _load_mask_plane(path: str) -> np.ndarray:
@@ -255,6 +269,17 @@ def cmd_reconstruct(args) -> int:
                 "their results would overwrite each other"
             )
 
+    # All inputs share the mask, so each geometry's operator is built once.
+    mask = CodedAperture.from_array(mask_plane)
+    operators: dict[SceneConfig, SensingOperator] = {}
+    operators_lock = threading.Lock()
+
+    def operator_for(config: SceneConfig) -> SensingOperator:
+        with operators_lock:
+            if config not in operators:
+                operators[config] = build_operator(mask, config)
+            return operators[config]
+
     def run(meas_path: str) -> None:
         meas_arr, _ = read_cube(meas_path)
         if meas_arr.shape[0] != 1:
@@ -268,8 +293,7 @@ def cmd_reconstruct(args) -> int:
             width=config.width,
             bands=config.bands,
         )
-        mask = CodedAperture.from_array(mask_plane)
-        op = build_operator(mask, config)
+        op = operator_for(config)
         meas = Measurement(config, meas_arr[0])
         started = time.perf_counter()
         x, stats = _reconstruct_one(op, meas, args.method, scfg)
@@ -316,17 +340,38 @@ def cmd_reconstruct(args) -> int:
             text = "".join(f"{k} {v}\n" for k, v in pairs)
             _atomic_write(report_path, text.encode("utf-8"))
 
-    try:
-        if multi:
-            workers = max(1, int(os.environ.get("CASSI_THREADS", "1")))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, meas_paths))
-        else:
-            run(meas_paths[0])
-    except NonFiniteValue as exc:
-        _fail(f"solver diverged: {exc}")
-        return 4
-    return 0
+    def attempt(meas_path: str) -> tuple[int, str] | None:
+        try:
+            run(meas_path)
+        except NonFiniteValue as exc:
+            return 4, f"solver diverged: {exc}"
+        except Exception as exc:
+            status = _exit_status(exc)
+            if status is None:
+                raise
+            return status
+        return None
+
+    if not multi:
+        status = attempt(meas_paths[0])
+        if status is None:
+            return 0
+        _fail(status[1])
+        return status[0]
+
+    # Every input is attempted; the exit code is that of the first failure
+    # in command-line order.
+    workers = max(1, int(os.environ.get("CASSI_THREADS", "1")))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        statuses = list(pool.map(attempt, meas_paths))
+    failed = [(path, s) for path, s in zip(meas_paths, statuses) if s is not None]
+    for path, (_, message) in failed:
+        _fail(f"{path}: {message}")
+    print(
+        f"reconstructed {len(meas_paths) - len(failed)} of {len(meas_paths)} inputs",
+        file=sys.stderr,
+    )
+    return failed[0][1][0] if failed else 0
 
 
 # --------------------------------------------------------------------------
@@ -633,12 +678,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MaskDegenerate as exc:
-        _fail(str(exc))
-        return 3
-    except (CassiError, ValueError, OSError) as exc:
-        _fail(str(exc))
-        return 2
+    except Exception as exc:
+        status = _exit_status(exc)
+        if status is None:
+            raise
+        _fail(status[1])
+        return status[0]
 
 
 def entry() -> None:  # console-script shim

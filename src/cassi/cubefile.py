@@ -20,8 +20,8 @@ temporary file and an atomic rename.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -37,9 +37,12 @@ _CODES = {"f32": 0, "f64": 1}
 
 def _atomic_write(path: str | os.PathLike, *chunks: bytes) -> None:
     """Write ``chunks`` to a fresh temporary file beside ``path``, then
-    rename it over ``path``.  The temporary file is removed on any error."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    rename it over ``path``.  The temporary file is created with mode 0o666
+    less the umask, as ``open`` would create ``path``, and is removed on any
+    error."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f"{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -43,15 +43,18 @@ def _clamped_pair(reference: HSICube, test: HSICube) -> tuple[np.ndarray, np.nda
     return np.clip(reference.data, 0.0, 1.0), np.clip(test.data, 0.0, 1.0)
 
 
-def psnr_bands(reference: HSICube, test: HSICube) -> np.ndarray:
-    """Per-band PSNR in dB against peak 1.0; a zero-MSE band reports the
-    100 dB cap."""
-    a, b = _clamped_pair(reference, test)
+def _psnr_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape[0])
     for c in range(a.shape[0]):
         mse = float(np.mean((a[c] - b[c]) ** 2))
         out[c] = PSNR_CAP_DB if mse == 0.0 else 10.0 * np.log10(1.0 / mse)
     return out
+
+
+def psnr_bands(reference: HSICube, test: HSICube) -> np.ndarray:
+    """Per-band PSNR in dB against peak 1.0; a zero-MSE band reports the
+    100 dB cap."""
+    return _psnr_planes(*_clamped_pair(reference, test))
 
 
 def psnr(reference: HSICube, test: HSICube) -> float:
@@ -92,14 +95,17 @@ def _ssim_plane(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(num / den))
 
 
-def ssim_bands(reference: HSICube, test: HSICube) -> np.ndarray:
-    """Per-band structural similarity (valid-region 11x11 Gaussian window)."""
-    a, b = _clamped_pair(reference, test)
+def _ssim_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] < 11 or a.shape[2] < 11:
         raise DimensionMismatch(
             f"bands of shape {a.shape[1:]} are smaller than the 11x11 ssim window"
         )
     return np.array([_ssim_plane(a[c], b[c]) for c in range(a.shape[0])])
+
+
+def ssim_bands(reference: HSICube, test: HSICube) -> np.ndarray:
+    """Per-band structural similarity (valid-region 11x11 Gaussian window)."""
+    return _ssim_planes(*_clamped_pair(reference, test))
 
 
 def ssim(reference: HSICube, test: HSICube) -> float:
@@ -110,8 +116,8 @@ def ssim(reference: HSICube, test: HSICube) -> float:
 def evaluate(reference: HSICube, test: HSICube) -> MetricReport:
     """Full report: per-band PSNR/SSIM, their means, and whole-cube MSE."""
     a, b = _clamped_pair(reference, test)
-    p = psnr_bands(reference, test)
-    s = ssim_bands(reference, test)
+    p = _psnr_planes(a, b)
+    s = _ssim_planes(a, b)
     return MetricReport(
         psnr_db=float(np.mean(p)),
         ssim=float(np.mean(s)),

@@ -136,26 +136,32 @@ _INITS = {
 
 
 # Bytes per working array of one band block in the TV prox.  A block holds
-# as many whole bands as fit, so its ~6 live arrays (about 3 MiB) stay in
-# cache instead of streaming the whole stack through DRAM on every step.
-# Large planes get one band per block, small stacks a single block, which
-# keeps the per-call overhead of small stacks low.
+# as many whole bands as fit, so its 4 working arrays (2 MiB) and its slice
+# of the input stay in cache instead of streaming the whole stack through
+# DRAM on every step.  Large planes get one band per block, small stacks a
+# single block, which keeps the per-call overhead of small stacks low.
 _TV_BLOCK_BYTES = 512 * 1024
 
 
 def _tv_field(
-    out: np.ndarray, f: np.ndarray, p: np.ndarray, q: np.ndarray, lam: float
+    out: np.ndarray, f: np.ndarray, p: np.ndarray, q: np.ndarray, lam: float, w: int
 ) -> None:
     """Write the primal field ``f - lam * div(p, q)`` into ``out``.
 
-    The divergence is assembled from zero in a fixed order (+p, -p, +q, -q),
-    so the result is bitwise independent of how the bands are blocked.
+    All arrays are flat views of C-contiguous band blocks; ``p`` and ``q``
+    are padded duals whose last row (``p``) or last column (``q``) is +0,
+    so the row shift is ``w`` and the column shift 1 across the whole
+    block.  The divergence is assembled in a fixed order (+p, -p, +q, -q).
+    Starting from ``p`` rather than ``0 + p``, and adding or subtracting a
+    +0 pad term, leave every value unchanged because no partial sum is -0:
+    the duals start at +0, and a sum rounds to -0 only when both operands
+    are -0.  So the result is bitwise that of the unpadded per-band sums,
+    whatever the blocking.
     """
-    out.fill(0.0)
-    out[:, :-1, :] += p
-    out[:, 1:, :] -= p
-    out[:, :, :-1] += q
-    out[:, :, 1:] -= q
+    out[:w] = p[:w]
+    np.subtract(p[w:], p[:-w], out=out[w:])
+    out += q
+    out[1:] -= q[:-1]
     out *= lam
     np.subtract(f, out, out=out)
 
@@ -166,34 +172,37 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     Projected gradient on the dual with the classical 1/(8*lam) step;
     fixed iteration count, fully deterministic.  Planes are independent, so
     the stack is processed in blocks of whole bands sized by
-    ``_TV_BLOCK_BYTES``, each updated in place in preallocated buffers.
+    ``_TV_BLOCK_BYTES``.  Every step is one 1-D ufunc over a flat block:
+    the duals are stored padded to full planes (see :func:`_tv_field`), and
+    the one difference buffer has its pad row or column reset to +0 after
+    each flat difference so the pads stay +0.
     """
     nc, h, w = f.shape
     out = np.empty((nc, h, w))
     block = min(nc, max(1, _TV_BLOCK_BYTES // (h * w * out.itemsize)))
-    x_buf = np.empty((block, h, w))
-    p_buf = np.empty((block, h - 1, w))
-    q_buf = np.empty((block, h, w - 1))
-    dp_buf = np.empty_like(p_buf)
-    dq_buf = np.empty_like(q_buf)
+    bufs = np.empty((4, block * h * w))
     step = 1.0 / (8.0 * lam)
     for lo in range(0, nc, block):
         n = min(block, nc - lo)
-        fb = f[lo : lo + n]
-        x, p, q, dp, dq = (b[:n] for b in (x_buf, p_buf, q_buf, dp_buf, dq_buf))
+        fb = f[lo : lo + n].reshape(-1)
+        x, p, q, dd = (b[: n * h * w] for b in bufs)
+        pad_row = dd.reshape(n, h, w)[:, -1, :]
+        pad_col = dd.reshape(n, h, w)[:, :, -1]
         p.fill(0.0)
         q.fill(0.0)
         for _ in range(iters):
-            _tv_field(x, fb, p, q, lam)
-            np.subtract(x[:, :-1, :], x[:, 1:, :], out=dp)
-            dp *= step
-            p += dp
+            _tv_field(x, fb, p, q, lam, w)
+            np.subtract(x[:-w], x[w:], out=dd[:-w])
+            pad_row.fill(0.0)
+            dd *= step
+            p += dd
             np.clip(p, -1.0, 1.0, out=p)
-            np.subtract(x[:, :, :-1], x[:, :, 1:], out=dq)
-            dq *= step
-            q += dq
+            np.subtract(x[:-1], x[1:], out=dd[:-1])
+            pad_col.fill(0.0)
+            dd *= step
+            q += dd
             np.clip(q, -1.0, 1.0, out=q)
-        _tv_field(out[lo : lo + n], fb, p, q, lam)
+        _tv_field(out[lo : lo + n].reshape(-1), fb, p, q, lam, w)
     return out
 
 
@@ -263,21 +272,25 @@ def gap_solve_with_stats(
     if z.shape != (nc, h, wp):
         raise DimensionMismatch("x0 geometry disagrees with operator")
 
+    # One private copy, updated in place.  The forward image of each
+    # iterate serves both its residual and the next data step.
+    z = z.copy()
     wide = _wide_config(op.config)
+    support = _on_support(z, d)
+    y = _forward(op.mask, d, support)
     residuals = []
     iterations_run = 0
     for _ in range(cfg.iterations):
-        z_prev = z
-        corr = (meas.data - _forward(op.mask, d, _on_support(z, d))) * op.inv_sigma
-        z = z.copy()
-        support = _on_support(z, d)
+        z_prev = z.copy() if cfg.convergence_tol > 0.0 else None
+        corr = (meas.data - y) * op.inv_sigma
         _backproject(op.mask, d, corr, support, accumulate=True)
 
         if cfg.crop_denoiser_input:
             core = HSICube._adopt(op.config, support.copy())
             support[...] = prior.denoise(core, cfg.tv_weight).data
         else:
-            z = prior.denoise(HSICube._adopt(wide, z), cfg.tv_weight).data
+            # Priors return read-only arrays, so keep a writeable copy.
+            z = prior.denoise(HSICube._adopt(wide, z), cfg.tv_weight).data.copy()
             support = _on_support(z, d)
 
         if not np.isfinite(z).all():
@@ -286,10 +299,10 @@ def gap_solve_with_stats(
             )
         iterations_run += 1
 
-        y_post = _forward(op.mask, d, support)
-        residuals.append(float(np.linalg.norm(meas.data - y_post)))
+        y = _forward(op.mask, d, support)
+        residuals.append(float(np.linalg.norm(meas.data - y)))
 
-        if cfg.convergence_tol > 0.0:
+        if z_prev is not None:
             delta = float(np.max(np.abs(z - z_prev)))
             scale = max(float(np.max(np.abs(z_prev))), np.finfo(float).tiny)
             if delta <= cfg.convergence_tol * scale:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +221,89 @@ class TestReconstruct:
         assert code == 2
         assert "output stem(s) meas" in capsys.readouterr().err
         assert not any(out_dir.iterdir())
+
+    def test_batch_attempts_every_input_and_names_each_failure(
+        self, tmp_path, capsys
+    ):
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        good = tmp_path / "a.hsic"
+        good.write_bytes(meas_path.read_bytes())
+        bad = [tmp_path / "b.hsic", tmp_path / "c.hsic"]
+        for path in bad:
+            path.write_bytes(b"not a cube")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            "reconstruct", "--meas", good, *bad, "--mask", mask_path,
+            "--shift-step", 2, "--method", "pinv", "--out", out_dir,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        for path in bad:
+            assert f"error: {path}: " in err
+        assert f"error: {good}" not in err
+        assert err.rstrip().endswith("reconstructed 1 of 3 inputs")
+        assert (out_dir / "a.recon.hsic").exists()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_exits_with_the_first_failure_in_order(
+        self, tmp_path, capsys, reverse
+    ):
+        # One zero mask pixel: a single-band geometry is degenerate (exit
+        # 3), a three-band one is not, and a malformed file exits 2.
+        plane = np.ones((8, 8))
+        plane[3, 4] = 0.0
+        mask_path = tmp_path / "mask.hsic"
+        write_cube(mask_path, plane)
+        good, degenerate, malformed = (
+            tmp_path / name for name in ("a.hsic", "b.hsic", "c.hsic")
+        )
+        write_cube(good, np.ones((8, 12)))
+        write_cube(degenerate, np.ones((8, 8)))
+        malformed.write_bytes(b"HSIC")
+        failing = [malformed, degenerate] if reverse else [degenerate, malformed]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            "reconstruct", "--meas", good, *failing, "--mask", mask_path,
+            "--shift-step", 2, "--method", "pinv", "--out", out_dir,
+        )
+        assert code == (2 if reverse else 3)
+        err = capsys.readouterr().err
+        assert "receives no mask energy" in err and "truncated header" in err
+        assert "reconstructed 1 of 3 inputs" in err
+
+    def test_batch_builds_each_geometry_once(self, tmp_path, monkeypatch):
+        # More workers than cores, a short switch interval and a slow
+        # build, so an unguarded check-then-build would build twice.
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        paths = [tmp_path / f"m{i}.hsic" for i in range(8)]
+        for path in paths:
+            path.write_bytes(meas_path.read_bytes())
+        builds = []
+        build = cli.build_operator
+
+        def counting(*args):
+            builds.append(args[1])
+            time.sleep(0.05)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_operator", counting)
+        monkeypatch.setenv("CASSI_THREADS", "4")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = run_cli(
+                "reconstruct", "--meas", *paths, "--mask", mask_path,
+                "--shift-step", 2, "--method", "pinv", "--out", out_dir,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert len(builds) == 1
+        assert len(list(out_dir.iterdir())) == len(paths)
 
     def test_failed_report_write_leaves_no_temp_file(self, tmp_path):
         _, meas_path, mask_path, _ = self.make_measurement(tmp_path)

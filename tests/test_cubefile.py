@@ -130,3 +130,16 @@ def test_pgm_export(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n2 2\n255\n")
     assert raw[-4:] == bytes([0, 128, 255, 255])
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_new_files_get_the_umask_default_mode(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        write_cube(tmp_path / "cube.hsic", np.zeros((1, 2, 2)))
+        write_pgm(tmp_path / "band.pgm", np.zeros((2, 2)))
+    finally:
+        os.umask(previous)
+    for name in ("cube.hsic", "band.pgm"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.pgm", "cube.hsic"]

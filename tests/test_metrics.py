@@ -150,3 +150,15 @@ class TestEvaluate:
             noisy_cube = HSICube(config, noisy.data[None])
             values.append(psnr(scene, noisy_cube))
         assert values == sorted(values, reverse=True)
+
+    def test_per_band_values_equal_the_public_functions(self):
+        # evaluate clamps the pair once; its per-band values must be the
+        # bits psnr_bands and ssim_bands give, including out-of-range input.
+        rng = np.random.Generator(np.random.Philox(12))
+        a = HSICube(CFG, rng.normal(0.5, 0.4, (3, 16, 16)))
+        b = HSICube(CFG, rng.normal(0.5, 0.4, (3, 16, 16)))
+        report = evaluate(a, b)
+        assert report.per_band_psnr == tuple(float(x) for x in psnr_bands(a, b))
+        assert report.per_band_ssim == tuple(float(x) for x in ssim_bands(a, b))
+        assert report.psnr_db == psnr(a, b)
+        assert report.ssim == ssim(a, b)

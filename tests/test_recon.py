@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cassi import (
@@ -245,11 +245,11 @@ def per_band_tv(data: np.ndarray, strength: float, iterations: int) -> np.ndarra
     return np.concatenate([tv_denoise(b, strength, iterations).data for b in bands])
 
 
-def assert_band_independent(shape, seed, strength, iterations):
+def assert_band_independent(shape, seed, strength, iterations, data=None):
     """Byte-equal to the bands denoised one at a time, and to the reference."""
     c, h, w = shape
-    rng = np.random.Generator(np.random.Philox(seed))
-    data = rng.random(shape)
+    if data is None:
+        data = np.random.Generator(np.random.Philox(seed)).random(shape)
     out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), strength, iterations)
     assert out.data.tobytes() == per_band_tv(data, strength, iterations).tobytes()
     assert out.data.tobytes() == reference_tv_prox(data, strength, iterations).tobytes()
@@ -282,6 +282,37 @@ class TestTvBandIndependence:
         # H = 1 or W = 1 (or 2), with H*W on both sides of the budget.
         shape = (c, long, thin) if transpose else (c, thin, long)
         assert_band_independent(shape, seed, 0.1, 5)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(8, 3000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["signed zeros", "plateaus", "negative", "tiny"]),
+        st.floats(0.01, 0.5),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=200)
+    def test_signed_zeros_plateaus_and_negatives(
+        self, c, h, w, budget, seed, kind, strength, iterations
+    ):
+        # The padded kernel adds and subtracts +0 pad terms; that is
+        # bitwise neutral only while no partial sum is -0, so feed it the
+        # inputs most likely to produce one.
+        rng = np.random.Generator(np.random.Philox(seed))
+        shape = (c, h, w)
+        if kind == "signed zeros":
+            data = rng.choice([0.0, -0.0], shape)
+        elif kind == "plateaus":
+            data = rng.choice([-0.0, 0.0, 0.25, -1.0], (c, 1, 1)) * np.ones(shape)
+            data[:, h // 2 :, :] = rng.choice([-0.0, 0.0, 0.5])
+        elif kind == "negative":
+            data = rng.normal(size=shape)
+        else:
+            data = rng.normal(size=shape) * 1e-300
+        with mock.patch.object(recon, "_TV_BLOCK_BYTES", budget):
+            assert_band_independent(shape, seed, strength, iterations, data)
 
 
 def brute_force_tv_prox(plane, lam):
@@ -467,6 +498,51 @@ class TestGapSolve:
         out, _ = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
         assert out.data.shape == (2, 4, 4)
         assert np.isfinite(out.data).all()
+
+
+class TestGapSolveWorkingCopy:
+    @staticmethod
+    def x0_of(kind, op, meas):
+        if kind == "HSICube":
+            return op.pinv(meas)
+        h, _, nc, _ = op.config.geometry
+        rng = np.random.Generator(np.random.Philox(44))
+        return ShiftedCube(op.config, rng.random((nc, h, op.config.measurement_width())))
+
+    @pytest.mark.parametrize("kind", ["HSICube", "ShiftedCube"])
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_leaves_x0_unchanged(self, kind, crop):
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = op.forward(random_cube(config, 46))
+        x0 = self.x0_of(kind, op, meas)
+        before = x0.data.tobytes()
+        cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
+        gap_solve_with_stats(op, meas, TvPrior(3), cfg, x0=x0)
+        gap_solve_with_stats(op, meas, IdentityPrior(), cfg, x0=x0)
+        assert x0.data.tobytes() == before
+
+    @pytest.mark.parametrize("crop", [True, False])
+    @pytest.mark.parametrize("tol", [0.0, 1e-2])
+    def test_one_forward_per_iteration(self, monkeypatch, crop, tol):
+        # The post-denoise forward image is reused as the next data step.
+        calls = []
+        forward = recon._forward
+
+        def counting(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(recon, "_forward", counting)
+        config = SceneConfig(10, 8, 5, 2)
+        op = make_operator(config, seed=41)
+        meas = op.forward(random_cube(config, 42))
+        cfg = SolverConfig(
+            iterations=60, convergence_tol=tol, crop_denoiser_input=crop
+        )
+        _, stats = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
+        assert len(calls) == stats.iterations_run + 1
+        assert (stats.iterations_run < 60) == (tol > 0.0)
 
 
 class TestGapSolveBytesPinned:
