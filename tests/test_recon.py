@@ -315,6 +315,37 @@ class TestTvBandIndependence:
             assert_band_independent(shape, seed, strength, iterations, data)
 
 
+class TestTvWorkspaceAlignment:
+    @given(st.integers(1, 5), st.integers(1, 100))
+    def test_rows_start_on_cache_lines(self, rows, n):
+        a = recon._aligned_rows(rows, n)
+        assert a.shape == (rows, n) and a.dtype == np.float64
+        for row in a:
+            assert row.flags.c_contiguous
+            assert row.ctypes.data % recon._TV_ALIGN_BYTES == 0
+        a[...] = np.arange(rows)[:, None]
+        assert (a == np.arange(rows)[:, None]).all()
+
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
+    def test_prox_works_in_aligned_rows(self, shape):
+        # The whole dual iteration runs in rows from _aligned_rows, so no
+        # block's speed depends on where the allocator put it.
+        made = []
+        aligned_rows = recon._aligned_rows
+
+        def spy(rows, n):
+            made.append((rows, n))
+            return aligned_rows(rows, n)
+
+        c, h, w = shape
+        data = np.random.Generator(np.random.Philox(4)).random(shape)
+        with mock.patch.object(recon, "_aligned_rows", side_effect=spy):
+            out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), 0.1, 3)
+        block = min(c, max(1, recon._TV_BLOCK_BYTES // (h * w * 8)))
+        assert made == [(4, block * h * w)]
+        assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
+
+
 def brute_force_tv_prox(plane, lam):
     cvxpy = pytest.importorskip("cvxpy")
     z = cvxpy.Variable(plane.shape)
