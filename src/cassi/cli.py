@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
+from ._pool import kernel_workers
 from .core import CodedAperture, HSICube, Measurement, SceneConfig
 from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
 from .dense import (
@@ -280,7 +281,7 @@ def cmd_reconstruct(args) -> int:
                 operators[config] = build_operator(mask, config)
             return operators[config]
 
-    def run(meas_path: str) -> None:
+    def run(meas_path: str) -> tuple[int, str] | None:
         meas_arr, _ = read_cube(meas_path)
         if meas_arr.shape[0] != 1:
             raise ConfigFileError(
@@ -294,9 +295,15 @@ def cmd_reconstruct(args) -> int:
             bands=config.bands,
         )
         op = operator_for(config)
-        meas = Measurement(config, meas_arr[0])
+        try:
+            meas = Measurement(config, meas_arr[0])
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"{meas_path}: {exc}") from None
         started = time.perf_counter()
-        x, stats = _reconstruct_one(op, meas, args.method, scfg)
+        try:
+            x, stats = _reconstruct_one(op, meas, args.method, scfg)
+        except NonFiniteValue as exc:
+            return 4, f"solver diverged: {exc}"
         elapsed = time.perf_counter() - started
         if multi:
             out_path = os.path.join(args.out, f"{_stem(meas_path)}.recon.hsic")
@@ -339,18 +346,16 @@ def cmd_reconstruct(args) -> int:
                 report_path = args.report
             text = "".join(f"{k} {v}\n" for k, v in pairs)
             _atomic_write(report_path, text.encode("utf-8"))
+        return None
 
     def attempt(meas_path: str) -> tuple[int, str] | None:
         try:
-            run(meas_path)
-        except NonFiniteValue as exc:
-            return 4, f"solver diverged: {exc}"
+            return run(meas_path)
         except Exception as exc:
             status = _exit_status(exc)
             if status is None:
                 raise
             return status
-        return None
 
     if not multi:
         status = attempt(meas_paths[0])
@@ -505,12 +510,16 @@ def cmd_bench(args) -> int:
         "rnd_combine": lambda: op.rnd_combine(meas, zero_q),
         "tv_denoise": lambda: prior.denoise(cube, 0.1),
     }
+    if h >= 11 and w >= 11:  # the SSIM window
+        estimate = op.pinv(meas)
+        targets["evaluate"] = lambda: evaluate(cube, estimate)
     print(f"height {config.height}")
     print(f"width {config.width}")
     print(f"bands {config.bands}")
     print(f"shift_step {config.shift_step}")
     print(f"reps {args.reps}")
     print(f"operator_bytes {op.nbytes()}")
+    print(f"kernel_workers {kernel_workers()}")
     for name, fn in targets.items():
         times = []
         for _ in range(args.reps):
@@ -630,7 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("bench", help="time the operator kernels and the TV prox")
+    p = sub.add_parser(
+        "bench", help="time the operator kernels, the TV prox and evaluate"
+    )
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--bands", type=int, required=True)

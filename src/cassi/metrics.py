@@ -5,7 +5,10 @@ the classical 11x11 Gaussian window with sigma 1.5 and stabilizers
 (0.01)^2 and (0.03)^2; window statistics are computed on the valid interior
 only (no padding), so bands must be at least 11x11.  The window is the
 outer product of a normalised 1-D Gaussian and is applied separably, one
-1-D pass per axis.
+1-D pass per axis.  Bands are scored independently, so spans of them run
+on the kernel thread pool, each task in its own workspace; small stacks
+are scored inline.  Every band does the same arithmetic whatever the pool
+size, so the results are bitwise the same.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from ._pool import run_band_spans
 from .core import HSICube
 from .errors import DimensionMismatch
+from .recon import _TV_BLOCK_BYTES
 
 PSNR_CAP_DB = 100.0
 
@@ -43,10 +48,17 @@ def _clamped_pair(reference: HSICube, test: HSICube) -> tuple[np.ndarray, np.nda
     return np.clip(reference.data, 0.0, 1.0), np.clip(test.data, 0.0, 1.0)
 
 
-def _psnr_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape[0])
-    for c in range(a.shape[0]):
-        mse = float(np.mean((a[c] - b[c]) ** 2))
+def _squared_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a - b)**2``, written over ``b`` (a private clamped copy)."""
+    np.subtract(a, b, out=b)
+    return np.square(b, out=b)
+
+
+def _psnr_planes(sq: np.ndarray) -> np.ndarray:
+    """Per-band PSNR from a stack of squared differences."""
+    out = np.empty(sq.shape[0])
+    for c in range(sq.shape[0]):
+        mse = float(np.mean(sq[c]))
         out[c] = PSNR_CAP_DB if mse == 0.0 else 10.0 * np.log10(1.0 / mse)
     return out
 
@@ -54,7 +66,7 @@ def _psnr_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def psnr_bands(reference: HSICube, test: HSICube) -> np.ndarray:
     """Per-band PSNR in dB against peak 1.0; a zero-MSE band reports the
     100 dB cap."""
-    return _psnr_planes(*_clamped_pair(reference, test))
+    return _psnr_planes(_squared_error(*_clamped_pair(reference, test)))
 
 
 def psnr(reference: HSICube, test: HSICube) -> float:
@@ -73,20 +85,21 @@ _WINDOW = _gaussian_window()
 _HALF = _WINDOW.size // 2
 
 
-def _window_means(stack: np.ndarray) -> np.ndarray:
-    """Gaussian-weighted means over every valid window of each plane.
+def _ssim_plane(a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> float:
+    """SSIM of one plane pair, using the (5, H, W) workspace ``ws``.
 
-    Two 1-D passes of the symmetric window (correlation equals convolution),
-    then a crop to the positions where the window fits inside the plane.
+    The window means come from two in-place 1-D passes of the symmetric
+    window (correlation equals convolution) over the stacked planes, then a
+    crop to the positions where the window fits inside the plane.
     """
-    out = correlate1d(stack, _WINDOW, axis=-2)
-    correlate1d(out, _WINDOW, axis=-1, output=out)
-    return out[..., _HALF:-_HALF, _HALF:-_HALF]
-
-
-def _ssim_plane(a: np.ndarray, b: np.ndarray) -> float:
-    stack = np.stack((a, b, a * a, b * b, a * b))
-    mu_a, mu_b, e_aa, e_bb, e_ab = _window_means(stack)
+    ws[0] = a
+    ws[1] = b
+    np.multiply(a, a, out=ws[2])
+    np.multiply(b, b, out=ws[3])
+    np.multiply(a, b, out=ws[4])
+    correlate1d(ws, _WINDOW, axis=-2, output=ws)
+    correlate1d(ws, _WINDOW, axis=-1, output=ws)
+    mu_a, mu_b, e_aa, e_bb, e_ab = ws[:, _HALF:-_HALF, _HALF:-_HALF]
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b
@@ -96,11 +109,21 @@ def _ssim_plane(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _ssim_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] < 11 or a.shape[2] < 11:
+    nc, h, w = a.shape
+    if h < 11 or w < 11:
         raise DimensionMismatch(
-            f"bands of shape {a.shape[1:]} are smaller than the 11x11 ssim window"
+            f"bands of shape {(h, w)} are smaller than the 11x11 ssim window"
         )
-    return np.array([_ssim_plane(a[c], b[c]) for c in range(a.shape[0])])
+    out = np.empty(nc)
+
+    def run_span(lo: int, hi: int) -> None:
+        ws = np.empty((5, h, w))
+        for c in range(lo, hi):
+            out[c] = _ssim_plane(a[c], b[c], ws)
+
+    # The TV prox's band blocks, so a stack it runs inline is scored inline.
+    run_band_spans(run_span, nc, max(1, _TV_BLOCK_BYTES // (h * w * 8)))
+    return out
 
 
 def ssim_bands(reference: HSICube, test: HSICube) -> np.ndarray:
@@ -116,12 +139,13 @@ def ssim(reference: HSICube, test: HSICube) -> float:
 def evaluate(reference: HSICube, test: HSICube) -> MetricReport:
     """Full report: per-band PSNR/SSIM, their means, and whole-cube MSE."""
     a, b = _clamped_pair(reference, test)
-    p = _psnr_planes(a, b)
     s = _ssim_planes(a, b)
+    sq = _squared_error(a, b)
+    p = _psnr_planes(sq)
     return MetricReport(
         psnr_db=float(np.mean(p)),
         ssim=float(np.mean(s)),
         per_band_psnr=tuple(float(x) for x in p),
         per_band_ssim=tuple(float(x) for x in s),
-        mse=float(np.mean((a - b) ** 2)),
+        mse=float(np.mean(sq)),
     )

@@ -5,7 +5,9 @@ The solver iterates a weighted data correction followed by a denoising step
 (generalized alternating projection).  Any object with a
 ``denoise(cube, strength) -> cube`` method can serve as the prior, so a
 stronger external denoiser can be plugged in unchanged; the bundled prior is
-an anisotropic per-band total-variation proximal step.
+an anisotropic per-band total-variation proximal step.  Its band blocks
+run on the kernel thread pool shared with the metrics; the output bytes do
+not depend on the pool size.
 
 The iterate lives in measurement-width coordinates so the denoiser can be
 fed either the full dispersed tensor or only the on-support crop; with the
@@ -20,6 +22,7 @@ from typing import Protocol
 
 import numpy as np
 
+from ._pool import run_band_spans
 from .core import HSICube, Measurement, SceneConfig, ShiftedCube
 from .errors import DimensionMismatch, NonFiniteValue
 from .operator import (
@@ -188,37 +191,43 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     Projected gradient on the dual with the classical 1/(8*lam) step;
     fixed iteration count, fully deterministic.  Planes are independent, so
     the stack is processed in blocks of whole bands sized by
-    ``_TV_BLOCK_BYTES``.  Every step is one 1-D ufunc over a flat block:
-    the duals are stored padded to full planes (see :func:`_tv_field`), and
-    the one difference buffer has its pad row or column reset to +0 after
-    each flat difference so the pads stay +0.
+    ``_TV_BLOCK_BYTES``, and spans of blocks run on the kernel pool, each
+    in its own workspace (a stack of one block runs inline).  Every step is
+    one 1-D ufunc over a flat block: the duals are stored padded to full
+    planes (see :func:`_tv_field`), and the one difference buffer has its
+    pad row or column reset to +0 after each flat difference so the pads
+    stay +0.
     """
     nc, h, w = f.shape
     out = np.empty((nc, h, w))
     block = min(nc, max(1, _TV_BLOCK_BYTES // (h * w * out.itemsize)))
-    bufs = _aligned_rows(4, block * h * w)
     step = 1.0 / (8.0 * lam)
-    for lo in range(0, nc, block):
-        n = min(block, nc - lo)
-        fb = f[lo : lo + n].reshape(-1)
-        x, p, q, dd = (b[: n * h * w] for b in bufs)
-        pad_row = dd.reshape(n, h, w)[:, -1, :]
-        pad_col = dd.reshape(n, h, w)[:, :, -1]
-        p.fill(0.0)
-        q.fill(0.0)
-        for _ in range(iters):
-            _tv_field(x, fb, p, q, lam, w)
-            np.subtract(x[:-w], x[w:], out=dd[:-w])
-            pad_row.fill(0.0)
-            dd *= step
-            p += dd
-            np.clip(p, -1.0, 1.0, out=p)
-            np.subtract(x[:-1], x[1:], out=dd[:-1])
-            pad_col.fill(0.0)
-            dd *= step
-            q += dd
-            np.clip(q, -1.0, 1.0, out=q)
-        _tv_field(out[lo : lo + n].reshape(-1), fb, p, q, lam, w)
+
+    def run_span(start: int, stop: int) -> None:
+        bufs = _aligned_rows(4, block * h * w)
+        for lo in range(start, stop, block):
+            n = min(block, stop - lo)
+            fb = f[lo : lo + n].reshape(-1)
+            x, p, q, dd = (b[: n * h * w] for b in bufs)
+            pad_row = dd.reshape(n, h, w)[:, -1, :]
+            pad_col = dd.reshape(n, h, w)[:, :, -1]
+            p.fill(0.0)
+            q.fill(0.0)
+            for _ in range(iters):
+                _tv_field(x, fb, p, q, lam, w)
+                np.subtract(x[:-w], x[w:], out=dd[:-w])
+                pad_row.fill(0.0)
+                dd *= step
+                p += dd
+                np.clip(p, -1.0, 1.0, out=p)
+                np.subtract(x[:-1], x[1:], out=dd[:-1])
+                pad_col.fill(0.0)
+                dd *= step
+                q += dd
+                np.clip(q, -1.0, 1.0, out=q)
+            _tv_field(out[lo : lo + n].reshape(-1), fb, p, q, lam, w)
+
+    run_band_spans(run_span, nc, block)
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cassi import _pool
 from cassi import (
     CodedAperture,
     HSICube,
@@ -69,3 +70,20 @@ def tiny_config():
 def tiny_ones_operator(tiny_config):
     mask = CodedAperture.from_array(np.ones((2, 2)))
     return build_operator(mask, tiny_config)
+
+
+@pytest.fixture
+def kernel_pool(monkeypatch):
+    """``set_size(n)``: the band kernels run on a fresh pool of ``n`` workers
+    for the rest of the test.  Pools made this way are shut down after it."""
+    made = []
+
+    def set_size(n: int) -> None:
+        monkeypatch.setattr(_pool, "_pool_size", lambda: n)
+        monkeypatch.setattr(_pool, "_pool", None)
+        assert _pool.kernel_workers() == n
+        made.append(_pool._pool[2])
+
+    yield set_size
+    for executor in made:
+        executor.shutdown()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cassi import SceneConfig, bundled_suite, build_operator, gen_scene
-from cassi import cli
+from cassi import _pool, cli
 from cassi.cli import main, parse_run_config
 from cassi.cubefile import read_cube, write_cube
 from cassi.errors import ConfigFileError
@@ -336,6 +336,26 @@ class TestReconstruct:
         assert code == 4
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["pinv", "rnd-gap-tv"])
+    def test_non_finite_measurement_exits_2(self, tmp_path, capsys, method):
+        # Bad input, not divergence: no solver has run when it is found.
+        meas = np.ones((8, 12))
+        meas[3, 5] = np.nan
+        meas_path = tmp_path / "nan.hsic"
+        mask_path = tmp_path / "mask.hsic"
+        write_cube(meas_path, meas)
+        write_cube(mask_path, np.ones((8, 8)))
+        out = tmp_path / "o.hsic"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", method, "--iters", 2, "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {meas_path}: " in err and "NaN or Inf" in err
+        assert "diverged" not in err
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_identical_files(self, tmp_path, capsys):
@@ -428,6 +448,19 @@ class TestBench:
         out = capsys.readouterr().out
         assert "phi_apply_ms" in out
         assert "p95" not in out
+        assert "evaluate" not in out  # 8x8 bands are smaller than the window
+        assert f"kernel_workers {_pool.kernel_workers()}\n" in out
+
+    def test_evaluate_runs_from_11x11_bands(self, capsys):
+        for height, width, shown in ((11, 11, True), (11, 10, False)):
+            code = run_cli(
+                "bench", "--height", height, "--width", width, "--bands", 3,
+                "--shift-step", 1, "--reps", 2,
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            assert ("evaluate_median_ms" in out) == shown
+            assert ("evaluate_p95_ms" in out) == shown
 
     def test_multi_rep_reports_median_and_p95(self, capsys):
         code = run_cli(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
+from cassi import metrics
 from cassi import (
     DimensionMismatch,
     HSICube,
@@ -162,3 +164,54 @@ class TestEvaluate:
         assert report.per_band_ssim == tuple(float(x) for x in ssim_bands(a, b))
         assert report.psnr_db == psnr(a, b)
         assert report.ssim == ssim(a, b)
+
+
+def reference_scores(a, b):
+    """Per-band PSNR and SSIM, MSE of the clamped pair, with fresh
+    temporaries, one band at a time and an out-of-place first window pass:
+    the arithmetic, in the order, that the pooled kernels must reproduce."""
+    a, b = np.clip(a, 0.0, 1.0), np.clip(b, 0.0, 1.0)
+    psnr_db, ssim_values = [], []
+    for c in range(a.shape[0]):
+        mse = float(np.mean((a[c] - b[c]) ** 2))
+        psnr_db.append(100.0 if mse == 0.0 else 10.0 * np.log10(1.0 / mse))
+        stack = np.stack((a[c], b[c], a[c] * a[c], b[c] * b[c], a[c] * b[c]))
+        means = correlate1d(stack, metrics._WINDOW, axis=-2)
+        correlate1d(means, metrics._WINDOW, axis=-1, output=means)
+        mu_a, mu_b, e_aa, e_bb, e_ab = means[:, 5:-5, 5:-5]
+        var_a = e_aa - mu_a * mu_a
+        var_b = e_bb - mu_b * mu_b
+        cov = e_ab - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + 0.01**2) * (2.0 * cov + 0.03**2)
+        den = (mu_a * mu_a + mu_b * mu_b + 0.01**2) * (var_a + var_b + 0.03**2)
+        ssim_values.append(float(np.mean(num / den)))
+    return psnr_db, ssim_values, float(np.mean((a - b) ** 2))
+
+
+def noisy_pair(shape, seed):
+    c, h, w = shape
+    config = SceneConfig(h, w, c, 1)
+    rng = np.random.Generator(np.random.Philox(seed))
+    ref = rng.random(shape)
+    test = ref + 0.2 * rng.standard_normal(shape)  # some values out of [0, 1]
+    return HSICube(config, ref), HSICube(config, test)
+
+
+class TestScoresOnKernelPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape", [(3, 181, 181), (5, 256, 256), (8, 32, 32), (1, 11, 11)]
+    )
+    def test_bytes_equal_the_reference_for_any_pool_size(
+        self, shape, workers, kernel_pool
+    ):
+        kernel_pool(workers)
+        ref, test = noisy_pair(shape, sum(shape))
+        psnr_db, ssim_values, mse = reference_scores(ref.data, test.data)
+        report = evaluate(ref, test)
+        assert report.per_band_psnr == tuple(psnr_db)
+        assert report.per_band_ssim == tuple(ssim_values)
+        assert report.mse == mse
+        assert tuple(ssim_bands(ref, test)) == tuple(ssim_values)
+        assert tuple(psnr_bands(ref, test)) == tuple(psnr_db)
+

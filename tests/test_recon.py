@@ -327,23 +327,45 @@ class TestTvWorkspaceAlignment:
         assert (a == np.arange(rows)[:, None]).all()
 
     @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
-    def test_prox_works_in_aligned_rows(self, shape):
-        # The whole dual iteration runs in rows from _aligned_rows, so no
-        # block's speed depends on where the allocator put it.
-        made = []
-        aligned_rows = recon._aligned_rows
-
-        def spy(rows, n):
-            made.append((rows, n))
-            return aligned_rows(rows, n)
-
+    def test_prox_works_in_aligned_rows(self, shape, kernel_pool):
+        # The whole dual iteration runs in rows from _aligned_rows, one
+        # workspace per pool task, so no block's speed depends on where the
+        # allocator put it.
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(4)).random(shape)
-        with mock.patch.object(recon, "_aligned_rows", side_effect=spy):
-            out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), 0.1, 3)
         block = min(c, max(1, recon._TV_BLOCK_BYTES // (h * w * 8)))
-        assert made == [(4, block * h * w)]
-        assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
+        blocks = -(-c // block)
+        aligned_rows = recon._aligned_rows
+        for workers in (1, 2, 3):
+            kernel_pool(workers)
+            made = []
+
+            def spy(rows, n):
+                made.append((rows, n))
+                return aligned_rows(rows, n)
+
+            with mock.patch.object(recon, "_aligned_rows", side_effect=spy):
+                out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), 0.1, 3)
+            assert made == [(4, block * h * w)] * min(workers, blocks)
+            assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
+
+
+class TestTvOnKernelPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 181, 181), (5, 256, 256), (20, 64, 64), (8, 32, 32), (1, 11, 11)],
+    )
+    def test_bytes_equal_the_reference_for_any_pool_size(
+        self, shape, workers, kernel_pool
+    ):
+        # Multi-block stacks split into spans over the workers; single-block
+        # stacks run inline.  Neither may change a byte.
+        kernel_pool(workers)
+        c, h, w = shape
+        data = np.random.Generator(np.random.Philox(c * h * w)).random(shape)
+        out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), 0.1, 5)
+        assert out.data.tobytes() == reference_tv_prox(data, 0.1, 5).tobytes()
 
 
 def brute_force_tv_prox(plane, lam):
