@@ -20,6 +20,7 @@ reconstruction; it never changes numerical results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -156,6 +157,14 @@ def _cross_check(file_cfg: dict, **derived: int) -> None:
                 f"config file lists {len(wavelengths)} wavelengths for "
                 f"{derived['bands']} bands"
             )
+
+
+def _name_once(path: str, message: str) -> str:
+    """``message`` naming ``path`` once: ``read_cube`` and the input checks
+    lead with the path, and an ``OSError`` quotes it."""
+    if message.startswith(f"{path}: ") or repr(path) in message:
+        return message
+    return f"{path}: {message}"
 
 
 def _stem(path: str) -> str:
@@ -371,7 +380,7 @@ def cmd_reconstruct(args) -> int:
         statuses = list(pool.map(attempt, meas_paths))
     failed = [(path, s) for path, s in zip(meas_paths, statuses) if s is not None]
     for path, (_, message) in failed:
-        _fail(f"{path}: {message}")
+        _fail(_name_once(path, message))
     print(
         f"reconstructed {len(meas_paths) - len(failed)} of {len(meas_paths)} inputs",
         file=sys.stderr,
@@ -581,7 +590,10 @@ def cmd_export(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cassi`` argument parser, built once per process and shared by
+    every :func:`main` call; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="cassi",
         description=(

@@ -15,12 +15,20 @@ bytes 20..            data    H*W*C values, band-major, row then column
 
 Masks and measurements are stored with C = 1.  Writes go through a
 temporary file and an atomic rename.
+
+Each payload is copied once on its way between the file and the caller.
+``write_cube`` hands a float64 array's own buffer to the file, and
+``read_cube`` reads a regular file's payload straight into the array it
+returns, after checking the header's promise against the file size, so a
+malformed header never makes it allocate.  A stream whose size is unknown,
+such as a pipe, is read to its end and then validated.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
+import stat
 import struct
 
 import numpy as np
@@ -35,9 +43,10 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {"f32": 0, "f64": 1}
 
 
-def _atomic_write(path: str | os.PathLike, *chunks: bytes) -> None:
+def _atomic_write(path: str | os.PathLike, *chunks: bytes | np.ndarray) -> None:
     """Write ``chunks`` to a fresh temporary file beside ``path``, then
-    rename it over ``path``.  The temporary file is created with mode 0o666
+    rename it over ``path``.  A chunk is any C-contiguous buffer and is
+    written without a copy.  The temporary file is created with mode 0o666
     less the umask, as ``open`` would create ``path``, and is removed on any
     error."""
     directory, name = os.path.split(os.path.abspath(path))
@@ -55,7 +64,11 @@ def _atomic_write(path: str | os.PathLike, *chunks: bytes) -> None:
 
 
 def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") -> None:
-    """Write a (C, H, W) or (H, W) array; 2-D input is stored with C = 1."""
+    """Write a (C, H, W) or (H, W) array; 2-D input is stored with C = 1.
+
+    A C-contiguous float64 array stored as ``f64`` is written from its own
+    memory; other input is first converted into one payload-sized array.
+    """
     if dtype not in _CODES:
         raise ValueError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
     arr = np.asarray(data, dtype=np.float64)
@@ -66,50 +79,74 @@ def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") ->
     code = _CODES[dtype]
     c, h, w = arr.shape
     header = MAGIC + struct.pack("<HBBIII", VERSION, code, 0, h, w, c)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
-    _atomic_write(path, header, payload)
+    _atomic_write(path, header, np.ascontiguousarray(arr, dtype=_DTYPES[code]))
 
 
 def read_cube(path: str | os.PathLike) -> tuple[np.ndarray, str]:
     """Read a cube file; returns (float64 (C, H, W) array, stored dtype name).
 
+    The array is freshly allocated, writeable and C-contiguous.  A regular
+    file's payload is read straight into it (an ``f32`` file goes through
+    one float32 array), after its size is checked against the header; a
+    pipe or other stream is read to its end first.
+
     Raises CubeFileError with the byte offset of the first malformed field.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_SIZE:
-        raise CubeFileError(
-            f"{path}: truncated header, {len(raw)} bytes at byte offset 0"
-        )
-    if raw[:4] != MAGIC:
-        raise CubeFileError(f"{path}: bad magic {raw[:4]!r} at byte offset 0")
-    version, code, reserved, h, w, c = struct.unpack("<HBBIII", raw[4:HEADER_SIZE])
-    if version != VERSION:
-        raise CubeFileError(
-            f"{path}: unsupported version {version} at byte offset 4"
-        )
-    if code not in _DTYPES:
-        raise CubeFileError(f"{path}: unknown dtype code {code} at byte offset 6")
-    if reserved != 0:
-        raise CubeFileError(
-            f"{path}: reserved byte is {reserved} (want 0) at byte offset 7"
-        )
-    if h < 1 or w < 1 or c < 1:
-        raise CubeFileError(
-            f"{path}: zero dimension in header (H={h}, W={w}, C={c}) "
-            "at byte offset 8"
-        )
-    dtype = _DTYPES[code]
-    expected = HEADER_SIZE + h * w * c * dtype.itemsize
-    if len(raw) != expected:
-        raise CubeFileError(
-            f"{path}: payload length {len(raw) - HEADER_SIZE} does not match "
-            f"header ({h}x{w}x{c} {dtype.name}) at byte offset {HEADER_SIZE}"
-        )
-    flat = np.frombuffer(raw, dtype=dtype, offset=HEADER_SIZE)
-    arr = flat.reshape(c, h, w).astype(np.float64)
+        header = fh.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            raise CubeFileError(
+                f"{path}: truncated header, {len(header)} bytes at byte offset 0"
+            )
+        if header[:4] != MAGIC:
+            raise CubeFileError(
+                f"{path}: bad magic {header[:4]!r} at byte offset 0"
+            )
+        version, code, reserved, h, w, c = struct.unpack("<HBBIII", header[4:])
+        if version != VERSION:
+            raise CubeFileError(
+                f"{path}: unsupported version {version} at byte offset 4"
+            )
+        if code not in _DTYPES:
+            raise CubeFileError(
+                f"{path}: unknown dtype code {code} at byte offset 6"
+            )
+        if reserved != 0:
+            raise CubeFileError(
+                f"{path}: reserved byte is {reserved} (want 0) at byte offset 7"
+            )
+        if h < 1 or w < 1 or c < 1:
+            raise CubeFileError(
+                f"{path}: zero dimension in header (H={h}, W={w}, C={c}) "
+                "at byte offset 8"
+            )
+        dtype = _DTYPES[code]
+        expected = h * w * c * dtype.itemsize
+
+        def mismatch(length: int) -> CubeFileError:
+            return CubeFileError(
+                f"{path}: payload length {length} does not match header "
+                f"({h}x{w}x{c} {dtype.name}) at byte offset {HEADER_SIZE}"
+            )
+
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            if info.st_size - HEADER_SIZE != expected:
+                raise mismatch(info.st_size - HEADER_SIZE)
+            arr = np.empty((c, h, w), dtype=dtype)
+            got = fh.readinto(arr)
+            if got != expected:  # the file shrank after the size check
+                raise mismatch(got)
+            if fh.read(1):  # or grew
+                raise mismatch(os.fstat(fh.fileno()).st_size - HEADER_SIZE)
+        else:
+            payload = fh.read()
+            if len(payload) != expected:
+                raise mismatch(len(payload))
+            # A read-only view of ``payload``; astype below copies it.
+            arr = np.frombuffer(payload, dtype=dtype).reshape(c, h, w)
     name = "f32" if code == 0 else "f64"
-    return arr, name
+    return arr.astype(np.float64, copy=not arr.flags.writeable), name
 
 
 def write_pgm(path: str | os.PathLike, plane: np.ndarray) -> None:
@@ -118,5 +155,5 @@ def write_pgm(path: str | os.PathLike, plane: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D plane, got shape {arr.shape}")
     h, w = arr.shape
-    body = np.round(arr * 255.0).astype(np.uint8).tobytes()
+    body = np.round(arr * 255.0).astype(np.uint8)
     _atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii"), body)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -241,6 +242,8 @@ class TestReconstruct:
         err = capsys.readouterr().err
         for path in bad:
             assert f"error: {path}: " in err
+            # Named once, though the read_cube message already leads with it.
+            assert err.count(str(path)) == 1
         assert f"error: {good}" not in err
         assert err.rstrip().endswith("reconstructed 1 of 3 inputs")
         assert (out_dir / "a.recon.hsic").exists()
@@ -625,3 +628,21 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for seed in (1, 2):
+        assert run_cli(
+            "mask", "gen", "--height", 4, "--width", 4, "--density", 0.5,
+            "--seed", seed, "--out", tmp_path / f"mask{seed}.hsic",
+        ) == 0
+    assert len(used) == 2
+    assert used[0] is used[1]
