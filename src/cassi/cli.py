@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._pool import kernel_workers
-from .core import CodedAperture, HSICube, Measurement, SceneConfig
+from .core import CodedAperture, HSICube, Measurement, SceneConfig, _require_finite
 from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
 from .dense import (
     MAX_DENSE_ENTRIES,
@@ -80,7 +81,19 @@ _CONFIG_KEYS: dict[str, type] = {
 def parse_run_config(path: str) -> dict:
     """Parse a ``key = value`` run-config file; unknown keys are rejected."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        decoded = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted with universal newlines, as below.
+        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        lineno = head.count("\n") + 1
+        raise ConfigFileError(
+            f"{path}:{lineno}: not valid UTF-8: byte {data[exc.start]:#04x} "
+            f"at byte offset {exc.start}"
+        ) from None
+    with io.StringIO(decoded, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -187,8 +200,9 @@ def cmd_simulate(args) -> int:
     config = SceneConfig(h, w, nc, d)
     mask = CodedAperture.from_array(mask_plane)
     op = build_operator(mask, config)
-    cube = HSICube(config, cube_arr)
-    meas = op.forward(cube)
+    # ``read_cube`` returns a fresh array of the config's shape: adopt it.
+    _require_finite(cube_arr, "HSICube")
+    meas = op.forward(HSICube._adopt(config, cube_arr))
     bits = _resolve("shot_bits", args.shot_noise_bits, file_cfg)
     if bits is not None:
         seed = _resolve("seed", args.seed, file_cfg, default=0)

@@ -63,13 +63,17 @@ class SceneConfig:
         return (self.height, self.width, self.bands, self.shift_step)
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f"{what} contains NaN or Inf")
+
+
 def _checked_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Defensive-copy ``data`` to a read-only float64 array of ``shape``."""
     arr = np.array(data, dtype=np.float64, order="C")
     if arr.shape != shape:
         raise DimensionMismatch(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"{what} contains NaN or Inf")
+    _require_finite(arr, what)
     arr.setflags(write=False)
     return arr
 

@@ -17,6 +17,7 @@ crop enabled, margin values pass through the denoising step untouched.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -78,12 +79,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.tv_weight < 0:
-            raise ValueError("tv_weight must be >= 0")
+        if not (math.isfinite(self.tv_weight) and self.tv_weight >= 0):
+            raise ValueError(
+                f"tv_weight must be finite and >= 0, got {self.tv_weight!r}"
+            )
         if self.tv_inner_iterations < 1:
             raise ValueError("tv_inner_iterations must be >= 1")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be >= 0")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ValueError(
+                f"convergence_tol must be finite and >= 0, got {self.convergence_tol!r}"
+            )
 
 
 @dataclass(frozen=True)

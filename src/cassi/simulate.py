@@ -8,6 +8,7 @@ because golden files depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,14 @@ class NoiseSpec:
     def __post_init__(self):
         if not 1 <= self.shot_bits <= 16:
             raise ValueError(f"shot_bits must be in [1, 16], got {self.shot_bits}")
-        if self.full_scale is not None and self.full_scale <= 0:
-            raise ValueError("full_scale must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.full_scale is not None and not (
+            math.isfinite(self.full_scale) and self.full_scale > 0
+        ):
+            raise ValueError(
+                f"full_scale must be finite and positive, got {self.full_scale!r}"
+            )
 
 
 def gen_mask(height: int, width: int, density: float, seed: int) -> CodedAperture:
@@ -72,35 +79,41 @@ def repair_mask(mask: CodedAperture, config: SceneConfig) -> CodedAperture:
     _, w, nc, d = config.geometry
     data = mask.data.copy()
     sigma = _gram_diagonal(data, config)
-    for u, v in np.argwhere(sigma == 0.0):
-        c_hi = min(int(v) // d, nc - 1)
-        if v - d * c_hi >= w:
-            continue  # no band reaches this column (d > W); unfixable here
-        data[u, v - d * c_hi] = 1.0
+    u, v = np.nonzero(sigma == 0.0)
+    col = v - d * np.minimum(v // d, nc - 1)
+    fixable = col < w  # no band reaches the other columns (d > W)
+    data[u[fixable], col[fixable]] = 1.0
     return CodedAperture(mask.height, mask.width, data)
 
 
 def gen_scene(config: SceneConfig, complexity: int, seed: int) -> HSICube:
     """Piecewise-smooth cube in [0, 1]: random rectangles painted over a
     constant background, each with a low-order polynomial spectral profile.
+
+    The rectangles are painted as indices into an (H, W) label map, with 0
+    for the background, and the cube is one gather from a (C, complexity+1)
+    table of spectra.  Every voxel is written once, so the traced peak is
+    about one cube.
     """
     if complexity < 0:
         raise ValueError("complexity must be >= 0")
     h, w, nc, _ = config.geometry
     rng = _rng(seed)
-    background = 0.1 + 0.2 * rng.random()
-    cube = np.full((nc, h, w), background)
+    spectra = np.empty((nc, complexity + 1))
+    spectra[:, 0] = 0.1 + 0.2 * rng.random()
+    label = np.zeros((h, w), dtype=np.min_scalar_type(complexity))
     t = np.arange(nc) / max(nc - 1, 1)
-    for _ in range(complexity):
+    for k in range(1, complexity + 1):
         u0 = int(rng.integers(0, h))
         u1 = int(rng.integers(u0 + 1, h + 1))
         v0 = int(rng.integers(0, w))
         v1 = int(rng.integers(v0 + 1, w + 1))
         a0 = rng.random()
         a1, a2 = rng.uniform(-0.5, 0.5, size=2)
-        profile = np.clip(a0 + a1 * t + a2 * t * t, 0.02, 0.98)
-        cube[:, u0:u1, v0:v1] = profile[:, None, None]
-    return HSICube(config, np.clip(cube, 0.0, 1.0))
+        spectra[:, k] = np.clip(a0 + a1 * t + a2 * t * t, 0.02, 0.98)
+        label[u0:u1, v0:v1] = k
+    np.clip(spectra, 0.0, 1.0, out=spectra)
+    return HSICube._adopt(config, np.take(spectra, label, axis=1))
 
 
 def add_shot_noise(meas: Measurement, spec: NoiseSpec) -> Measurement:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def sha256_of(data: np.ndarray) -> str:
     """Digest of the little-endian float64 bytes of ``data``."""
     return hashlib.sha256(np.ascontiguousarray(data, dtype="<f8").tobytes()).hexdigest()
+
+
+def traced_peak(fn):
+    """``(fn(), peak bytes traced by tracemalloc during the call)``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def full_rank_mask(config: SceneConfig, density: float, seed: int) -> CodedAperture:

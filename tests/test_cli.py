@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cassi import SceneConfig, bundled_suite, build_operator, gen_scene
 from cassi import _pool, cli
@@ -76,6 +81,35 @@ class TestSimulate:
         )
         assert code == 2
         assert "byte offset" in capsys.readouterr().err
+
+    def test_non_finite_cube_exits_2(self, tmp_path, worked_example, capsys):
+        _, mask_path = worked_example
+        cube = np.ones((2, 2, 2))
+        cube[1, 0, 1] = np.inf
+        cube_path = tmp_path / "inf.hsic"
+        write_cube(cube_path, cube)
+        out = tmp_path / "meas.hsic"
+        code = run_cli(
+            "simulate", "--cube", cube_path, "--mask", mask_path,
+            "--shift-step", 1, "--out", out,
+        )
+        assert code == 2
+        assert "HSICube contains NaN or Inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e400", "-inf", "0"])
+    def test_bad_full_scale_exits_2(self, tmp_path, worked_example, capsys, text):
+        cube_path, mask_path = worked_example
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shot_bits = 11\nfull_scale = {text}\n")
+        out = tmp_path / "meas.hsic"
+        code = run_cli(
+            "simulate", "--cube", cube_path, "--mask", mask_path,
+            "--shift-step", 1, "--config", cfg, "--out", out,
+        )
+        assert code == 2
+        assert "full_scale must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_noise_is_seed_deterministic(self, tmp_path, worked_example):
         cube_path, mask_path = worked_example
@@ -576,6 +610,41 @@ class TestRunConfig:
         with pytest.raises(ConfigFileError):
             parse_run_config(str(cfg))
 
+    def test_undecodable_file_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"iterations = 3\r\ntv_weight = 0.1\rseed = \xff4\n")
+        where = re.escape(str(cfg))
+        match = rf"^{where}:3: not valid UTF-8: byte 0xff at byte offset 39$"
+        with pytest.raises(ConfigFileError, match=match):
+            parse_run_config(str(cfg))
+        code = run_cli(
+            "reconstruct", "--meas", cfg, "--mask", cfg, "--method", "pinv",
+            "--config", cfg, "--out", tmp_path / "o.hsic",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: ")
+
+    @pytest.mark.parametrize("key", ["tv_weight", "convergence_tol"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+    def test_non_finite_solver_value_exits_2(self, tmp_path, capsys, key, text):
+        config, mask, scenes = bundled_suite(n_scenes=1)
+        op = build_operator(mask, config)
+        meas_path = tmp_path / "meas.hsic"
+        mask_path = tmp_path / "mask.hsic"
+        write_cube(meas_path, op.forward(scenes[0]).data)
+        write_cube(mask_path, mask.data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        out = tmp_path / "o.hsic"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", "gap-tv", "--iters", 2,
+            "--config", cfg, "--out", out,
+        )
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         config, mask, scenes = bundled_suite(n_scenes=1)
         op = build_operator(mask, config)
@@ -613,6 +682,105 @@ class TestRunConfig:
         )
         assert code == 2
         assert "bands" in capsys.readouterr().err
+
+
+# Hostile numeric text: non-finite, overflowing, underflowing, or junk.
+_CONFIG_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-0.0", "x", ""]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-1, 3).map(str),
+)
+
+
+def _config_files(*keys):
+    """Arbitrary bytes, one line with any key and a hostile value, or lines
+    over ``keys`` with values of the key's type, each present or not, one of
+    them made hostile."""
+    typed = {
+        int: st.integers(0, 16).map(str),
+        float: st.floats(0.0, 4.0).map(repr),
+        bool: st.sampled_from(["true", "off"]),
+        str: st.sampled_from(["roll", "shift", "repeat"]),
+    }
+
+    def lines(pairs):
+        return "".join(f"{k} = {v}\n" for k, v in pairs.items()).encode()
+
+    def spoil(args):
+        pairs, key, value = args
+        return lines({**pairs, key: value})
+
+    any_key = st.sampled_from(sorted(cli._CONFIG_KEYS) + ["mystery"])
+    optional = {k: typed[cli._CONFIG_KEYS[k]] for k in keys}
+    return st.one_of(
+        st.binary(max_size=64),
+        st.dictionaries(any_key, _CONFIG_NUMBERS, max_size=1).map(lines),
+        st.tuples(
+            st.fixed_dictionaries({}, optional=optional),
+            st.sampled_from(keys),
+            _CONFIG_NUMBERS,
+        ).map(spoil),
+    )
+
+
+class TestFuzzedConfig:
+    """Any ``--config`` file exits 0 with a finite output, or exits 2 with a
+    one-line diagnostic and no output; nothing else escapes ``main``."""
+
+    def _check(self, root, text, *argv):
+        cfg, out = root / "run.cfg", root / "out.hsic"
+        cfg.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*argv, "--config", cfg, "--out", out)
+        err = err.getvalue()
+        assert code in (0, 2), err
+        if code == 0:
+            assert np.isfinite(read_cube(out)[0]).all()
+            return
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError:
+            assert err.startswith(f"error: {cfg}:")
+
+    @settings(max_examples=150)
+    @given(text=_config_files("shot_bits", "seed", "full_scale"), noise=st.booleans())
+    @example(text=b"full_scale = inf\n", noise=True)
+    @example(text=b"shot_bits = 11\nfull_scale = 1e400\n", noise=False)
+    @example(text=b"seed = 1\n\xff\n", noise=True)
+    def test_simulate(self, tmp_path_factory, text, noise):
+        root = tmp_path_factory.mktemp("fuzz")
+        cube, mask = root / "cube.hsic", root / "mask.hsic"
+        write_cube(cube, np.linspace(0.0, 1.0, 24).reshape(2, 3, 4))
+        write_cube(mask, np.ones((3, 4)))
+        bits = ["--shot-noise-bits", 11] if noise else []
+        self._check(
+            root, text, "simulate", "--cube", cube, "--mask", mask,
+            "--shift-step", 1, *bits,
+        )
+
+    @settings(max_examples=150)
+    @given(
+        text=_config_files(
+            "iterations", "tv_weight", "tv_inner_iterations", "init",
+            "crop_denoiser_input", "convergence_tol",
+        )
+    )
+    @example(text=b"tv_weight = nan\n")
+    @example(text=b"tv_weight = inf\n")
+    def test_reconstruct_gap_tv(self, tmp_path_factory, text):
+        root = tmp_path_factory.mktemp("fuzz")
+        meas, mask = root / "meas.hsic", root / "mask.hsic"
+        write_cube(meas, np.linspace(0.0, 1.0, 15).reshape(3, 5))
+        write_cube(mask, np.ones((3, 4)))
+        self._check(
+            root, text, "reconstruct", "--meas", meas, "--mask", mask,
+            "--shift-step", 1, "--method", "gap-tv",
+        )
 
 
 def test_console_entry_point_runs():

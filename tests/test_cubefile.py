@@ -1,7 +1,6 @@
 import os
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +11,11 @@ from cassi import CubeFileError
 from cassi.cli import main
 from cassi.cubefile import HEADER_SIZE, MAGIC, read_cube, write_cube, write_pgm
 
+from conftest import traced_peak
+
+
 def _header(magic=MAGIC, version=1, code=1, reserved=0, h=1, w=1, c=1) -> bytes:
     return magic + struct.pack("<HBBIII", version, code, reserved, h, w, c)
-
-
-def _traced_peak(fn):
-    """``(fn(), peak bytes traced by tracemalloc during the call)``."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def _raises_cube_file_error(path, match=r"at byte offset \d+$"):
@@ -181,7 +172,7 @@ class TestFuzzedFiles:
         path.write_bytes(header + payload)
         valid = not corruption and min(h, w, c) >= 1 and length == promised
         read = read_cube if valid else _raises_cube_file_error
-        result, peak = _traced_peak(lambda: read(path))
+        result, peak = traced_peak(lambda: read(path))
         # Nothing near the promised size is allocated, even for 2**32 dims.
         assert peak < 1 << 20
         if valid:
@@ -201,7 +192,7 @@ class TestFuzzedFiles:
             rf"payload length 0 does not match header "
             rf"\({top}x{top}x{top} float64\) at byte offset {HEADER_SIZE}$"
         )
-        _, peak = _traced_peak(lambda: _raises_cube_file_error(path, match))
+        _, peak = traced_peak(lambda: _raises_cube_file_error(path, match))
         assert peak < 1 << 20
 
 
@@ -219,7 +210,7 @@ class TestOneCopy:
         data = self.cube()
         path = tmp_path / "cube.hsic"
         write_cube(path, data, dtype=dtype)  # the second write replaces a file
-        _, peak = _traced_peak(lambda: write_cube(path, data, dtype=dtype))
+        _, peak = traced_peak(lambda: write_cube(path, data, dtype=dtype))
         assert peak < bound * data.nbytes
         back, _ = read_cube(path)
         np.testing.assert_array_equal(
@@ -231,7 +222,7 @@ class TestOneCopy:
         data = self.cube()
         path = tmp_path / "cube.hsic"
         write_cube(path, data, dtype=dtype)
-        (back, stored), peak = _traced_peak(lambda: read_cube(path))
+        (back, stored), peak = traced_peak(lambda: read_cube(path))
         assert stored == dtype
         assert peak <= bound * data.nbytes
         assert back.dtype == np.float64 and back.dtype.isnative

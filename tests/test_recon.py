@@ -736,8 +736,12 @@ class TestSolverConfig:
         [
             {"iterations": 0},
             {"tv_weight": -0.5},
+            {"tv_weight": float("nan")},
+            {"tv_weight": float("inf")},
             {"tv_inner_iterations": 0},
             {"convergence_tol": -1.0},
+            {"convergence_tol": float("nan")},
+            {"convergence_tol": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

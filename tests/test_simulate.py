@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cassi import (
     CodedAperture,
@@ -17,6 +19,9 @@ from cassi import (
     gen_scene,
     repair_mask,
 )
+
+from cassi.operator import _gram_diagonal
+from conftest import sha256_of, traced_peak
 
 
 class TestGenMask:
@@ -86,7 +91,32 @@ class TestCropMask:
         assert found
 
 
+def _repaired_one_by_one(mask, config):
+    """Reference: flip the starved pixels in a loop, one at a time."""
+    _, w, nc, d = config.geometry
+    data = mask.data.copy()
+    for u, v in np.argwhere(_gram_diagonal(mask.data, config) == 0.0):
+        c_hi = min(int(v) // d, nc - 1)
+        if v - d * c_hi < w:
+            data[u, v - d * c_hi] = 1.0
+    return data
+
+
 class TestRepairMask:
+    @given(
+        h=st.integers(1, 8),
+        w=st.integers(1, 8),
+        nc=st.integers(1, 5),
+        d=st.integers(1, 4),
+        density=st.sampled_from([0.1, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_one_by_one_reference(self, h, w, nc, d, density, seed):
+        config = SceneConfig(h, w, nc, d)
+        mask = gen_mask(h, w, density, seed)
+        expected = _repaired_one_by_one(mask, config)
+        np.testing.assert_array_equal(repair_mask(mask, config).data, expected)
+
     def test_valid_mask_unchanged(self):
         config = SceneConfig(6, 6, 2, 1)
         mask = gen_mask(6, 6, 1.0, seed=0)
@@ -116,7 +146,39 @@ class TestRepairMask:
         assert excinfo.value.col == 1
 
 
+def _painted_scene(config, complexity, seed):
+    """Reference: paint each rectangle across every band of a full cube, in
+    draw order, then clip the cube."""
+    h, w, nc, _ = config.geometry
+    rng = np.random.Generator(np.random.Philox(seed))
+    cube = np.full((nc, h, w), 0.1 + 0.2 * rng.random())
+    t = np.arange(nc) / max(nc - 1, 1)
+    for _ in range(complexity):
+        u0 = int(rng.integers(0, h))
+        u1 = int(rng.integers(u0 + 1, h + 1))
+        v0 = int(rng.integers(0, w))
+        v1 = int(rng.integers(v0 + 1, w + 1))
+        a0 = rng.random()
+        a1, a2 = rng.uniform(-0.5, 0.5, size=2)
+        profile = np.clip(a0 + a1 * t + a2 * t * t, 0.02, 0.98)
+        cube[:, u0:u1, v0:v1] = profile[:, None, None]
+    return np.clip(cube, 0.0, 1.0)
+
+
 class TestGenScene:
+    @given(
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        nc=st.integers(1, 6),
+        complexity=st.sampled_from([0, 1, 5, 40, 255, 256, 300]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_bytes_equal_the_painted_reference(self, h, w, nc, complexity, seed):
+        config = SceneConfig(h, w, nc, 1)
+        cube = gen_scene(config, complexity, seed)
+        expected = _painted_scene(config, complexity, seed)
+        assert cube.data.tobytes() == expected.tobytes()
+
     def test_zero_complexity_is_constant(self):
         config = SceneConfig(8, 8, 3, 1)
         cube = gen_scene(config, 0, seed=21)
@@ -140,6 +202,38 @@ class TestGenScene:
         flat = gen_scene(config, 0, seed=41)
         busy = gen_scene(config, 6, seed=41)
         assert np.unique(busy.data).size > np.unique(flat.data).size
+
+    # SHA-256 of the little-endian float64 bytes, keyed by
+    # ((H, W, C, d), complexity, seed).  The seed-to-stream mapping is a
+    # compatibility contract: these bytes must never change.  The cases cover
+    # paper scale, no rectangles, one row, one column, one pixel and more
+    # rectangles than a uint8 label can name.
+    DIGESTS = {
+        ((256, 256, 28, 2), 24, 230509746):
+            "8c2d25d5d78d2def99252afc2298ccaf04d428697b7b60b4af7e8002823b4bba",
+        ((8, 8, 3, 1), 0, 21):
+            "459e3fcc894105c119b53d538950b1b246d1ece5447853c294cc1c78cd64e0b1",
+        ((1, 17, 5, 2), 7, 3):
+            "a8a5c23955ee3f5620108039cb426de46da3cf003264087623a00b6050c520f2",
+        ((19, 1, 4, 1), 7, 4):
+            "23eebbef1370c1766984a09bcfb6dcfbe69c8452be5603436f905b627999320b",
+        ((1, 1, 1, 1), 3, 5):
+            "ecd436e8fe25ccec3354fa7ef695be3b2abc253bf632d36d99347a795b58d0ed",
+        ((20, 20, 4, 1), 300, 6):
+            "b8d91e630f93f935394aebce7cb400b61d52938effd15368c45ddbf6efe4e711",
+    }
+
+    @pytest.mark.parametrize("geometry, complexity, seed", sorted(DIGESTS))
+    def test_bytes_pinned(self, geometry, complexity, seed):
+        cube = gen_scene(SceneConfig(*geometry), complexity, seed)
+        assert sha256_of(cube.data) == self.DIGESTS[geometry, complexity, seed]
+
+    def test_paper_scale_is_written_once(self):
+        config = SceneConfig(256, 256, 28, 2)
+        cube, peak = traced_peak(lambda: gen_scene(config, 24, seed=230509746))
+        assert peak <= 1.1 * cube.data.nbytes
+        assert cube.data.flags.c_contiguous
+        assert not cube.data.flags.writeable
 
 
 class TestAddShotNoise:
@@ -201,6 +295,19 @@ class TestAddShotNoise:
         with pytest.raises(ValueError):
             NoiseSpec(shot_bits=17, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"full_scale": 0.0}, "full_scale must be finite and positive"),
+            ({"full_scale": float("inf")}, "full_scale must be finite and positive"),
+            ({"full_scale": float("nan")}, "full_scale must be finite and positive"),
+        ],
+    )
+    def test_seed_and_full_scale_validated(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseSpec(**{"shot_bits": 11, "seed": 0, **kwargs})
+
 
 class TestBundledSuite:
     def test_shape_and_determinism(self):
@@ -211,6 +318,23 @@ class TestBundledSuite:
         assert np.array_equal(mask.data, mask2.data)
         for a, b in zip(scenes, scenes2):
             assert np.array_equal(a.data, b.data)
+
+    SCENE_DIGESTS = (
+        "7bed4066e58a64edc003ef520049468847d2d21e4b362bc1922ff1b24d0b8d59",
+        "39648223320b0a72ebc83be803bbc78fbe5e9dd65018034f64e233524e71594e",
+        "945d819b43c533bcac6494caea4dde2c39dd673522eb0febf479d15b6e50b76c",
+        "07b00557e692bf760b933473450d52377ce953ce64b1c177874a9dddd59f1fe9",
+        "81a559a0eb82d866418b185fcd2bec1b83a070d33517a6b164ee63369a3d731c",
+        "bb25f0509137ebc90c51c75b0406a1471bbc20b33c2634c11cb4a3b7c34f48f0",
+        "37de7d2c163e587118782566e9fea0c019712fcb7c4823a205f5bd3ad41e1875",
+        "72d8f8d276a09409af35a9207962eff2ff18029b4815670d401f29cfbc7692ad",
+        "ca913c1a8787093d380c2cf575fddb2be02fecf5efbd177b0666ab686afd8b64",
+        "84ae7407a0f5a33bb79390c9fb7d40f0097ec725f982907310755347493f3fe7",
+    )
+
+    def test_scene_bytes_pinned(self):
+        _, _, scenes = bundled_suite()
+        assert tuple(sha256_of(s.data) for s in scenes) == self.SCENE_DIGESTS
 
     def test_mask_builds_operator(self):
         config, mask, _ = bundled_suite()
