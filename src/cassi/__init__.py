@@ -9,9 +9,6 @@ from .core import (
     Measurement,
     SceneConfig,
     ShiftedCube,
-    flatten_index,
-    unflatten_index,
-    validate,
 )
 from .errors import (
     CassiError,
@@ -19,7 +16,6 @@ from .errors import (
     CropTooLarge,
     CubeFileError,
     DimensionMismatch,
-    IndexOutOfRange,
     InstanceTooLarge,
     MaskDegenerate,
     NegativeMeasurement,
@@ -31,16 +27,6 @@ from .operator import (
     build_operator,
     shift_cube,
     unshift_cube,
-)
-from .dense import (
-    MAX_DENSE_ENTRIES,
-    build_dense,
-    cube_to_vec,
-    dense_apply,
-    dense_pinv,
-    meas_to_vec,
-    vec_to_cube,
-    vec_to_meas,
 )
 from .recon import (
     IdentityPrior,

@@ -35,13 +35,7 @@ from . import __version__
 from ._pool import kernel_workers
 from .core import CodedAperture, HSICube, Measurement, SceneConfig, _require_finite
 from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
-from .dense import (
-    MAX_DENSE_ENTRIES,
-    build_dense,
-    cube_to_vec,
-    dense_pinv,
-    meas_to_vec,
-)
+from .dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
 from .errors import (
     CassiError,
     ConfigFileError,
@@ -236,9 +230,8 @@ def _derive_recon_config(
     return SceneConfig(h, mw, span // d + 1, d)
 
 
-def _reconstruct_one(op, meas, method, scfg):
+def _reconstruct_one(op, meas, method, prior, scfg):
     stats = None
-    prior = TvPrior(scfg.tv_inner_iterations)
     if method == "pinv":
         x = op.pinv(meas)
     elif method == "gap-tv":
@@ -262,9 +255,6 @@ def cmd_reconstruct(args) -> int:
     scfg = SolverConfig(
         iterations=_resolve("iterations", args.iters, file_cfg, default=60),
         tv_weight=_resolve("tv_weight", args.tv_weight, file_cfg, default=0.1),
-        tv_inner_iterations=_resolve(
-            "tv_inner_iterations", args.tv_iters, file_cfg, default=20
-        ),
         init=InitStrategy.from_name(
             _resolve("init", args.init, file_cfg, default="roll")
         ),
@@ -275,6 +265,14 @@ def cmd_reconstruct(args) -> int:
             "convergence_tol", args.tol, file_cfg, default=0.0
         ),
     )
+    # The TV inner-iteration count belongs to the prior, which every input
+    # shares.
+    try:
+        prior = TvPrior(
+            _resolve("tv_inner_iterations", args.tv_iters, file_cfg, default=20)
+        )
+    except ValueError as exc:
+        raise ConfigFileError(f"tv_inner_iterations: {exc}") from None
 
     meas_paths = args.meas
     multi = len(meas_paths) > 1
@@ -324,7 +322,7 @@ def cmd_reconstruct(args) -> int:
             raise NonFiniteValue(f"{meas_path}: {exc}") from None
         started = time.perf_counter()
         try:
-            x, stats = _reconstruct_one(op, meas, args.method, scfg)
+            x, stats = _reconstruct_one(op, meas, args.method, prior, scfg)
         except NonFiniteValue as exc:
             return 4, f"solver diverged: {exc}"
         elapsed = time.perf_counter() - started
@@ -348,7 +346,7 @@ def cmd_reconstruct(args) -> int:
                 ("shift_step", config.shift_step),
                 ("iterations", scfg.iterations),
                 ("tv_weight", repr(scfg.tv_weight)),
-                ("tv_inner_iterations", scfg.tv_inner_iterations),
+                ("tv_inner_iterations", prior.inner_iterations),
                 ("init", scfg.init.value),
                 ("crop_denoiser_input", str(scfg.crop_denoiser_input).lower()),
                 ("convergence_tol", repr(scfg.convergence_tol)),

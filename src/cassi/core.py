@@ -1,4 +1,4 @@
-"""Core value types and index conventions.
+"""Core value types and the memory layout they share.
 
 Every 3-D tensor is stored band-major as a C-contiguous ``(bands, height,
 width)`` float64 array: band is the slowest axis, then row, then column, so
@@ -6,10 +6,8 @@ each band plane is a contiguous 2-D slice.  All types are immutable after
 construction (frozen dataclasses holding read-only arrays) and safe to share
 across threads.
 
-The *mathematical* vectorization used by the dense oracle is different from
-the memory layout: within a band the columns are stacked (column-major), and
-bands are concatenated.  ``flatten_index`` is the single definition of that
-ordering; nothing outside the dense oracle depends on it.
+The vector order of the dense test oracle (:mod:`cassi.dense`) differs
+from this layout and is defined there; nothing else depends on it.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -169,57 +167,3 @@ class Measurement(_Adoptable):
         object.__setattr__(
             self, "data", _checked_array(self.data, (h, wp), "Measurement")
         )
-
-
-def validate(config: SceneConfig, obj) -> None:
-    """Check that ``obj``'s dimensions match ``config`` and values are finite.
-
-    Raises DimensionMismatch or NonFiniteValue; returns None on success.
-    """
-    h, w, c, _ = config.geometry
-    wp = config.measurement_width()
-    if isinstance(obj, HSICube):
-        expected = (c, h, w)
-    elif isinstance(obj, ShiftedCube):
-        expected = (c, h, wp)
-    elif isinstance(obj, Measurement):
-        expected = (h, wp)
-    elif isinstance(obj, CodedAperture):
-        expected = (h, w)
-    else:
-        raise TypeError(f"cannot validate object of type {type(obj).__name__}")
-    if obj.data.shape != expected:
-        raise DimensionMismatch(
-            f"{type(obj).__name__}: expected shape {expected}, got {obj.data.shape}"
-        )
-    if not np.isfinite(obj.data).all():
-        raise NonFiniteValue(f"{type(obj).__name__} contains NaN or Inf")
-
-
-def flatten_index(u: int, v: int, c: int, config: SceneConfig) -> int:
-    """Vector position of (row u, column v, band c) in shifted coordinates.
-
-    Columns are stacked within a band (column-major) and bands are
-    concatenated, so the detector-plane pixel (u, v) sits at ``v*H + u``
-    inside band c's block of size ``H * W'``.
-    """
-    h = config.height
-    wp = config.measurement_width()
-    nc = config.bands
-    if not (0 <= u < h and 0 <= v < wp and 0 <= c < nc):
-        raise IndexOutOfRange(
-            f"(u={u}, v={v}, c={c}) outside ({h}, {wp}, {nc})"
-        )
-    return c * h * wp + v * h + u
-
-
-def unflatten_index(i: int, config: SceneConfig) -> tuple[int, int, int]:
-    """Inverse of :func:`flatten_index`."""
-    h = config.height
-    wp = config.measurement_width()
-    nc = config.bands
-    if not 0 <= i < h * wp * nc:
-        raise IndexOutOfRange(f"linear index {i} outside [0, {h * wp * nc})")
-    c, rem = divmod(i, h * wp)
-    v, u = divmod(rem, h)
-    return u, v, c

@@ -1,12 +1,16 @@
-"""Explicit dense materialization of the sensing matrix, for testing only.
+"""Explicit dense materialization of the sensing matrix, for checking only
+(``cassi oracle-check`` and the tests; not exported by :mod:`cassi`).
 
 Builds the small n x (n*C) block matrix whose c-th block is the diagonal of
 the vectorized shifted-mask band, plus an SVD pseudo-inverse.  A hard entry
 cap keeps this module desk-scale: it exists to check the matrix-free
 operator, never to run at production size.
 
-Vector ordering follows :func:`cassi.core.flatten_index` (columns stacked
-within a band, bands concatenated).
+Vectors are ordered in shifted coordinates with the columns of each band
+stacked (column-major) and the bands concatenated: detector pixel (u, v) of
+band c sits at ``c*H*W' + v*H + u``.  :func:`cube_to_vec` and
+:func:`meas_to_vec` build that order with ``ravel(order="F")``, and
+:func:`build_dense` lays its blocks out the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ _SV_CUTOFF = 1e-12
 
 
 def cube_to_vec(cube: HSICube) -> np.ndarray:
-    """Vectorize a scene cube in shifted coordinates, flatten_index order."""
+    """Vectorize a scene cube in shifted coordinates, in the module's order."""
     s = shift_cube(cube).data
     return np.concatenate([s[c].ravel(order="F") for c in range(s.shape[0])])
 
@@ -98,12 +102,3 @@ def dense_pinv(m: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(m, rcond=_SV_CUTOFF)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
-
-
-def dense_apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Plain matrix-vector product with a shape check."""
-    if m.ndim != 2 or v.shape != (m.shape[1],):
-        raise DimensionMismatch(
-            f"cannot apply {m.shape} matrix to vector of shape {v.shape}"
-        )
-    return m @ v

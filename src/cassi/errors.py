@@ -13,10 +13,6 @@ class NonFiniteValue(CassiError):
     """NaN or Inf encountered where finite values are required."""
 
 
-class IndexOutOfRange(CassiError):
-    """Tensor coordinate outside its valid range."""
-
-
 class MaskDegenerate(CassiError):
     """A detector pixel receives no mask energy from any band.
 

@@ -64,6 +64,11 @@ class Prior(Protocol):
 class SolverConfig:
     """Knobs for :func:`gap_solve_with_stats`; defaults favor the bundled TV prior.
 
+    The solver owns the outer loop: its iteration count, the start, the
+    crop and the stopping rule.  ``tv_weight`` is the strength it passes to
+    the prior on each call.  Settings internal to a prior, such as the TV
+    prox's inner iteration count, belong to the prior (see :class:`TvPrior`).
+
     ``convergence_tol`` of 0 runs all iterations; a positive value stops
     early once the max-norm iterate change falls below ``tol`` relative to
     the iterate magnitude.
@@ -71,7 +76,6 @@ class SolverConfig:
 
     iterations: int = 60
     tv_weight: float = 0.1
-    tv_inner_iterations: int = 20
     init: InitStrategy = InitStrategy.ROLL
     crop_denoiser_input: bool = True
     convergence_tol: float = 0.0
@@ -83,8 +87,6 @@ class SolverConfig:
             raise ValueError(
                 f"tv_weight must be finite and >= 0, got {self.tv_weight!r}"
             )
-        if self.tv_inner_iterations < 1:
-            raise ValueError("tv_inner_iterations must be >= 1")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
             raise ValueError(
                 f"convergence_tol must be finite and >= 0, got {self.convergence_tol!r}"
@@ -250,9 +252,19 @@ def tv_denoise(cube: HSICube, strength: float, inner_iterations: int) -> HSICube
 
 @dataclass(frozen=True)
 class TvPrior:
-    """Total-variation prior; ``strength`` is the TV weight at call time."""
+    """Total-variation prior; ``strength`` is the TV weight at call time.
+
+    ``inner_iterations`` is the number of dual steps per prox call.  The
+    prior is its only owner: the solver never reads or overrides it.
+    """
 
     inner_iterations: int = 20
+
+    def __post_init__(self):
+        if self.inner_iterations < 1:
+            raise ValueError(
+                f"inner_iterations must be >= 1, got {self.inner_iterations!r}"
+            )
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube:
         return tv_denoise(cube, strength, self.inner_iterations)

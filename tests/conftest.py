@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module, so a test can run the
+    script's own protocol instead of a copy of it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

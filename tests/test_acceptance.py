@@ -17,12 +17,10 @@ from cassi import (
     NoiseSpec,
     SceneConfig,
     SolverConfig,
-    InitStrategy,
     TvPrior,
     add_shot_noise,
     build_operator,
     bundled_suite,
-    crop_mask,
     gap_solve_with_stats,
     gen_mask,
     gen_scene,
@@ -34,7 +32,7 @@ from cassi.cli import main as cli_main
 from cassi.cubefile import read_cube, write_cube
 from cassi.dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
 
-from conftest import rel_err
+from conftest import load_script, rel_err
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "data", "perf_baseline.json")
 
@@ -235,24 +233,14 @@ def test_criterion_5_prior_beats_pinv_and_wrapper_fixes_residual():
 def test_criterion_6_ablation_grid_structure(tmp_path):
     config, mask, scenes = bundled_suite()
     op = build_operator(mask, config)
-    prior = TvPrior(20)
     h, w, nc, d = config.geometry
     wp = config.measurement_width()
 
-    grid = {}
-    pixel_counts = {}
-    for crop in (True, False):
-        for init in InitStrategy:
-            for rnd in (False, True):
-                cfg = SolverConfig(init=init, crop_denoiser_input=crop)
-                values = []
-                for scene in scenes:
-                    y = op.forward(scene)
-                    q, stats = gap_solve_with_stats(op, y, prior, cfg)
-                    x = op.rnd_combine(y, q) if rnd else q
-                    values.append(psnr(scene, x))
-                grid[(crop, init.value, rnd)] = float(np.mean(values))
-                pixel_counts[crop] = stats.denoised_pixels_per_iteration
+    # The script's grid: one solve per (crop, init, scene), scored with and
+    # without the wrapper.
+    cells = load_script("run_ablation").ablation_grid(op, scenes)
+    grid = {key: psnr_db for key, (psnr_db, _, _) in cells.items()}
+    pixel_counts = {crop: pixels for (crop, _, _), (_, _, pixels) in cells.items()}
 
     for key in sorted(grid):
         print(f"  ablation crop={key[0]!s:5} init={key[1]:6} rnd={key[2]!s:5}"
@@ -297,19 +285,7 @@ def test_criterion_6_ablation_grid_structure(tmp_path):
 
 
 def test_criterion_7_mask_crop_robustness():
-    config, _, scenes = bundled_suite()
-    big = gen_mask(660, 660, 0.5, seed=77)
-    prior = TvPrior(20)
-    cfg = SolverConfig()
-    means = []
-    for k in range(3):
-        window = repair_mask(crop_mask(big, config.width, seed=100 + k), config)
-        op = build_operator(window, config)
-        values = [
-            psnr(scene, rnd_reconstruct(op, op.forward(scene), prior, cfg))
-            for scene in scenes
-        ]
-        means.append(float(np.mean(values)))
+    means = load_script("run_mask_robustness").crop_means(crops=3)
     spread = float(np.std(means))
     assert spread <= 1.0
     _report(

@@ -13,7 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cassi import SceneConfig, bundled_suite, build_operator, gen_scene
+from cassi import (
+    CodedAperture,
+    Measurement,
+    SceneConfig,
+    SolverConfig,
+    TvPrior,
+    build_operator,
+    bundled_suite,
+    gap_solve_with_stats,
+    gen_scene,
+)
 from cassi import _pool, cli
 from cassi.cli import main, parse_run_config
 from cassi.cubefile import read_cube, write_cube
@@ -190,6 +200,54 @@ class TestReconstruct:
             )
             seen[flag] = int(values["denoised_pixels_per_iteration"])
             assert seen[flag] == expected
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tv_inner_iterations_reach_the_prior(self, tmp_path, source):
+        config, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tv_inner_iterations = 1\n")
+        one = ("--tv-iters", 1) if source == "flag" else ("--config", cfg)
+        outputs, reports = {}, {}
+        for name, extra in (("one", one), ("twenty", ("--tv-iters", 20))):
+            out = tmp_path / f"{name}.hsic"
+            report = tmp_path / f"{name}.txt"
+            code = run_cli(
+                "reconstruct", "--meas", meas_path, "--mask", mask_path,
+                "--shift-step", 2, "--method", "gap-tv", "--iters", 3,
+                *extra, "--out", out, "--report", report,
+            )
+            assert code == 0
+            outputs[name] = read_cube(out)[0].tobytes()
+            reports[name] = dict(
+                line.split(" ", 1) for line in report.read_text().splitlines()
+            )
+        op = build_operator(
+            CodedAperture.from_array(read_cube(mask_path)[0][0]), config
+        )
+        meas = Measurement(config, read_cube(meas_path)[0][0])
+        x, _ = gap_solve_with_stats(
+            op, meas, TvPrior(1), SolverConfig(iterations=3)
+        )
+        assert outputs["one"] == x.data.tobytes()
+        assert outputs["one"] != outputs["twenty"]
+        assert reports["one"]["tv_inner_iterations"] == "1"
+        assert reports["twenty"]["tv_inner_iterations"] == "20"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_tv_inner_iterations_exits_2(self, tmp_path, capsys, source):
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tv_inner_iterations = 0\n")
+        zero = ("--tv-iters", 0) if source == "flag" else ("--config", cfg)
+        out = tmp_path / "o.hsic"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", "gap-tv", "--iters", 2,
+            *zero, "--out", out,
+        )
+        assert code == 2
+        assert "tv_inner_iterations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_init_flag_accepted(self, tmp_path):
         _, meas_path, mask_path, _ = self.make_measurement(tmp_path)

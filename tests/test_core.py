@@ -7,15 +7,11 @@ from cassi import (
     CodedAperture,
     DimensionMismatch,
     HSICube,
-    IndexOutOfRange,
     Measurement,
     NonFiniteValue,
     SceneConfig,
-    ShiftedCube,
-    flatten_index,
-    unflatten_index,
-    validate,
 )
+from cassi.dense import cube_to_vec, meas_to_vec
 
 
 class TestSceneConfig:
@@ -45,7 +41,8 @@ class TestSceneConfig:
 class TestCubeTypes:
     def test_consistent_shape_accepted(self, tiny_config):
         cube = HSICube(tiny_config, np.arange(8.0).reshape(2, 2, 2))
-        validate(tiny_config, cube)
+        assert cube.data.shape == (2, 2, 2)
+        np.testing.assert_array_equal(cube.data.ravel(), np.arange(8.0))
 
     def test_off_by_one_shape_rejected(self, tiny_config):
         with pytest.raises(DimensionMismatch):
@@ -74,41 +71,45 @@ class TestCubeTypes:
         src[0, 0, 0] = 5.0
         assert cube.data[0, 0, 0] == 0.0
 
-    def test_validate_dispatch(self, tiny_config):
-        meas = Measurement(tiny_config, np.zeros((2, 3)))
-        shifted = ShiftedCube(tiny_config, np.zeros((2, 2, 3)))
-        mask = CodedAperture.from_array(np.ones((2, 2)))
-        for obj in (meas, shifted, mask):
-            validate(tiny_config, obj)
-        other = SceneConfig(3, 2, 2, 1)
-        with pytest.raises(DimensionMismatch):
-            validate(other, meas)
-        with pytest.raises(TypeError):
-            validate(tiny_config, object())
+
+def _one_hot_cube(config: SceneConfig, c: int, u: int, x: int) -> HSICube:
+    data = np.zeros((config.bands, config.height, config.width))
+    data[c, u, x] = 1.0
+    return HSICube(config, data)
+
+
+def _one_hot_meas(config: SceneConfig, u: int, v: int) -> Measurement:
+    data = np.zeros((config.height, config.measurement_width()))
+    data[u, v] = 1.0
+    return Measurement(config, data)
+
+
+def _where(vec: np.ndarray) -> int:
+    """Position of the one nonzero entry of ``vec``."""
+    (i,) = np.flatnonzero(vec)
+    return int(i)
 
 
 class TestFlattenIndex:
+    """The dense oracle's vector order: in shifted coordinates, detector
+    pixel (u, v) of band c sits at ``c*H*W' + v*H + u``.  Checked on
+    :func:`cube_to_vec` and :func:`meas_to_vec` with one-hot inputs."""
+
     def test_origin(self, tiny_config):
-        assert flatten_index(0, 0, 0, tiny_config) == 0
+        assert _where(cube_to_vec(_one_hot_cube(tiny_config, 0, 0, 0))) == 0
+        assert _where(meas_to_vec(_one_hot_meas(tiny_config, 0, 0))) == 0
 
     def test_column_major_within_band(self, tiny_config):
-        assert flatten_index(1, 0, 0, tiny_config) == 1
+        # Row 1 comes next; column 1 starts after the H = 2 rows of column 0.
+        assert _where(cube_to_vec(_one_hot_cube(tiny_config, 0, 1, 0))) == 1
+        assert _where(meas_to_vec(_one_hot_meas(tiny_config, 1, 0))) == 1
+        assert _where(meas_to_vec(_one_hot_meas(tiny_config, 0, 1))) == 2
 
     def test_band_stride(self, tiny_config):
-        # band stride is H * W' = 2 * 3 for a 2x2x2, d=1 scene
-        assert flatten_index(0, 0, 1, tiny_config) == 6
-
-    def test_out_of_range(self, tiny_config):
-        with pytest.raises(IndexOutOfRange):
-            flatten_index(2, 0, 0, tiny_config)
-        with pytest.raises(IndexOutOfRange):
-            flatten_index(0, 3, 0, tiny_config)
-        with pytest.raises(IndexOutOfRange):
-            flatten_index(0, 0, 2, tiny_config)
-        with pytest.raises(IndexOutOfRange):
-            flatten_index(-1, 0, 0, tiny_config)
-        with pytest.raises(IndexOutOfRange):
-            unflatten_index(12, tiny_config)
+        # Band 1 starts H * W' = 2 * 3 = 6 entries in, and its scene column 0
+        # is shifted column d = 1, so it lands at 6 + 1 * H = 8.
+        assert _where(cube_to_vec(_one_hot_cube(tiny_config, 1, 0, 0))) == 8
+        assert _where(cube_to_vec(_one_hot_cube(tiny_config, 1, 0, 1))) == 10
 
     @given(
         h=st.integers(1, 5),
@@ -117,15 +118,19 @@ class TestFlattenIndex:
         d=st.integers(1, 2),
     )
     def test_bijection(self, h, w, c, d):
+        # Every scene entry lands on its own shifted position, and every
+        # detector pixel on its own measurement position.
         config = SceneConfig(h, w, c, d)
         wp = config.measurement_width()
-        seen = [
-            flatten_index(u, v, b, config)
-            for b in range(c)
-            for v in range(wp)
-            for u in range(h)
-        ]
-        assert sorted(seen) == list(range(h * wp * c))
-        for i in range(h * wp * c):
-            u, v, b = unflatten_index(i, config)
-            assert flatten_index(u, v, b, config) == i
+        cube = np.arange(1.0, c * h * w + 1).reshape(c, h, w)
+        vec = cube_to_vec(HSICube(config, cube))
+        assert vec.shape == (c * h * wp,)
+        for b in range(c):
+            for u in range(h):
+                for x in range(w):
+                    assert vec[b * h * wp + (x + d * b) * h + u] == cube[b, u, x]
+        assert np.count_nonzero(vec) == c * h * w
+        meas = np.arange(h * wp, dtype=float).reshape(wp, h).T
+        assert np.array_equal(
+            meas_to_vec(Measurement(config, meas)), np.arange(h * wp)
+        )

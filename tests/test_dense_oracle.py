@@ -16,7 +16,6 @@ from cassi.dense import (
     MAX_DENSE_ENTRIES,
     build_dense,
     cube_to_vec,
-    dense_apply,
     dense_pinv,
     meas_to_vec,
     vec_to_cube,
@@ -86,21 +85,10 @@ def test_pinv_svd_failure_is_wrapped(monkeypatch):
         dense_pinv(np.eye(2))
 
 
-def test_apply_identity_and_zero():
-    v = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(dense_apply(np.eye(3), v), v)
-    np.testing.assert_array_equal(dense_apply(np.zeros((2, 3)), v), [0.0, 0.0])
-
-
-def test_apply_shape_check():
-    with pytest.raises(DimensionMismatch):
-        dense_apply(np.eye(3), np.ones(4))
-
-
 def test_apply_equals_forward(tiny_config, tiny_ones_operator):
     cube = HSICube(tiny_config, np.array([[[1.0, 2], [3, 4]], [[5.0, 6], [7, 8]]]))
     dense = build_dense(tiny_ones_operator)
-    out = dense_apply(dense, cube_to_vec(cube))
+    out = dense @ cube_to_vec(cube)
     np.testing.assert_array_equal(
         out, meas_to_vec(tiny_ones_operator.forward(cube))
     )
@@ -113,7 +101,7 @@ def test_forward_equivalence_across_random_instances(case):
     x = random_cube(config, seed + 30)
     dense = build_dense(op)
     assert (
-        rel_err(dense_apply(dense, cube_to_vec(x)), meas_to_vec(op.forward(x)))
+        rel_err(dense @ cube_to_vec(x), meas_to_vec(op.forward(x)))
         < 1e-12
     )
 

@@ -408,6 +408,11 @@ class TestPriors:
         assert out.data.shape == cube.data.shape
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("inner", [0, -1])
+    def test_tv_prior_rejects_bad_inner_iterations_at_construction(self, inner):
+        with pytest.raises(ValueError, match="inner_iterations must be >= 1"):
+            TvPrior(inner)
+
 
 class _OraclePrior:
     """Test prior that always returns a fixed ground-truth cube."""
@@ -531,12 +536,11 @@ class TestGapSolve:
             CodedAperture.from_array(np.ones((256, 256))), config
         )
         meas = op.forward(HSICube(config, np.zeros((28, 256, 256))))
-        cheap = dict(iterations=1, tv_inner_iterations=1)
         _, cropped = gap_solve_with_stats(
-            op, meas, TvPrior(1), SolverConfig(**cheap)
+            op, meas, TvPrior(1), SolverConfig(iterations=1)
         )
         _, full = gap_solve_with_stats(
-            op, meas, TvPrior(1), SolverConfig(**cheap, crop_denoiser_input=False)
+            op, meas, TvPrior(1), SolverConfig(iterations=1, crop_denoiser_input=False)
         )
         assert cropped.denoised_pixels_per_iteration * 310 == (
             full.denoised_pixels_per_iteration * 256
@@ -726,7 +730,7 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.iterations == 60
         assert cfg.tv_weight == 0.1
-        assert cfg.tv_inner_iterations == 20
+        assert not hasattr(cfg, "tv_inner_iterations")  # owned by TvPrior
         assert cfg.init is InitStrategy.ROLL
         assert cfg.crop_denoiser_input is True
         assert cfg.convergence_tol == 0.0
@@ -738,7 +742,7 @@ class TestSolverConfig:
             {"tv_weight": -0.5},
             {"tv_weight": float("nan")},
             {"tv_weight": float("inf")},
-            {"tv_inner_iterations": 0},
+            {"iterations": -1},
             {"convergence_tol": -1.0},
             {"convergence_tol": float("nan")},
             {"convergence_tol": float("inf")},
