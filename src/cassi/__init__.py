@@ -26,7 +26,6 @@ from .operator import (
     SensingOperator,
     build_operator,
     shift_cube,
-    unshift_cube,
 )
 from .recon import (
     IdentityPrior,

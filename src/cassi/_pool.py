@@ -18,6 +18,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
+# Bytes per working array of one band block, so the TV prox's 4 working
+# arrays (2 MiB) and its slice of the input stay in cache instead of
+# streaming the whole stack through DRAM on every step.  Small stacks get a
+# single block, which keeps their per-call overhead low.  SSIM scores the
+# same blocks, so a stack the TV prox runs inline is scored inline.
+BLOCK_BYTES = 512 * 1024
+
 _lock = threading.Lock()
 # (pid, workers, executor) of the process that created the pool.
 _pool: tuple[int, int, ThreadPoolExecutor] | None = None
@@ -48,6 +55,12 @@ def _executor() -> tuple[int, ThreadPoolExecutor]:
 def kernel_workers() -> int:
     """Number of threads the band kernels run on."""
     return _executor()[0]
+
+
+def band_block(bands: int, height: int, width: int) -> int:
+    """Whole float64 bands per block: as many as fit in ``BLOCK_BYTES``,
+    at least one and at most ``bands``."""
+    return min(bands, max(1, BLOCK_BYTES // (height * width * 8)))
 
 
 def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None:

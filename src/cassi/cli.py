@@ -144,11 +144,11 @@ def _exit_status(exc: Exception) -> tuple[int, str] | None:
     return None
 
 
-def _load_mask_plane(path: str) -> np.ndarray:
+def _load_mask(path: str) -> CodedAperture:
     arr, _ = read_cube(path)
     if arr.shape[0] != 1:
         raise ConfigFileError(f"{path}: mask files must have C = 1, got {arr.shape[0]}")
-    return arr[0]
+    return CodedAperture(arr[0])
 
 
 def _cross_check(file_cfg: dict, **derived: int) -> None:
@@ -185,14 +185,13 @@ def _stem(path: str) -> str:
 def cmd_simulate(args) -> int:
     file_cfg = parse_run_config(args.config) if args.config else {}
     cube_arr, _ = read_cube(args.cube)
-    mask_plane = _load_mask_plane(args.mask)
+    mask = _load_mask(args.mask)
     nc, h, w = cube_arr.shape
     d = _resolve("shift_step", args.shift_step, file_cfg)
     if d is None:
         raise ConfigFileError("shift step not given (flag or config file)")
     _cross_check(file_cfg, height=h, width=w, bands=nc)
     config = SceneConfig(h, w, nc, d)
-    mask = CodedAperture.from_array(mask_plane)
     op = build_operator(mask, config)
     # ``read_cube`` returns a fresh array of the config's shape: adopt it.
     _require_finite(cube_arr, "HSICube")
@@ -213,10 +212,10 @@ def cmd_simulate(args) -> int:
 
 
 def _derive_recon_config(
-    meas_plane: np.ndarray, mask_plane: np.ndarray, d: int
+    meas_plane: np.ndarray, mask: CodedAperture, d: int
 ) -> SceneConfig:
     h, wp = meas_plane.shape
-    mh, mw = mask_plane.shape
+    mh, mw = mask.height, mask.width
     if mh != h:
         raise ConfigFileError(
             f"measurement has {h} rows but mask has {mh}"
@@ -249,7 +248,7 @@ def cmd_reconstruct(args) -> int:
     d = _resolve("shift_step", args.shift_step, file_cfg)
     if d is None:
         raise ConfigFileError("shift step not given (flag or config file)")
-    mask_plane = _load_mask_plane(args.mask)
+    mask = _load_mask(args.mask)
 
     crop = None if not args.no_crop else False
     scfg = SolverConfig(
@@ -292,7 +291,6 @@ def cmd_reconstruct(args) -> int:
             )
 
     # All inputs share the mask, so each geometry's operator is built once.
-    mask = CodedAperture.from_array(mask_plane)
     operators: dict[SceneConfig, SensingOperator] = {}
     operators_lock = threading.Lock()
 
@@ -308,7 +306,7 @@ def cmd_reconstruct(args) -> int:
             raise ConfigFileError(
                 f"{meas_path}: measurement files must have C = 1"
             )
-        config = _derive_recon_config(meas_arr[0], mask_plane, d)
+        config = _derive_recon_config(meas_arr[0], mask, d)
         _cross_check(
             file_cfg,
             height=config.height,
@@ -431,18 +429,9 @@ def cmd_metrics(args) -> int:
     else:
         print("band,psnr_db,ssim,mse")
         for c in range(nc):
-            band_mse = float(
-                np.mean(
-                    (
-                        np.clip(ref_arr[c], 0.0, 1.0)
-                        - np.clip(test_arr[c], 0.0, 1.0)
-                    )
-                    ** 2
-                )
-            )
             print(
                 f"{c},{report.per_band_psnr[c]!r},"
-                f"{report.per_band_ssim[c]!r},{band_mse!r}"
+                f"{report.per_band_ssim[c]!r},{report.per_band_mse[c]!r}"
             )
         print(f"mean,{report.psnr_db!r},{report.ssim!r},{report.mse!r}")
     return 0
@@ -577,8 +566,7 @@ def cmd_mask_gen(args) -> int:
 
 
 def cmd_mask_crop(args) -> int:
-    plane = _load_mask_plane(args.mask)
-    cropped = crop_mask(CodedAperture.from_array(plane), args.size, args.seed)
+    cropped = crop_mask(_load_mask(args.mask), args.size, args.seed)
     write_cube(args.out, cropped.data, dtype=args.dtype)
     return 0
 

@@ -19,37 +19,32 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteValue
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; it must be an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Geometry shared by a scene, its sensing operator, and its measurement.
 
     ``shift_step`` is the horizontal pixel displacement per band introduced
     by the dispersive element; band 0 is the unshifted base band.
-    ``wavelengths`` is optional metadata (nm per band) and never enters any
-    computation.
     """
 
     height: int
     width: int
     bands: int
     shift_step: int
-    wavelengths: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for name in ("height", "width", "bands", "shift_step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            value = _as_int(getattr(self, name), name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
-        if self.wavelengths is not None:
-            wl = tuple(float(w) for w in self.wavelengths)
-            if len(wl) != self.bands:
-                raise ValueError(
-                    f"wavelengths has {len(wl)} entries for {self.bands} bands"
-                )
-            object.__setattr__(self, "wavelengths", wl)
+            object.__setattr__(self, name, value)
 
     def measurement_width(self) -> int:
         """Detector width: scene width plus the dispersion span d*(C-1)."""
@@ -57,7 +52,7 @@ class SceneConfig:
 
     @property
     def geometry(self) -> tuple[int, int, int, int]:
-        """(height, width, bands, shift_step) without metadata."""
+        """(height, width, bands, shift_step)."""
         return (self.height, self.width, self.bands, self.shift_step)
 
 
@@ -130,28 +125,30 @@ class ShiftedCube(_Adoptable):
 
 @dataclass(frozen=True)
 class CodedAperture:
-    """The 2-D modulation mask in front of the scene.
+    """The 2-D modulation mask in front of the scene, stored as (H, W).
 
     Binary masks are the common case but any finite nonnegative values are
     legal (gray masks model partial transmission).
     """
 
-    height: int
-    width: int
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_array(self.data, (self.height, self.width), "CodedAperture")
+        arr = np.asarray(self.data, dtype=np.float64)
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise DimensionMismatch(f"mask must be 2-D and non-empty, got {arr.shape}")
+        arr = _checked_array(arr, arr.shape, "CodedAperture")
         if (arr < 0.0).any():
             raise ValueError("CodedAperture values must be >= 0")
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def from_array(cls, data) -> "CodedAperture":
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"mask must be 2-D, got shape {arr.shape}")
-        return cls(arr.shape[0], arr.shape[1], arr)
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from ._pool import run_band_spans
+from ._pool import band_block, run_band_spans
 from .core import HSICube
 from .errors import DimensionMismatch
-from .recon import _TV_BLOCK_BYTES
 
 PSNR_CAP_DB = 100.0
 
@@ -37,6 +36,7 @@ class MetricReport:
     ssim: float
     per_band_psnr: tuple[float, ...]
     per_band_ssim: tuple[float, ...]
+    per_band_mse: tuple[float, ...]
     mse: float
 
 
@@ -54,19 +54,22 @@ def _squared_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.square(b, out=b)
 
 
-def _psnr_planes(sq: np.ndarray) -> np.ndarray:
-    """Per-band PSNR from a stack of squared differences."""
-    out = np.empty(sq.shape[0])
-    for c in range(sq.shape[0]):
-        mse = float(np.mean(sq[c]))
-        out[c] = PSNR_CAP_DB if mse == 0.0 else 10.0 * np.log10(1.0 / mse)
-    return out
+def _mse_planes(sq: np.ndarray) -> list[float]:
+    """Per-band MSE from a stack of squared differences."""
+    return [float(np.mean(plane)) for plane in sq]
+
+
+def _psnr_planes(mse: list[float]) -> np.ndarray:
+    """Per-band PSNR from per-band MSE."""
+    return np.array(
+        [PSNR_CAP_DB if m == 0.0 else 10.0 * np.log10(1.0 / m) for m in mse]
+    )
 
 
 def psnr_bands(reference: HSICube, test: HSICube) -> np.ndarray:
     """Per-band PSNR in dB against peak 1.0; a zero-MSE band reports the
     100 dB cap."""
-    return _psnr_planes(_squared_error(*_clamped_pair(reference, test)))
+    return _psnr_planes(_mse_planes(_squared_error(*_clamped_pair(reference, test))))
 
 
 def psnr(reference: HSICube, test: HSICube) -> float:
@@ -121,8 +124,7 @@ def _ssim_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for c in range(lo, hi):
             out[c] = _ssim_plane(a[c], b[c], ws)
 
-    # The TV prox's band blocks, so a stack it runs inline is scored inline.
-    run_band_spans(run_span, nc, max(1, _TV_BLOCK_BYTES // (h * w * 8)))
+    run_band_spans(run_span, nc, band_block(nc, h, w))
     return out
 
 
@@ -137,15 +139,18 @@ def ssim(reference: HSICube, test: HSICube) -> float:
 
 
 def evaluate(reference: HSICube, test: HSICube) -> MetricReport:
-    """Full report: per-band PSNR/SSIM, their means, and whole-cube MSE."""
+    """Full report: per-band PSNR/SSIM/MSE, the PSNR and SSIM means, and
+    whole-cube MSE."""
     a, b = _clamped_pair(reference, test)
     s = _ssim_planes(a, b)
     sq = _squared_error(a, b)
-    p = _psnr_planes(sq)
+    mse = _mse_planes(sq)
+    p = _psnr_planes(mse)
     return MetricReport(
         psnr_db=float(np.mean(p)),
         ssim=float(np.mean(s)),
         per_band_psnr=tuple(float(x) for x in p),
         per_band_ssim=tuple(float(x) for x in s),
+        per_band_mse=tuple(mse),
         mse=float(np.mean(sq)),
     )

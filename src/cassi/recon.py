@@ -23,8 +23,8 @@ from typing import Protocol
 
 import numpy as np
 
-from ._pool import run_band_spans
-from .core import HSICube, Measurement, SceneConfig, ShiftedCube
+from ._pool import band_block, run_band_spans
+from .core import HSICube, Measurement, SceneConfig, ShiftedCube, _as_int
 from .errors import DimensionMismatch, NonFiniteValue
 from .operator import (
     SensingOperator,
@@ -81,7 +81,7 @@ class SolverConfig:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
-        if self.iterations < 1:
+        if _as_int(self.iterations, "iterations") < 1:
             raise ValueError("iterations must be >= 1")
         if not (math.isfinite(self.tv_weight) and self.tv_weight >= 0):
             raise ValueError(
@@ -145,13 +145,6 @@ _INITS = {
 }
 
 
-# Bytes per working array of one band block in the TV prox.  A block holds
-# as many whole bands as fit, so its 4 working arrays (2 MiB) and its slice
-# of the input stay in cache instead of streaming the whole stack through
-# DRAM on every step.  Large planes get one band per block, small stacks a
-# single block, which keeps the per-call overhead of small stacks low.
-_TV_BLOCK_BYTES = 512 * 1024
-
 # The TV working arrays start on cache-line boundaries.  numpy guarantees
 # only 16-byte alignment, and the flat dual steps ran up to a quarter slower
 # on a block 16 or 48 bytes past a line than on an aligned one, so the cost
@@ -198,16 +191,16 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     Projected gradient on the dual with the classical 1/(8*lam) step;
     fixed iteration count, fully deterministic.  Planes are independent, so
     the stack is processed in blocks of whole bands sized by
-    ``_TV_BLOCK_BYTES``, and spans of blocks run on the kernel pool, each
-    in its own workspace (a stack of one block runs inline).  Every step is
-    one 1-D ufunc over a flat block: the duals are stored padded to full
-    planes (see :func:`_tv_field`), and the one difference buffer has its
-    pad row or column reset to +0 after each flat difference so the pads
-    stay +0.
+    :func:`cassi._pool.band_block`, and spans of blocks run on the kernel
+    pool, each in its own workspace (a stack of one block runs inline).
+    Every step is one 1-D ufunc over a flat block: the duals are stored
+    padded to full planes (see :func:`_tv_field`), and the one difference
+    buffer has its pad row or column reset to +0 after each flat difference
+    so the pads stay +0.
     """
     nc, h, w = f.shape
     out = np.empty((nc, h, w))
-    block = min(nc, max(1, _TV_BLOCK_BYTES // (h * w * out.itemsize)))
+    block = band_block(nc, h, w)
     step = 1.0 / (8.0 * lam)
 
     def run_span(start: int, stop: int) -> None:
@@ -261,7 +254,7 @@ class TvPrior:
     inner_iterations: int = 20
 
     def __post_init__(self):
-        if self.inner_iterations < 1:
+        if _as_int(self.inner_iterations, "inner_iterations") < 1:
             raise ValueError(
                 f"inner_iterations must be >= 1, got {self.inner_iterations!r}"
             )

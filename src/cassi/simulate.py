@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodedAperture, HSICube, Measurement, SceneConfig
+from .core import CodedAperture, HSICube, Measurement, SceneConfig, _as_int
 from .errors import CropTooLarge, NegativeMeasurement
 from .operator import _gram_diagonal
 
@@ -35,9 +35,9 @@ class NoiseSpec:
     full_scale: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.shot_bits <= 16:
+        if not 1 <= _as_int(self.shot_bits, "shot_bits") <= 16:
             raise ValueError(f"shot_bits must be in [1, 16], got {self.shot_bits}")
-        if self.seed < 0:
+        if _as_int(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.full_scale is not None and not (
             math.isfinite(self.full_scale) and self.full_scale > 0
@@ -52,11 +52,13 @@ def gen_mask(height: int, width: int, density: float, seed: int) -> CodedApertur
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     draws = _rng(seed).random((height, width))
-    return CodedAperture(height, width, (draws < density).astype(np.float64))
+    return CodedAperture((draws < density).astype(np.float64))
 
 
 def crop_mask(mask: CodedAperture, size: int, seed: int) -> CodedAperture:
     """Uniformly random axis-aligned size x size window from a larger mask."""
+    if size < 1:
+        raise ValueError(f"crop size must be >= 1, got {size}")
     if size > min(mask.height, mask.width):
         raise CropTooLarge(
             f"crop {size} exceeds mask {mask.height}x{mask.width}"
@@ -64,7 +66,7 @@ def crop_mask(mask: CodedAperture, size: int, seed: int) -> CodedAperture:
     rng = _rng(seed)
     r0 = int(rng.integers(0, mask.height - size + 1))
     c0 = int(rng.integers(0, mask.width - size + 1))
-    return CodedAperture(size, size, mask.data[r0 : r0 + size, c0 : c0 + size])
+    return CodedAperture(mask.data[r0 : r0 + size, c0 : c0 + size])
 
 
 def repair_mask(mask: CodedAperture, config: SceneConfig) -> CodedAperture:
@@ -83,7 +85,7 @@ def repair_mask(mask: CodedAperture, config: SceneConfig) -> CodedAperture:
     col = v - d * np.minimum(v // d, nc - 1)
     fixable = col < w  # no band reaches the other columns (d > W)
     data[u[fixable], col[fixable]] = 1.0
-    return CodedAperture(mask.height, mask.width, data)
+    return CodedAperture(data)
 
 
 def gen_scene(config: SceneConfig, complexity: int, seed: int) -> HSICube:

@@ -92,7 +92,7 @@ def tiny_config():
 
 @pytest.fixture
 def tiny_ones_operator(tiny_config):
-    mask = CodedAperture.from_array(np.ones((2, 2)))
+    mask = CodedAperture(np.ones((2, 2)))
     return build_operator(mask, tiny_config)
 
 

@@ -222,7 +222,7 @@ class TestReconstruct:
                 line.split(" ", 1) for line in report.read_text().splitlines()
             )
         op = build_operator(
-            CodedAperture.from_array(read_cube(mask_path)[0][0]), config
+            CodedAperture(read_cube(mask_path)[0][0]), config
         )
         meas = Measurement(config, read_cube(meas_path)[0][0])
         x, _ = gap_solve_with_stats(
@@ -274,7 +274,7 @@ class TestReconstruct:
 
         config, meas_path, mask_path, scene = self.make_measurement(tmp_path)
         second = tmp_path / "meas2.hsic"
-        mask = CodedAperture.from_array(read_cube(mask_path)[0][0])
+        mask = CodedAperture(read_cube(mask_path)[0][0])
         op = build_operator(mask, config)
         write_cube(second, op.forward(gen_scene(config, 4, seed=9)).data)
         out_dir = tmp_path / "out"
@@ -481,6 +481,19 @@ class TestMetrics:
         assert len(lines) == 2 + cube.config.bands
         assert lines[-1].startswith("mean,")
 
+    def test_csv_band_mse_is_the_clamped_band_mean(self, tmp_path, capsys):
+        rng = np.random.Generator(np.random.Philox(21))
+        ref = rng.random((3, 16, 16))
+        test = ref + 0.3 * rng.standard_normal((3, 16, 16))  # some out of [0, 1]
+        a, b = tmp_path / "a.hsic", tmp_path / "b.hsic"
+        write_cube(a, ref)
+        write_cube(b, test)
+        assert run_cli("metrics", "--ref", a, "--test", b, "--format", "csv") == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        for c, row in enumerate(rows):
+            diff = np.clip(ref[c], 0.0, 1.0) - np.clip(test[c], 0.0, 1.0)
+            assert row.split(",")[3] == repr(float(np.mean(diff**2)))
+
     def test_malformed_file_exits_2_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.hsic"
         bad.write_bytes(b"HSICxxxxxxxxxxxxxxxxxx")
@@ -611,6 +624,27 @@ class TestMask:
             "--out", tmp_path / "o.hsic",
         ) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crop", "--size", 0, "--seed", 0],
+            ["crop", "--size", -1, "--seed", 0],
+            ["gen", "--height", 0, "--width", 4, "--density", 0.5, "--seed", 1],
+        ],
+        ids=["crop-0", "crop-negative", "gen-zero-height"],
+    )
+    def test_empty_or_negative_mask_exits_2(self, tmp_path, capsys, argv):
+        # A mask with no rows or columns cannot be read back, so it is never
+        # written.
+        src = tmp_path / "src.hsic"
+        write_cube(src, np.ones((4, 4)))
+        out = tmp_path / "o.hsic"
+        if argv[0] == "crop":
+            argv = [*argv, "--mask", src]
+        assert run_cli("mask", *argv, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_full_rank_repair_flags(self, tmp_path):
         out = tmp_path / "mask.hsic"
         assert run_cli(
@@ -622,7 +656,7 @@ class TestMask:
         from cassi import CodedAperture
 
         build_operator(
-            CodedAperture.from_array(data[0]), SceneConfig(32, 32, 8, 2)
+            CodedAperture(data[0]), SceneConfig(32, 32, 8, 2)
         )
 
 
@@ -723,6 +757,34 @@ class TestRunConfig:
             line.split(" ", 1) for line in report.read_text().splitlines()
         )
         assert int(values["iterations"]) == 5  # flag beat the config file
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_wavelength_count_is_cross_checked(self, tmp_path, capsys, command):
+        config, mask, scenes = bundled_suite(n_scenes=1)
+        op = build_operator(mask, config)
+        cube_path = tmp_path / "cube.hsic"
+        meas_path = tmp_path / "meas.hsic"
+        mask_path = tmp_path / "mask.hsic"
+        write_cube(cube_path, scenes[0].data)
+        write_cube(meas_path, op.forward(scenes[0]).data)
+        write_cube(mask_path, mask.data)
+        source = ["--cube", cube_path] if command == "simulate" else [
+            "--meas", meas_path, "--method", "pinv"
+        ]
+        cfg = tmp_path / "run.cfg"
+        for count, expected in ((7, 2), (8, 0)):
+            cfg.write_text(
+                "wavelengths = " + ", ".join(str(450 + 10 * i) for i in range(count))
+            )
+            out = tmp_path / f"o{count}.hsic"
+            code = run_cli(
+                command, *source, "--mask", mask_path, "--shift-step", 2,
+                "--config", cfg, "--out", out,
+            )
+            assert code == expected
+            assert out.exists() == (expected == 0)
+        err = capsys.readouterr().err
+        assert "7 wavelengths for 8 bands" in err
 
     def test_config_cross_check_failure(self, tmp_path, capsys):
         config, mask, scenes = bundled_suite(n_scenes=1)

@@ -31,11 +31,10 @@ class TestSceneConfig:
         with pytest.raises(ValueError):
             SceneConfig(**kwargs)
 
-    def test_wavelengths_length_must_match_bands(self):
-        cfg = SceneConfig(2, 2, 3, 1, wavelengths=(450.0, 550.0, 650.0))
-        assert cfg.wavelengths == (450.0, 550.0, 650.0)
-        with pytest.raises(ValueError):
-            SceneConfig(2, 2, 3, 1, wavelengths=(450.0, 550.0))
+    def test_numpy_integers_become_ints(self):
+        cfg = SceneConfig(np.int64(2), np.int32(3), np.uint8(4), np.int64(1))
+        assert cfg.geometry == (2, 3, 4, 1)
+        assert all(type(v) is int for v in cfg.geometry)
 
 
 class TestCubeTypes:
@@ -58,7 +57,7 @@ class TestCubeTypes:
 
     def test_mask_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            CodedAperture.from_array(np.array([[0.5, -0.1], [1.0, 0.0]]))
+            CodedAperture(np.array([[0.5, -0.1], [1.0, 0.0]]))
 
     def test_data_is_immutable(self, tiny_config):
         cube = HSICube(tiny_config, np.zeros((2, 2, 2)))
@@ -70,6 +69,28 @@ class TestCubeTypes:
         cube = HSICube(tiny_config, src)
         src[0, 0, 0] = 5.0
         assert cube.data[0, 0, 0] == 0.0
+
+
+class TestCodedAperture:
+    def test_shape_comes_from_the_array(self):
+        mask = CodedAperture(np.ones((2, 3)))
+        assert (mask.height, mask.width) == (2, 3)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 3), (0, 3), (2, 0)])
+    def test_rejects_non_2d_or_empty(self, shape):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            CodedAperture(np.ones(shape))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFiniteValue):
+            CodedAperture(np.array([[1.0, np.nan]]))
+
+    def test_copies_and_freezes_input(self):
+        src = np.zeros((2, 2))
+        mask = CodedAperture(src)
+        src[0, 0] = 1.0
+        assert mask.data[0, 0] == 0.0
+        assert not mask.data.flags.writeable
 
 
 def _one_hot_cube(config: SceneConfig, c: int, u: int, x: int) -> HSICube:

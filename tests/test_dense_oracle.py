@@ -40,7 +40,7 @@ def test_block_structure_from_hand_enumeration(tiny_config, tiny_ones_operator):
 
 def test_single_band_is_diag_of_mask_vec():
     config = SceneConfig(2, 3, 1, 1)
-    mask = CodedAperture.from_array(np.array([[1.0, 2, 3], [4.0, 5, 6]]))
+    mask = CodedAperture(np.array([[1.0, 2, 3], [4.0, 5, 6]]))
     op = build_operator(mask, config)
     dense = build_dense(op)
     np.testing.assert_array_equal(dense, np.diag(mask.data.ravel(order="F")))
@@ -48,7 +48,7 @@ def test_single_band_is_diag_of_mask_vec():
 
 def test_paper_scale_request_is_rejected():
     config = SceneConfig(256, 256, 28, 2)
-    mask = CodedAperture.from_array(np.ones((256, 256)))
+    mask = CodedAperture(np.ones((256, 256)))
     op = build_operator(mask, config)
     with pytest.raises(InstanceTooLarge):
         build_dense(op)

@@ -167,13 +167,14 @@ class TestEvaluate:
 
 
 def reference_scores(a, b):
-    """Per-band PSNR and SSIM, MSE of the clamped pair, with fresh
+    """Per-band PSNR, SSIM and MSE, and MSE of the clamped pair, with fresh
     temporaries, one band at a time and an out-of-place first window pass:
     the arithmetic, in the order, that the pooled kernels must reproduce."""
     a, b = np.clip(a, 0.0, 1.0), np.clip(b, 0.0, 1.0)
-    psnr_db, ssim_values = [], []
+    psnr_db, ssim_values, band_mse = [], [], []
     for c in range(a.shape[0]):
         mse = float(np.mean((a[c] - b[c]) ** 2))
+        band_mse.append(mse)
         psnr_db.append(100.0 if mse == 0.0 else 10.0 * np.log10(1.0 / mse))
         stack = np.stack((a[c], b[c], a[c] * a[c], b[c] * b[c], a[c] * b[c]))
         means = correlate1d(stack, metrics._WINDOW, axis=-2)
@@ -185,7 +186,7 @@ def reference_scores(a, b):
         num = (2.0 * mu_a * mu_b + 0.01**2) * (2.0 * cov + 0.03**2)
         den = (mu_a * mu_a + mu_b * mu_b + 0.01**2) * (var_a + var_b + 0.03**2)
         ssim_values.append(float(np.mean(num / den)))
-    return psnr_db, ssim_values, float(np.mean((a - b) ** 2))
+    return psnr_db, ssim_values, band_mse, float(np.mean((a - b) ** 2))
 
 
 def noisy_pair(shape, seed):
@@ -207,10 +208,11 @@ class TestScoresOnKernelPool:
     ):
         kernel_pool(workers)
         ref, test = noisy_pair(shape, sum(shape))
-        psnr_db, ssim_values, mse = reference_scores(ref.data, test.data)
+        psnr_db, ssim_values, band_mse, mse = reference_scores(ref.data, test.data)
         report = evaluate(ref, test)
         assert report.per_band_psnr == tuple(psnr_db)
         assert report.per_band_ssim == tuple(ssim_values)
+        assert report.per_band_mse == tuple(band_mse)
         assert report.mse == mse
         assert tuple(ssim_bands(ref, test)) == tuple(ssim_values)
         assert tuple(psnr_bands(ref, test)) == tuple(psnr_db)

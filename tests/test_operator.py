@@ -12,10 +12,9 @@ from cassi import (
     SceneConfig,
     build_operator,
     shift_cube,
-    unshift_cube,
 )
 from cassi.dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
-from cassi.operator import _on_support
+from cassi.operator import _gram_diagonal, _on_support
 
 from conftest import (
     full_rank_mask,
@@ -52,7 +51,7 @@ def shifted_mask(mask, config):
 
 class TestShift:
     def test_shift_mask_all_ones(self, tiny_config):
-        mask = CodedAperture.from_array(np.ones((2, 2)))
+        mask = CodedAperture(np.ones((2, 2)))
         shifted = shifted_mask(mask, tiny_config)
         assert shifted.shape == (2, 2, 3)
         np.testing.assert_array_equal(shifted[0], [[1, 1, 0], [1, 1, 0]])
@@ -60,14 +59,14 @@ class TestShift:
 
     def test_shift_mask_single_band_is_identity(self):
         config = SceneConfig(2, 2, 1, 1)
-        mask = CodedAperture.from_array(np.array([[1.0, 0.0], [0.5, 1.0]]))
+        mask = CodedAperture(np.array([[1.0, 0.0], [0.5, 1.0]]))
         shifted = shifted_mask(mask, config)
         assert shifted.shape == (1, 2, 2)
         np.testing.assert_array_equal(shifted[0], mask.data)
 
     def test_shift_mask_dimension_mismatch(self, tiny_config):
         with pytest.raises(DimensionMismatch):
-            build_operator(CodedAperture.from_array(np.ones((3, 2))), tiny_config)
+            build_operator(CodedAperture(np.ones((3, 2))), tiny_config)
 
     def test_shift_cube_hand_example(self, tiny_config):
         cube = HSICube(
@@ -82,17 +81,19 @@ class TestShift:
         assert not shifted.data.any()
 
     def test_unshift_inverts_shift(self, tiny_config):
+        # The on-support view is the inverse of the shift.
         cube = HSICube(
             tiny_config, np.array([[[1.0, 2], [3, 4]], [[5.0, 6], [7, 8]]])
         )
-        back = unshift_cube(shift_cube(cube))
-        np.testing.assert_array_equal(back.data, cube.data)
+        back = _on_support(shift_cube(cube).data, tiny_config.shift_step)
+        np.testing.assert_array_equal(back, cube.data)
 
     @given(operator_configs())
     def test_shift_roundtrip_bit_exact(self, case):
         config, seed = case
         cube = random_cube(config, seed)
-        assert np.array_equal(unshift_cube(shift_cube(cube)).data, cube.data)
+        back = _on_support(shift_cube(cube).data, config.shift_step)
+        assert np.array_equal(back, cube.data)
 
     @given(operator_configs())
     def test_shifted_support_invariant(self, case):
@@ -140,24 +141,28 @@ class TestOnSupportView:
 
 class TestBuildOperator:
     def test_sigma_all_ones_mask(self, tiny_ones_operator):
+        op = tiny_ones_operator
         np.testing.assert_array_equal(
-            tiny_ones_operator.sigma, [[1, 2, 1], [1, 2, 1]]
+            _gram_diagonal(op.mask, op.config), [[1, 2, 1], [1, 2, 1]]
         )
+        np.testing.assert_array_equal(op.inv_sigma, [[1, 0.5, 1], [1, 0.5, 1]])
 
     def test_sigma_single_band(self):
         config = SceneConfig(2, 2, 1, 1)
-        op = build_operator(CodedAperture.from_array(np.ones((2, 2))), config)
-        np.testing.assert_array_equal(op.sigma, np.ones((2, 2)))
+        op = build_operator(CodedAperture(np.ones((2, 2))), config)
+        sigma = _gram_diagonal(op.mask, config)
+        np.testing.assert_array_equal(sigma, np.ones((2, 2)))
+        np.testing.assert_array_equal(op.inv_sigma, np.ones((2, 2)))
 
     def test_degenerate_mask_reports_pixel(self, tiny_config):
-        mask = CodedAperture.from_array(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        mask = CodedAperture(np.array([[1.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(MaskDegenerate) as excinfo:
             build_operator(mask, tiny_config)
         assert (excinfo.value.row, excinfo.value.col) == (0, 2)
 
     def test_mask_dims_must_match(self, tiny_config):
         with pytest.raises(DimensionMismatch):
-            build_operator(CodedAperture.from_array(np.ones((2, 3))), tiny_config)
+            build_operator(CodedAperture(np.ones((2, 3))), tiny_config)
 
     @given(operator_configs())
     def test_sigma_matches_dense_gram_exactly(self, case):
@@ -165,19 +170,21 @@ class TestBuildOperator:
         op = make_operator(config, seed=seed)
         dense = build_dense(op)
         gram = dense @ dense.T
-        diag = meas_to_vec(Measurement._adopt(config, op.sigma.copy()))
+        sigma = _gram_diagonal(op.mask, config)
+        diag = meas_to_vec(Measurement._adopt(config, sigma))
         assert np.array_equal(gram, np.diag(diag))
 
     def test_real_valued_mask_gram_diagonal(self):
         config = SceneConfig(3, 4, 3, 1)
         rng = np.random.Generator(np.random.Philox(11))
-        mask = CodedAperture.from_array(0.1 + 0.9 * rng.random((3, 4)))
+        mask = CodedAperture(0.1 + 0.9 * rng.random((3, 4)))
         op = build_operator(mask, config)
         dense = build_dense(op)
         gram = dense @ dense.T
         off_diag = gram - np.diag(np.diag(gram))
         assert np.abs(off_diag).max() == 0.0
-        diag = meas_to_vec(Measurement._adopt(config, op.sigma.copy()))
+        sigma = _gram_diagonal(op.mask, config)
+        diag = meas_to_vec(Measurement._adopt(config, sigma))
         np.testing.assert_allclose(np.diag(gram), diag, rtol=1e-14)
 
 
@@ -195,7 +202,7 @@ class TestForwardAdjoint:
 
     def test_forward_single_band_is_elementwise(self):
         config = SceneConfig(2, 2, 1, 1)
-        mask = CodedAperture.from_array(np.array([[1.0, 0.5], [0.25, 2.0]]))
+        mask = CodedAperture(np.array([[1.0, 0.5], [0.25, 2.0]]))
         op = build_operator(mask, config)
         cube = random_cube(config, 3)
         np.testing.assert_array_equal(
@@ -256,7 +263,7 @@ class TestPinv:
 
     def test_pinv_single_band_is_division(self):
         config = SceneConfig(2, 2, 1, 1)
-        mask = CodedAperture.from_array(np.array([[1.0, 0.5], [0.25, 2.0]]))
+        mask = CodedAperture(np.array([[1.0, 0.5], [0.25, 2.0]]))
         op = build_operator(mask, config)
         meas = random_meas(config, 9)
         np.testing.assert_allclose(
@@ -534,7 +541,7 @@ class TestOperatorBytesPinned:
         y = random_meas(config, 33)
         q = random_cube(config, 34)
         got = {
-            "sigma": sha256_of(op.sigma),
+            "sigma": sha256_of(_gram_diagonal(op.mask, op.config)),
             "inv_sigma": sha256_of(op.inv_sigma),
             "forward": sha256_of(op.forward(x).data),
             "adjoint": sha256_of(op.adjoint(y).data),
@@ -549,8 +556,8 @@ class TestOperatorBytesPinned:
 @pytest.mark.parametrize(
     "config", [SceneConfig(256, 256, 28, 2), SceneConfig(7, 5, 4, 3)]
 )
-def test_nbytes_is_mask_sigma_and_reciprocal(config):
-    # The 2-D mask plus two detector-sized planes; no per-band copies.
+def test_nbytes_is_mask_and_reciprocal(config):
+    # The 2-D mask plus one detector-sized plane; no per-band copies.
     op = make_operator(config)
     h, w = config.height, config.width
-    assert op.nbytes() == 8 * (h * w + 2 * h * config.measurement_width())
+    assert op.nbytes() == 8 * (h * w + h * config.measurement_width())

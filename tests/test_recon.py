@@ -24,9 +24,9 @@ from cassi import (
     rnd_reconstruct,
     shift_cube,
     tv_denoise,
-    unshift_cube,
 )
-from cassi import recon
+from cassi import _pool, recon
+from cassi.operator import _on_support
 
 from conftest import make_operator, random_cube, random_meas, rel_err, sha256_of
 from test_operator import operator_configs
@@ -109,13 +109,15 @@ class TestInitRoll:
 class TestCropToScene:
     def test_inverts_shift(self, tiny_config):
         cube = random_cube(tiny_config, 5)
-        np.testing.assert_array_equal(unshift_cube(shift_cube(cube)).data, cube.data)
+        back = _on_support(shift_cube(cube).data, tiny_config.shift_step)
+        np.testing.assert_array_equal(back, cube.data)
 
     @given(operator_configs())
     def test_output_width_is_scene_width(self, case):
         config, seed = case
-        cropped = unshift_cube(init_repeat(random_meas(config, seed)))
-        assert cropped.data.shape == (config.bands, config.height, config.width)
+        z = init_repeat(random_meas(config, seed)).data
+        cropped = _on_support(z, config.shift_step)
+        assert cropped.shape == (config.bands, config.height, config.width)
 
 
 class TestTvDenoise:
@@ -232,7 +234,7 @@ class TestTvOutputBytesPinned:
     @pytest.mark.parametrize("shape", sorted(TV_DIGESTS))
     def test_multi_block_tv_denoise(self, shape):
         c, h, w = shape
-        assert recon._TV_BLOCK_BYTES // (h * w * 8) < c  # really multi-block
+        assert _pool.band_block(c, h, w) < c  # really multi-block
         rng = np.random.Generator(np.random.Philox(2024))
         cube = HSICube(SceneConfig(h, w, c, 1), rng.random(shape))
         assert sha256_of(tv_denoise(cube, 0.1, 20).data) == self.TV_DIGESTS[shape]
@@ -268,7 +270,7 @@ class TestTvBandIndependence:
     def test_any_block_budget(self, c, h, w, budget, seed, strength, iterations):
         # Budgets from below one plane (one band per block) to above the
         # whole stack (a single block), with ragged last blocks between.
-        with mock.patch.object(recon, "_TV_BLOCK_BYTES", budget):
+        with mock.patch.object(_pool, "BLOCK_BYTES", budget):
             assert_band_independent((c, h, w), seed, strength, iterations)
 
     @given(
@@ -311,7 +313,7 @@ class TestTvBandIndependence:
             data = rng.normal(size=shape)
         else:
             data = rng.normal(size=shape) * 1e-300
-        with mock.patch.object(recon, "_TV_BLOCK_BYTES", budget):
+        with mock.patch.object(_pool, "BLOCK_BYTES", budget):
             assert_band_independent(shape, seed, strength, iterations, data)
 
 
@@ -333,7 +335,7 @@ class TestTvWorkspaceAlignment:
         # allocator put it.
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(4)).random(shape)
-        block = min(c, max(1, recon._TV_BLOCK_BYTES // (h * w * 8)))
+        block = _pool.band_block(c, h, w)
         blocks = -(-c // block)
         aligned_rows = recon._aligned_rows
         for workers in (1, 2, 3):
@@ -412,6 +414,16 @@ class TestPriors:
     def test_tv_prior_rejects_bad_inner_iterations_at_construction(self, inner):
         with pytest.raises(ValueError, match="inner_iterations must be >= 1"):
             TvPrior(inner)
+
+    @pytest.mark.parametrize("inner", [2.5, True, "3"])
+    def test_tv_prior_rejects_non_integer_inner_iterations(self, inner):
+        with pytest.raises(ValueError, match="inner_iterations must be an integer"):
+            TvPrior(inner)
+
+    def test_tv_prior_takes_numpy_integers(self, tiny_config):
+        cube = random_cube(tiny_config, 9)
+        out = TvPrior(np.int64(3)).denoise(cube, 0.2)
+        assert out.data.tobytes() == TvPrior(3).denoise(cube, 0.2).data.tobytes()
 
 
 class _OraclePrior:
@@ -533,7 +545,7 @@ class TestGapSolve:
 
         config = SceneConfig(256, 256, 28, 2)
         op = build_operator(
-            CodedAperture.from_array(np.ones((256, 256))), config
+            CodedAperture(np.ones((256, 256))), config
         )
         meas = op.forward(HSICube(config, np.zeros((28, 256, 256))))
         _, cropped = gap_solve_with_stats(
@@ -751,6 +763,14 @@ class TestSolverConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("iterations", [2.5, True, 3.0])
+    def test_rejects_non_integer_iterations(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            SolverConfig(iterations=iterations)
+
+    def test_takes_numpy_integer_iterations(self):
+        assert SolverConfig(iterations=np.int64(4)).iterations == 4
 
     def test_init_strategy_parsing(self):
         assert InitStrategy.from_name("ROLL") is InitStrategy.ROLL

@@ -78,8 +78,15 @@ class TestCropMask:
         with pytest.raises(CropTooLarge):
             crop_mask(gen_mask(8, 8, 0.5, seed=0), 9, seed=0)
 
+    @pytest.mark.parametrize("size", [0, -1, -3])
+    def test_non_positive_size_rejected(self, size):
+        # Every seed: a negative size once sliced a (size - 1)-short window.
+        for seed in range(8):
+            with pytest.raises(ValueError, match="crop size must be >= 1"):
+                crop_mask(gen_mask(8, 8, 0.5, seed=0), size, seed=seed)
+
     def test_window_is_contiguous_block(self):
-        mask = CodedAperture.from_array(
+        mask = CodedAperture(
             np.arange(36.0).reshape(6, 6) / 36.0
         )
         cropped = crop_mask(mask, 3, seed=11)
@@ -307,6 +314,25 @@ class TestAddShotNoise:
     def test_seed_and_full_scale_validated(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             NoiseSpec(**{"shot_bits": 11, "seed": 0, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"shot_bits": 2.5, "seed": 0}, "shot_bits must be an integer"),
+            ({"shot_bits": True, "seed": 0}, "shot_bits must be an integer"),
+            ({"shot_bits": 8, "seed": 1.5}, "seed must be an integer"),
+            ({"shot_bits": 8, "seed": False}, "seed must be an integer"),
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseSpec(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        meas = Measurement(SceneConfig(2, 2, 1, 1), np.full((2, 2), 0.5))
+        spec = NoiseSpec(shot_bits=np.int64(8), seed=np.uint32(3))
+        expected = add_shot_noise(meas, NoiseSpec(shot_bits=8, seed=3))
+        assert np.array_equal(add_shot_noise(meas, spec).data, expected.data)
 
 
 class TestBundledSuite:
