@@ -250,26 +250,24 @@ def cmd_reconstruct(args) -> int:
         raise ConfigFileError("shift step not given (flag or config file)")
     mask = _load_mask(args.mask)
 
-    crop = None if not args.no_crop else False
-    scfg = SolverConfig(
-        iterations=_resolve("iterations", args.iters, file_cfg, default=60),
-        tv_weight=_resolve("tv_weight", args.tv_weight, file_cfg, default=0.1),
-        init=InitStrategy.from_name(
-            _resolve("init", args.init, file_cfg, default="roll")
-        ),
-        crop_denoiser_input=_resolve(
-            "crop_denoiser_input", crop, file_cfg, default=True
-        ),
-        convergence_tol=_resolve(
-            "convergence_tol", args.tol, file_cfg, default=0.0
-        ),
-    )
+    # Pass on only what a flag or the config file gives: SolverConfig and
+    # TvPrior own the defaults.
+    flags = {
+        "iterations": args.iters,
+        "tv_weight": args.tv_weight,
+        "init": args.init,
+        "crop_denoiser_input": False if args.no_crop else None,
+        "convergence_tol": args.tol,
+    }
+    given = {k: v for k in flags if (v := _resolve(k, flags[k], file_cfg)) is not None}
+    if "init" in given:
+        given["init"] = InitStrategy.from_name(given["init"])
+    scfg = SolverConfig(**given)
     # The TV inner-iteration count belongs to the prior, which every input
     # shares.
+    tv_iters = _resolve("tv_inner_iterations", args.tv_iters, file_cfg)
     try:
-        prior = TvPrior(
-            _resolve("tv_inner_iterations", args.tv_iters, file_cfg, default=20)
-        )
+        prior = TvPrior() if tv_iters is None else TvPrior(tv_iters)
     except ValueError as exc:
         raise ConfigFileError(f"tv_inner_iterations: {exc}") from None
 
@@ -411,7 +409,11 @@ def cmd_metrics(args) -> int:
         )
     nc, h, w = ref_arr.shape
     config = SceneConfig(h, w, nc, 1)
-    report = evaluate(HSICube(config, ref_arr), HSICube(config, test_arr))
+    # ``read_cube`` returns fresh arrays of the config's shape: adopt them.
+    _require_finite(ref_arr, "HSICube")
+    _require_finite(test_arr, "HSICube")
+    ref, test = HSICube._adopt(config, ref_arr), HSICube._adopt(config, test_arr)
+    report = evaluate(ref, test)
     if args.format == "json":
         print(
             json.dumps(

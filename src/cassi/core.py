@@ -4,7 +4,8 @@ Every 3-D tensor is stored band-major as a C-contiguous ``(bands, height,
 width)`` float64 array: band is the slowest axis, then row, then column, so
 each band plane is a contiguous 2-D slice.  All types are immutable after
 construction (frozen dataclasses holding read-only arrays) and safe to share
-across threads.
+across threads.  The types that hold an array compare and hash by identity;
+:class:`SceneConfig` compares and hashes by value.
 
 The vector order of the dense test oracle (:mod:`cassi.dense`) differs
 from this layout and is defined there; nothing else depends on it.
@@ -84,7 +85,7 @@ class _Adoptable:
         return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HSICube(_Adoptable):
     """A spectral cube in scene coordinates, stored as (bands, H, W).
 
@@ -102,7 +103,7 @@ class HSICube(_Adoptable):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedCube(_Adoptable):
     """A measurement-width tensor, stored as (bands, H, W').
 
@@ -123,7 +124,7 @@ class ShiftedCube(_Adoptable):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodedAperture:
     """The 2-D modulation mask in front of the scene, stored as (H, W).
 
@@ -151,7 +152,7 @@ class CodedAperture:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement(_Adoptable):
     """A single detector image, stored as (H, W')."""
 

@@ -5,11 +5,14 @@ diagonal blocks, block c being the 2-D mask shifted d*c columns right, so
 its Gram matrix is diagonal: ``sigma(u, v)`` is the sum over bands of the
 squared mask values that reach detector pixel (u, v).  The operator stores
 only the (H, W) mask and the reciprocal of ``sigma``, 1.16 MB at
-256x256x28 with d = 2.  One private kernel
-pair, :func:`_forward` and :func:`_backproject`, applies the mask to band
-arrays; every operation here and the GAP solver's data step go through it.
-The dense matrix (hundreds of GB at full scale) is never formed outside the
-test oracle.
+256x256x28 with d = 2.  One private kernel pair, :func:`_forward` and
+:func:`_backproject`, applies the mask to band arrays, and one private
+method, :meth:`SensingOperator._add_pinv`, adds ``pinv(r)`` of a detector
+residual ``r`` to them in place.  The GAP data step is that method with
+``r = y - A z``, and :meth:`~SensingOperator.rnd_combine` is the same step
+on the candidate (``pinv(y) + q - pinv(A q) = q + pinv(y - A q)``), so
+``rnd-gap-tv`` is ``gap-tv`` plus one more data step.  The dense matrix
+(hundreds of GB at full scale) is never formed outside the test oracle.
 
 Band c of a (C, H, W') tensor is supported on columns [d*c, d*c + W), so
 the on-support region of all bands is a single strided (C, H, W) view
@@ -83,7 +86,7 @@ def shift_cube(cube: HSICube) -> ShiftedCube:
     return ShiftedCube._adopt(cube.config, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingOperator:
     """Geometry plus the 2-D mask and the reciprocal Gram diagonal.
 
@@ -121,15 +124,11 @@ class SensingOperator:
         h, w, nc, d = self.config.geometry
         return _backproject(self.mask, d, y, np.empty((nc, h, w)))
 
-    def _subtract_range(self, out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``out -= range_project(x)`` without a full-size temporary.
-
-        Adds the backprojection of the negated weighted image instead;
-        negation is exact, so the bytes equal those of the subtraction.
-        """
-        r = _forward(self.mask, self.config.shift_step, x) * self.inv_sigma
-        np.negative(r, out=r)
-        return _backproject(self.mask, self.config.shift_step, r, out, accumulate=True)
+    def _add_pinv(self, bands: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``bands += pinv(r)`` in place, for (C, H, W) ``bands`` (a view
+        is fine) and an (H, W') detector residual ``r``."""
+        d = self.config.shift_step
+        return _backproject(self.mask, d, r * self.inv_sigma, bands, accumulate=True)
 
     def forward(self, cube: HSICube) -> Measurement:
         """Detector image: per band, shift, modulate by the mask, accumulate."""
@@ -161,20 +160,22 @@ class SensingOperator:
     def null_project(self, cube: HSICube) -> HSICube:
         """Orthogonal projection onto the null space of the operator."""
         self._check_cube(cube)
-        out = self._subtract_range(cube.data.copy(), cube.data)
+        # -(A x), not 0 - A x: x - p and x + (-p) agree bitwise, signed zeros too.
+        r = np.negative(_forward(self.mask, self.config.shift_step, cube.data))
+        out = self._add_pinv(cube.data.copy(), r)
         return HSICube._adopt(self.config, out)
 
     def rnd_combine(self, meas: Measurement, q: HSICube) -> HSICube:
         """Data-consistent combination: pinv(meas) plus the null part of q.
 
-        For any candidate q the result reproduces ``meas`` under
+        Computed as ``q + pinv(meas - A q)``, one GAP data step applied to
+        q.  For any candidate q the result reproduces ``meas`` under
         :meth:`forward` up to rounding.
         """
         self._check_meas(meas)
         self._check_cube(q)
-        out = self._adjoint_array(meas.data * self.inv_sigma)
-        out += q.data
-        return HSICube._adopt(self.config, self._subtract_range(out, q.data))
+        r = meas.data - _forward(self.mask, self.config.shift_step, q.data)
+        return HSICube._adopt(self.config, self._add_pinv(q.data.copy(), r))
 
     def nbytes(self) -> int:
         """Bytes held by the operator's arrays: mask and inv_sigma."""

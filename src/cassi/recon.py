@@ -1,11 +1,12 @@
 """Reconstruction pipeline: initialization, priors, GAP solver, and the
 data-consistent wrapper.
 
-The solver iterates a weighted data correction followed by a denoising step
-(generalized alternating projection).  Any object with a
-``denoise(cube, strength) -> cube`` method can serve as the prior, so a
-stronger external denoiser can be plugged in unchanged; the bundled prior is
-an anisotropic per-band total-variation proximal step.  Its band blocks
+The solver iterates a data step, ``z += pinv(y - A z)``, followed by a
+denoising step (generalized alternating projection); the RND wrapper is one
+more data step on the output, through the same operator kernel.  Any object
+with a ``denoise(cube, strength) -> cube`` method can serve as the prior, so
+a stronger external denoiser can be plugged in unchanged; the bundled prior
+is an anisotropic per-band total-variation proximal step.  Its band blocks
 run on the kernel thread pool shared with the metrics; the output bytes do
 not depend on the pool size.
 
@@ -26,13 +27,7 @@ import numpy as np
 from ._pool import band_block, run_band_spans
 from .core import HSICube, Measurement, SceneConfig, ShiftedCube, _as_int
 from .errors import DimensionMismatch, NonFiniteValue
-from .operator import (
-    SensingOperator,
-    _backproject,
-    _forward,
-    _on_support,
-    shift_cube,
-)
+from .operator import SensingOperator, _forward, _on_support, shift_cube
 
 
 class InitStrategy(enum.Enum):
@@ -287,8 +282,8 @@ def gap_solve_with_stats(
 ) -> tuple[HSICube, SolveStats]:
     """GAP iteration returning the reconstruction and per-run stats.
 
-    Each iteration adds the Gram-weighted backprojected residual, then
-    applies the prior.  With ``crop_denoiser_input`` the prior sees only the
+    Each iteration runs the data step ``z += pinv(y - A z)``, then applies
+    the prior.  With ``crop_denoiser_input`` the prior sees only the
     on-support crop and the dispersed margin is restored from the
     pre-denoise iterate; otherwise the prior sees the full-width tensor.
     Raises NonFiniteValue if an iterate diverges.
@@ -307,18 +302,17 @@ def gap_solve_with_stats(
     if z.shape != (nc, h, wp):
         raise DimensionMismatch("x0 geometry disagrees with operator")
 
-    # One private copy, updated in place.  The forward image of each
-    # iterate serves both its residual and the next data step.
+    # One private copy, updated in place.  The detector residual of each
+    # iterate serves both its norm and the next data step.
     z = z.copy()
     wide = _wide_config(op.config)
     support = _on_support(z, d)
-    y = _forward(op.mask, d, support)
+    r = meas.data - _forward(op.mask, d, support)
     residuals = []
     iterations_run = 0
     for _ in range(cfg.iterations):
         z_prev = z.copy() if cfg.convergence_tol > 0.0 else None
-        corr = (meas.data - y) * op.inv_sigma
-        _backproject(op.mask, d, corr, support, accumulate=True)
+        op._add_pinv(support, r)
 
         if cfg.crop_denoiser_input:
             core = HSICube._adopt(op.config, support.copy())
@@ -334,8 +328,8 @@ def gap_solve_with_stats(
             )
         iterations_run += 1
 
-        y = _forward(op.mask, d, support)
-        residuals.append(float(np.linalg.norm(meas.data - y)))
+        r = meas.data - _forward(op.mask, d, support)
+        residuals.append(float(np.linalg.norm(r)))
 
         if z_prev is not None:
             delta = float(np.max(np.abs(z - z_prev)))

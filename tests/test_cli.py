@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from cassi import (
     CodedAperture,
+    InitStrategy,
     Measurement,
     SceneConfig,
     SolverConfig,
@@ -29,9 +31,25 @@ from cassi.cli import main, parse_run_config
 from cassi.cubefile import read_cube, write_cube
 from cassi.errors import ConfigFileError
 
+from conftest import traced_peak
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@dataclasses.dataclass(frozen=True)
+class _OtherSolverConfig(SolverConfig):
+    iterations: int = 3
+    tv_weight: float = 0.25
+    init: InitStrategy = InitStrategy.SHIFT
+    crop_denoiser_input: bool = False
+    convergence_tol: float = 0.001
+
+
+@dataclasses.dataclass(frozen=True)
+class _OtherTvPrior(TvPrior):
+    inner_iterations: int = 7
 
 
 @pytest.fixture
@@ -248,6 +266,44 @@ class TestReconstruct:
         assert code == 2
         assert "tv_inner_iterations" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "solver_cls,prior_cls",
+        [(SolverConfig, TvPrior), (_OtherSolverConfig, _OtherTvPrior)],
+    )
+    def test_report_without_flags_shows_the_library_defaults(
+        self, tmp_path, monkeypatch, solver_cls, prior_cls
+    ):
+        # The CLI passes on only what a flag or the config file gives, so
+        # whatever defaults the library classes carry reach the report.
+        monkeypatch.setattr(cli, "SolverConfig", solver_cls)
+        monkeypatch.setattr(cli, "TvPrior", prior_cls)
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        report = tmp_path / "report.txt"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", "pinv", "--out", tmp_path / "o.hsic",
+            "--report", report,
+        )
+        assert code == 0
+        values = dict(
+            line.split(" ", 1) for line in report.read_text().splitlines()
+        )
+        scfg, prior = solver_cls(), prior_cls()
+        assert {
+            key: values[key]
+            for key in (
+                "iterations", "tv_weight", "tv_inner_iterations", "init",
+                "crop_denoiser_input", "convergence_tol",
+            )
+        } == {
+            "iterations": str(scfg.iterations),
+            "tv_weight": repr(scfg.tv_weight),
+            "tv_inner_iterations": str(prior.inner_iterations),
+            "init": scfg.init.value,
+            "crop_denoiser_input": str(scfg.crop_denoiser_input).lower(),
+            "convergence_tol": repr(scfg.convergence_tol),
+        }
 
     def test_init_flag_accepted(self, tmp_path):
         _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
@@ -508,6 +564,33 @@ class TestMetrics:
         write_cube(a, np.zeros((1, 16, 16)))
         write_cube(b, np.zeros((1, 16, 17)))
         assert run_cli("metrics", "--ref", a, "--test", b) == 2
+
+    @pytest.mark.parametrize("bad", ["ref", "test"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, bad):
+        paths = {name: tmp_path / f"{name}.hsic" for name in ("ref", "test")}
+        for name, path in paths.items():
+            data = np.zeros((1, 16, 16))
+            if name == bad:
+                data[0, 3, 4] = np.nan
+            write_cube(path, data)
+        code = run_cli("metrics", "--ref", paths["ref"], "--test", paths["test"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: HSICube contains NaN or Inf\n"
+
+    def test_inputs_are_not_copied(self, tmp_path, capsys, kernel_pool):
+        # The two cubes read plus evaluate's own work (clamped pair, squared
+        # error, one SSIM workspace on one worker): 4.7x one cube.  A
+        # defensive copy of each input would add 2x.
+        kernel_pool(1)
+        rng = np.random.Generator(np.random.Philox(22))
+        ref = rng.random((16, 96, 96))
+        a, b = tmp_path / "a.hsic", tmp_path / "b.hsic"
+        write_cube(a, ref)
+        write_cube(b, np.clip(ref + 0.01 * rng.standard_normal(ref.shape), 0, 1))
+        argv = ("metrics", "--ref", a, "--test", b)
+        code, peak = traced_peak(lambda: run_cli(*argv))
+        assert code == 0
+        assert peak <= 5.5 * ref.nbytes
 
 
 class TestOracleCheck:

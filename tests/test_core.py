@@ -10,6 +10,8 @@ from cassi import (
     Measurement,
     NonFiniteValue,
     SceneConfig,
+    ShiftedCube,
+    build_operator,
 )
 from cassi.dense import cube_to_vec, meas_to_vec
 
@@ -69,6 +71,25 @@ class TestCubeTypes:
         cube = HSICube(tiny_config, src)
         src[0, 0, 0] = 5.0
         assert cube.data[0, 0, 0] == 0.0
+
+    def test_array_holders_compare_and_hash_by_identity(self, tiny_config):
+        # The generated value __eq__ would compare the arrays as a tuple and
+        # raise; the generated __hash__ would hash an array and raise.
+        makers = [
+            lambda: HSICube(tiny_config, np.zeros((2, 2, 2))),
+            lambda: ShiftedCube(tiny_config, np.zeros((2, 2, 3))),
+            lambda: Measurement(tiny_config, np.zeros((2, 3))),
+            lambda: CodedAperture(np.ones((2, 2))),
+            lambda: build_operator(CodedAperture(np.ones((2, 2))), tiny_config),
+        ]
+        for make in makers:
+            a, b = make(), make()
+            assert a == a and a != b
+            assert {a: 1, b: 2}[a] == 1
+
+    def test_scene_config_compares_and_hashes_by_value(self):
+        assert SceneConfig(2, 3, 4, 1) == SceneConfig(2, 3, 4, 1)
+        assert {SceneConfig(2, 3, 4, 1): 1}[SceneConfig(2, 3, 4, 1)] == 1
 
 
 class TestCodedAperture:

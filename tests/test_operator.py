@@ -442,10 +442,29 @@ class TestRndCombine:
         assert rel_err(b.data, a.data) < 1e-10
 
 
+class TestOneProjectionKernel:
+    """rnd_combine and null_project are the GAP data step ``x + pinv(r)``
+    with ``r = y - A q`` and ``r = -A x``, bitwise."""
+
+    @given(operator_configs(max_d=3))
+    def test_identities_through_public_ops(self, case):
+        config, seed = case
+        op = make_operator(config, seed=seed)
+        y = random_meas(config, seed + 19)
+        q = random_cube(config, seed + 20)
+        x = random_cube(config, seed + 21)
+        residual = Measurement(config, y.data - op.forward(q).data)
+        expected = q.data + op.pinv(residual).data
+        assert op.rnd_combine(y, q).data.tobytes() == expected.tobytes()
+        expected = x.data - op.range_project(x).data
+        assert op.null_project(x).data.tobytes() == expected.tobytes()
+
+
 class TestOperatorBytesPinned:
     """SHA-256 of every operator output, fixed before the operator stored
-    only the 2-D mask.  Any change in the per-band arithmetic, or in the
-    order of the band sums, breaks these."""
+    only the 2-D mask; the ``rnd_combine`` ones were fixed again when it
+    became ``q + pinv(y - A q)``.  Any change in the per-band arithmetic,
+    or in the order of the band sums, breaks these."""
 
     GEOMETRIES = {
         "256x256x28/d2": SceneConfig(256, 256, 28, 2),
@@ -476,7 +495,7 @@ class TestOperatorBytesPinned:
                 "9af4ed944743d96ad17785de9dd80f2b8e1f4e7ef4f491020e98e10c86e4c0a1"
             ),
             "rnd_combine": (
-                "e9bd58807893ba9ec6bcc6217846bcef86a37ccfa9f8ffadb3ec673a299a895a"
+                "5c3b9592cc0f0dc119281b3d97686a5ef487b64761cc02d17513eac5702ade39"
             ),
         },
         "7x5x4/d3": {
@@ -502,7 +521,7 @@ class TestOperatorBytesPinned:
                 "b283815af0e8196a16c2155ea5ba605a5dc9f51213f0af92dc9228ed75ec06ae"
             ),
             "rnd_combine": (
-                "6fe958c864f8f80f1ec04a64f19c4b892b84f0c6931bf7c8416b0ee26ba386ad"
+                "2032233edb0ed417bc9e56212f384603ebf7d4c66aff158306bcb0ee0bcff869"
             ),
         },
         "16x9x6/d1": {
@@ -528,7 +547,7 @@ class TestOperatorBytesPinned:
                 "8d92fc15a219f50afc059f774ec82a4c30f6e9fa434079e584f86d5958d2854a"
             ),
             "rnd_combine": (
-                "2dd3ba33a24d8a83fa24e27a2d03c4a2f7b2e69b2bc87d5c22bfa1ba0fbbbd90"
+                "405c88ec8e40a01988aa571d84952c520ae822b8e1d1ccabf7d813d290c901e4"
             ),
         },
     }

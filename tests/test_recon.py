@@ -200,13 +200,14 @@ def reference_tv_prox(f, lam, iters):
 
 class TestTvOutputBytesPinned:
     """SHA-256 of output bytes, fixed before the TV prox was blocked; any
-    rounding change in the kernel breaks these."""
+    rounding change in the kernel breaks these.  The RND ones were fixed
+    again when ``rnd_combine`` became ``q + pinv(y - A q)``."""
 
     RND_DIGESTS = {
-        (0, True): "4116cbec441377b477b966ee58c202d7be423de8264b04b3cc67f11d7a4b1f3d",
-        (0, False): "92de2c01179aebfa026a841edab665c4f9b6204fe0b46e3a030045485af685c4",
-        (1, True): "cded542c0fe424c6034016e95dc2d26eb7a0cea2099d1af532882ba125cbef68",
-        (1, False): "879946ffea755d894945b7e2d4c1d5bebf5efd81d96280aa4cf46ab2c22bde9b",
+        (0, True): "6e3c1fee354e0d6c27337e7247f485ae7068f276cd4e619945ea8d2c9f44c6c9",
+        (0, False): "c29da2b2a5d8c497961532dfb3b9ed0cc61951a03f6cff24de73a06e736ae6dd",
+        (1, True): "59c737279b023f4b53baacd583e26572e4b2c72776f020a8d91ec67548791cc1",
+        (1, False): "5f2f22e19aeac903d5aff1df8ecfccb7f18d41e280b64d1387103a223bcddbac",
     }
     TV_DIGESTS = {
         # blocks of 16 + 4 bands: several blocks, ragged last block
@@ -483,6 +484,19 @@ class TestGapSolve:
             op, meas, IdentityPrior(), SolverConfig(iterations=5), x0=x0
         )
         assert rel_err(out.data, x0.data) < 1e-12
+
+    @pytest.mark.parametrize(
+        "config", [SceneConfig(10, 8, 5, 2), SceneConfig(7, 5, 4, 3)]
+    )
+    def test_one_identity_step_from_q_is_rnd_combine(self, config):
+        # rnd-gap-tv is gap-tv plus one more data step: bitwise the same.
+        op = make_operator(config, seed=16)
+        meas = random_meas(config, 17)
+        q = random_cube(config, 18)
+        out, _ = gap_solve_with_stats(
+            op, meas, IdentityPrior(), SolverConfig(iterations=1), x0=q
+        )
+        assert out.data.tobytes() == op.rnd_combine(meas, q).data.tobytes()
 
     def test_invalid_x0_rejected(self):
         config, op = self.config_op()
