@@ -55,6 +55,19 @@ class Prior(Protocol):
     def denoise(self, cube: HSICube, strength: float) -> HSICube: ...
 
 
+def _check_tv_strength(strength: float, name: str) -> None:
+    """Raise ValueError unless the TV prox runs finite at ``strength``: it
+    must be finite and >= 0, and when positive its dual step
+    ``1/(8*strength)`` must not overflow."""
+    if not (math.isfinite(strength) and strength >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {strength!r}")
+    if strength > 0 and not math.isfinite(1.0 / (8.0 * strength)):
+        raise ValueError(
+            f"{name} must be 0 or large enough that 1/(8*{name}) is finite, "
+            f"got {strength!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for :func:`gap_solve_with_stats`; defaults favor the bundled TV prior.
@@ -78,10 +91,7 @@ class SolverConfig:
     def __post_init__(self):
         if _as_int(self.iterations, "iterations") < 1:
             raise ValueError("iterations must be >= 1")
-        if not (math.isfinite(self.tv_weight) and self.tv_weight >= 0):
-            raise ValueError(
-                f"tv_weight must be finite and >= 0, got {self.tv_weight!r}"
-            )
+        _check_tv_strength(self.tv_weight, "tv_weight")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
             raise ValueError(
                 f"convergence_tol must be finite and >= 0, got {self.convergence_tol!r}"
@@ -145,39 +155,51 @@ _INITS = {
 # on a block 16 or 48 bytes past a line than on an aligned one, so the cost
 # of a call changed with the heap's state from one process to the next.
 _TV_ALIGN_BYTES = 64
+_TV_LINE = _TV_ALIGN_BYTES // 8  # float64 values per line
+
+
+def _line_up(n: int) -> int:
+    """``n`` float64 values rounded up to whole ``_TV_ALIGN_BYTES`` lines."""
+    return -(-n // _TV_LINE) * _TV_LINE
 
 
 def _aligned_rows(rows: int, n: int) -> np.ndarray:
     """Uninitialised (rows, n) float64 rows, each starting on a
     ``_TV_ALIGN_BYTES`` boundary (the row stride is padded to fit)."""
-    per_line = _TV_ALIGN_BYTES // 8
-    stride = -(-n // per_line) * per_line
-    raw = np.empty(rows * stride + per_line)
+    stride = _line_up(n)
+    raw = np.empty(rows * stride + _TV_LINE)
     start = (-raw.ctypes.data % _TV_ALIGN_BYTES) // 8
     return raw[start : start + rows * stride].reshape(rows, stride)[:, :n]
 
 
 def _tv_field(
-    out: np.ndarray, f: np.ndarray, p: np.ndarray, q: np.ndarray, lam: float, w: int
+    out: np.ndarray,
+    f: np.ndarray,
+    p: np.ndarray,
+    p_prev: np.ndarray,
+    q: np.ndarray,
+    q_prev: np.ndarray,
+    lam: np.float64,
 ) -> None:
     """Write the primal field ``f - lam * div(p, q)`` into ``out``.
 
     All arrays are flat views of C-contiguous band blocks; ``p`` and ``q``
-    are padded duals whose last row (``p``) or last column (``q``) is +0,
-    so the row shift is ``w`` and the column shift 1 across the whole
-    block.  The divergence is assembled in a fixed order (+p, -p, +q, -q).
-    Starting from ``p`` rather than ``0 + p``, and adding or subtracting a
-    +0 pad term, leave every value unchanged because no partial sum is -0:
-    the duals start at +0, and a sum rounds to -0 only when both operands
-    are -0.  So the result is bitwise that of the unpadded per-band sums,
-    whatever the blocking.
+    are padded duals whose last row (``p``) or last column (``q``) is +0.
+    ``p_prev`` and ``q_prev`` are the same duals one row and one value
+    earlier, led by +0, so the shifts hold across the whole block.  The
+    divergence is assembled in a fixed order (+p, -p, +q, -q).  Starting
+    from ``p - p_prev`` rather than ``0 + p - p_prev``, and adding or
+    subtracting a +0 pad or lead term, leave every value unchanged because
+    no partial sum is -0: the duals start at +0, and a sum rounds to -0
+    only when both operands are -0 (``v - (+0)`` is ``v`` for any ``v``).
+    So the result is bitwise that of the unpadded per-band sums, whatever
+    the blocking.
     """
-    out[:w] = p[:w]
-    np.subtract(p[w:], p[:-w], out=out[w:])
+    np.subtract(p, p_prev, out)
     out += q
-    out[1:] -= q[:-1]
+    out -= q_prev
     out *= lam
-    np.subtract(f, out, out=out)
+    np.subtract(f, out, out)
 
 
 def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
@@ -188,39 +210,59 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     the stack is processed in blocks of whole bands sized by
     :func:`cassi._pool.band_block`, and spans of blocks run on the kernel
     pool, each in its own workspace (a stack of one block runs inline).
-    Every step is one 1-D ufunc over a flat block: the duals are stored
-    padded to full planes (see :func:`_tv_field`), and the one difference
-    buffer has its pad row or column reset to +0 after each flat difference
-    so the pads stay +0.
+
+    The workspace is one allocation of three line-aligned buffers: the
+    field ``x``, the dual ``[lead | p | gap | q]`` and the difference
+    ``[lead | dp | gap | dq]``, the last two with the same offsets.  The
+    lead is at least one row of +0 ahead of ``p``, and ``q`` starts on the
+    first line after ``p``, behind a gap of up to 7 values (or behind
+    ``p``'s last pad row); the lead and the gap stay +0 in both buffers.
+    The duals are stored padded to full planes (see :func:`_tv_field`),
+    and each flat difference has its pad row or column reset to +0, so one
+    step, one sum and one clip update ``p`` and ``q`` together.  Every view
+    is built once per block, so a dual step is 12 numpy calls on whole
+    blocks.
     """
     nc, h, w = f.shape
     out = np.empty((nc, h, w))
     block = band_block(nc, h, w)
-    step = 1.0 / (8.0 * lam)
+    step = np.float64(1.0 / (8.0 * lam))
+    lam = np.float64(lam)
+    lead = _line_up(w)
+    cap = _line_up(block * h * w)
+    dual_size = lead + 2 * cap
 
     def run_span(start: int, stop: int) -> None:
-        bufs = _aligned_rows(4, block * h * w)
+        ws = _aligned_rows(1, cap + 2 * dual_size)[0]
+        x, dual, diff = ws[:cap], ws[cap : cap + dual_size], ws[cap + dual_size :]
         for lo in range(start, stop, block):
-            n = min(block, stop - lo)
-            fb = f[lo : lo + n].reshape(-1)
-            x, p, q, dd = (b[: n * h * w] for b in bufs)
-            pad_row = dd.reshape(n, h, w)[:, -1, :]
-            pad_col = dd.reshape(n, h, w)[:, :, -1]
-            p.fill(0.0)
-            q.fill(0.0)
+            bands = min(block, stop - lo)
+            n = bands * h * w
+            qo = lead + _line_up(n)
+            fb = f[lo : lo + bands].reshape(-1)
+            xb = x[:n]
+            p, p_prev = dual[lead : lead + n], dual[lead - w : lead - w + n]
+            q, q_prev = dual[qo : qo + n], dual[qo - 1 : qo - 1 + n]
+            pq, dpq = dual[lead : qo + n], diff[lead : qo + n]
+            dp, dq = diff[lead : lead + n], diff[qo : qo + n]
+            pad_row = dp.reshape(bands, h, w)[:, -1, :]
+            pad_col = dq.reshape(bands, h, w)[:, :, -1]
+            x_up, x_down, dp_head = xb[:-w], xb[w:], dp[:-w]
+            x_left, x_right, dq_head = xb[:-1], xb[1:], dq[:-1]
+            dual[: qo + n].fill(0.0)
+            diff[lead + n : qo].fill(0.0)
             for _ in range(iters):
-                _tv_field(x, fb, p, q, lam, w)
-                np.subtract(x[:-w], x[w:], out=dd[:-w])
+                _tv_field(xb, fb, p, p_prev, q, q_prev, lam)
+                np.subtract(x_up, x_down, dp_head)
                 pad_row.fill(0.0)
-                dd *= step
-                p += dd
-                np.clip(p, -1.0, 1.0, out=p)
-                np.subtract(x[:-1], x[1:], out=dd[:-1])
+                np.subtract(x_left, x_right, dq_head)
                 pad_col.fill(0.0)
-                dd *= step
-                q += dd
-                np.clip(q, -1.0, 1.0, out=q)
-            _tv_field(out[lo : lo + n].reshape(-1), fb, p, q, lam, w)
+                dpq *= step
+                pq += dpq
+                np.clip(pq, -1.0, 1.0, out=pq)
+            _tv_field(
+                out[lo : lo + bands].reshape(-1), fb, p, p_prev, q, q_prev, lam
+            )
 
     run_band_spans(run_span, nc, block)
     return out
@@ -228,8 +270,7 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
 
 def tv_denoise(cube: HSICube, strength: float, inner_iterations: int) -> HSICube:
     """Approximate prox of strength * anisotropic TV, per band independently."""
-    if strength < 0:
-        raise ValueError("strength must be >= 0")
+    _check_tv_strength(strength, "strength")
     if inner_iterations < 1:
         raise ValueError("inner_iterations must be >= 1")
     if strength == 0.0:

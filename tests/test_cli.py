@@ -665,6 +665,30 @@ class TestBench:
         assert "tv_denoise_median_ms" in out
         assert "operator_bytes" in out
 
+    def test_json_has_the_keys_and_values_of_the_text_lines(self, capsys):
+        argv = ("bench", "--height", 11, "--width", 11, "--bands", 2,
+                "--shift-step", 1, "--reps", 3)
+        assert run_cli(*argv) == 0
+        text = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        assert run_cli(*argv, "--format", "json") == 0
+        got = json.loads(capsys.readouterr().out)
+        assert list(got) == list(text)
+        assert "evaluate_median_ms" in got
+        for key, value in got.items():
+            if key.endswith("_ms"):  # timings differ between the two runs
+                assert isinstance(value, float) and value >= 0
+                assert value == round(value, 3)
+            else:
+                assert str(value) == text[key]
+
+    def test_single_rep_json(self, capsys):
+        argv = ("bench", "--height", 8, "--width", 8, "--bands", 2,
+                "--shift-step", 1, "--reps", 1, "--format", "json")
+        assert run_cli(*argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert "tv_denoise_ms" in got and "tv_denoise_p95_ms" not in got
+        assert got["kernel_workers"] == _pool.kernel_workers()
+
 
 class TestMask:
     def test_gen_full_density(self, tmp_path):
@@ -818,6 +842,28 @@ class TestRunConfig:
         )
         assert code == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight", ["1e-310", "1e-320"])
+    def test_tv_weight_whose_dual_step_overflows_exits_2(
+        self, tmp_path, capsys, weight
+    ):
+        # 1/(8 * tv_weight) overflows, so the TV prox would return NaN and
+        # the solve would end as a divergence (exit 4).
+        config, mask, scenes = bundled_suite(n_scenes=1)
+        op = build_operator(mask, config)
+        meas_path = tmp_path / "meas.hsic"
+        mask_path = tmp_path / "mask.hsic"
+        write_cube(meas_path, op.forward(scenes[0]).data)
+        write_cube(mask_path, mask.data)
+        out = tmp_path / "o.hsic"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", "gap-tv", "--iters", 2,
+            "--tv-weight", weight, "--out", out,
+        )
+        assert code == 2
+        assert "tv_weight must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_overrides_config_file(self, tmp_path):

@@ -1,3 +1,4 @@
+import threading
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,14 @@ from cassi import (
 from cassi import _pool, recon
 from cassi.operator import _on_support
 
-from conftest import make_operator, random_cube, random_meas, rel_err, sha256_of
+from conftest import (
+    make_operator,
+    random_cube,
+    random_meas,
+    rel_err,
+    sha256_of,
+    traced_peak,
+)
 from test_operator import operator_configs
 
 
@@ -160,6 +168,24 @@ class TestTvDenoise:
             tv_denoise(cube, -0.1, 10)
         with pytest.raises(ValueError):
             tv_denoise(cube, 0.1, 0)
+
+    @pytest.mark.parametrize(
+        "strength", [float("nan"), float("inf"), -float("inf"), 1e-320, 6.9e-310]
+    )
+    def test_strength_that_makes_the_prox_non_finite_rejected(
+        self, tiny_config, strength
+    ):
+        # 1/(8*s) overflows below about 6.95e-310, and inf * 0 is NaN.
+        cube = random_cube(tiny_config, 7)
+        with pytest.raises(ValueError, match="strength must be"):
+            tv_denoise(cube, strength, 3)
+        with pytest.raises(ValueError, match="strength must be"):
+            TvPrior(3).denoise(cube, strength)
+
+    @pytest.mark.parametrize("strength", [7e-310, 1e-300, 1e300])
+    def test_extreme_finite_strengths_stay_finite(self, tiny_config, strength):
+        cube = random_cube(tiny_config, 7)
+        assert np.isfinite(tv_denoise(cube, strength, 3).data).all()
 
     @given(operator_configs(), st.floats(0.01, 0.5))
     def test_shrinks_total_variation(self, case, strength):
@@ -331,26 +357,83 @@ class TestTvWorkspaceAlignment:
 
     @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
     def test_prox_works_in_aligned_rows(self, shape, kernel_pool):
-        # The whole dual iteration runs in rows from _aligned_rows, one
-        # workspace per pool task, so no block's speed depends on where the
-        # allocator put it.
+        # The whole dual iteration runs in one workspace from _aligned_rows
+        # per pool task, laid out [x | lead, p, gap, q | lead, dp, gap, dq],
+        # so no block's speed depends on where the allocator put it.  The
+        # kernel relies on the lead and the gaps staying +0.
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(4)).random(shape)
         block = _pool.band_block(c, h, w)
         blocks = -(-c // block)
+        cap = recon._line_up(block * h * w)
+        lead = recon._line_up(w)
+        dual_size = lead + 2 * cap
         aligned_rows = recon._aligned_rows
+        run_band_spans = recon.run_band_spans
+
+        def is_plus_zero(a):
+            return bool((a == 0).all() and not np.signbit(a).any())
+
         for workers in (1, 2, 3):
             kernel_pool(workers)
             made = []
+            span = threading.local()
 
-            def spy(rows, n):
-                made.append((rows, n))
-                return aligned_rows(rows, n)
+            def spans_spy(task, *args):
+                def traced(lo, hi):
+                    span.bounds = (lo, hi)
+                    task(lo, hi)
 
-            with mock.patch.object(recon, "_aligned_rows", side_effect=spy):
-                out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), 0.1, 3)
-            assert made == [(4, block * h * w)] * min(workers, blocks)
+                run_band_spans(traced, *args)
+
+            def rows_spy(rows, n):
+                ws = aligned_rows(rows, n)
+                made.append((span.bounds, rows, n, ws))
+                return ws
+
+            with mock.patch.object(recon, "run_band_spans", spans_spy):
+                with mock.patch.object(recon, "_aligned_rows", rows_spy):
+                    cube = HSICube(SceneConfig(h, w, c, 1), data)
+                    out = tv_denoise(cube, 0.1, 3)
             assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
+            assert len(made) == min(workers, blocks)
+            for (lo, hi), rows, n, ws in made:
+                assert (rows, n) == (1, cap + 2 * dual_size)
+                ws = ws[0]
+                assert ws.ctypes.data % recon._TV_ALIGN_BYTES == 0
+                x, dual, diff = ws[:cap], ws[cap:-dual_size], ws[-dual_size:]
+                # The buffers hold the span's last block.
+                bands = hi - lo - (hi - lo - 1) // block * block
+                size = bands * h * w
+                qo = lead + recon._line_up(size)
+                for a in (x, dual[lead:], dual[qo:], diff[lead:], diff[qo:]):
+                    assert a.ctypes.data % recon._TV_ALIGN_BYTES == 0
+                assert is_plus_zero(dual[:lead])
+                for buf in (dual, diff):
+                    assert is_plus_zero(buf[lead + size : qo])
+                    assert is_plus_zero(
+                        buf[lead : lead + size].reshape(bands, h, w)[:, -1, :]
+                    )
+                    assert is_plus_zero(
+                        buf[qo : qo + size].reshape(bands, h, w)[:, :, -1]
+                    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prox_allocates_one_workspace_per_span(self, workers, kernel_pool):
+        # One output cube plus, per span, the five block-sized working
+        # arrays (x, p, q, dp, dq): an allocation inside the dual loop would
+        # add at least one more block.
+        kernel_pool(workers)
+        c, h, w = 20, 64, 64
+        block = _pool.band_block(c, h, w)
+        assert block < c  # really multi-block
+        spans = min(workers, -(-c // block))
+        data = np.random.Generator(np.random.Philox(3)).random((c, h, w))
+        cube = HSICube(SceneConfig(h, w, c, 1), data)
+        out, peak = traced_peak(lambda: tv_denoise(cube, 0.1, 5))
+        block_bytes = 8 * block * h * w
+        slack = 64 * 1024  # the leads, line padding and Python objects
+        assert peak <= out.data.nbytes + spans * (5 * block_bytes + slack)
 
 
 class TestTvOnKernelPool:
@@ -777,6 +860,16 @@ class TestSolverConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("weight", [1e-310, 1e-320, 5e-324])
+    def test_rejects_tv_weight_whose_dual_step_overflows(self, weight):
+        match = r"tv_weight must be 0 or .*1/\(8\*tv_weight\) is finite"
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(tv_weight=weight)
+
+    def test_takes_the_smallest_tv_weights_with_a_finite_step(self):
+        for weight in (0.0, 7e-310, 1e-300):
+            assert SolverConfig(tv_weight=weight).tv_weight == weight
 
     @pytest.mark.parametrize("iterations", [2.5, True, 3.0])
     def test_rejects_non_integer_iterations(self, iterations):
