@@ -28,18 +28,13 @@ from .operator import (
     shift_cube,
 )
 from .recon import (
-    IdentityPrior,
     InitStrategy,
     Prior,
     SolveStats,
     SolverConfig,
     TvPrior,
     gap_solve_with_stats,
-    init_repeat,
-    init_roll,
-    init_shift,
     rnd_reconstruct,
-    tv_denoise,
 )
 from .simulate import (
     NoiseSpec,

@@ -33,7 +33,14 @@ import numpy as np
 
 from . import __version__
 from ._pool import kernel_workers
-from .core import CodedAperture, HSICube, Measurement, SceneConfig, _require_finite
+from .core import (
+    CodedAperture,
+    HSICube,
+    Measurement,
+    SceneConfig,
+    _int_at_least,
+    _require_finite,
+)
 from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
 from .dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
 from .errors import (
@@ -49,7 +56,14 @@ from .recon import (
     TvPrior,
     gap_solve_with_stats,
 )
-from .simulate import NoiseSpec, add_shot_noise, crop_mask, gen_mask, repair_mask
+from .simulate import (
+    NoiseSpec,
+    _rng,
+    add_shot_noise,
+    crop_mask,
+    gen_mask,
+    repair_mask,
+)
 from .metrics import evaluate
 
 _ORACLE_TOL = 1e-10
@@ -144,6 +158,15 @@ def _exit_status(exc: Exception) -> tuple[int, str] | None:
     return None
 
 
+def _shift_step(args, file_cfg: dict) -> int:
+    """The shift step from the flag or the config file, checked as
+    :class:`SceneConfig` checks it, before any input is read."""
+    d = _resolve("shift_step", args.shift_step, file_cfg)
+    if d is None:
+        raise ConfigFileError("shift step not given (flag or config file)")
+    return _int_at_least(d, "shift_step", 1)
+
+
 def _load_mask(path: str) -> CodedAperture:
     arr, _ = read_cube(path)
     if arr.shape[0] != 1:
@@ -184,12 +207,10 @@ def _stem(path: str) -> str:
 
 def cmd_simulate(args) -> int:
     file_cfg = parse_run_config(args.config) if args.config else {}
+    d = _shift_step(args, file_cfg)
     cube_arr, _ = read_cube(args.cube)
     mask = _load_mask(args.mask)
     nc, h, w = cube_arr.shape
-    d = _resolve("shift_step", args.shift_step, file_cfg)
-    if d is None:
-        raise ConfigFileError("shift step not given (flag or config file)")
     _cross_check(file_cfg, height=h, width=w, bands=nc)
     config = SceneConfig(h, w, nc, d)
     op = build_operator(mask, config)
@@ -245,9 +266,7 @@ def _reconstruct_one(op, meas, method, prior, scfg):
 
 def cmd_reconstruct(args) -> int:
     file_cfg = parse_run_config(args.config) if args.config else {}
-    d = _resolve("shift_step", args.shift_step, file_cfg)
-    if d is None:
-        raise ConfigFileError("shift step not given (flag or config file)")
+    d = _shift_step(args, file_cfg)
     mask = _load_mask(args.mask)
 
     # Pass on only what a flag or the config file gives: SolverConfig and
@@ -383,7 +402,13 @@ def cmd_reconstruct(args) -> int:
 
     # Every input is attempted; the exit code is that of the first failure
     # in command-line order.
-    workers = max(1, int(os.environ.get("CASSI_THREADS", "1")))
+    threads = os.environ.get("CASSI_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise ValueError(
+            f"CASSI_THREADS must be an integer, got {threads!r}"
+        ) from None
     with ThreadPoolExecutor(max_workers=workers) as pool:
         statuses = list(pool.map(attempt, meas_paths))
     failed = [(path, s) for path, s in zip(meas_paths, statuses) if s is not None]
@@ -452,7 +477,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_oracle_check(args) -> int:
     config = SceneConfig(args.height, args.width, args.bands, args.shift_step)
-    rng = np.random.Generator(np.random.Philox(args.seed))
+    rng = _rng(args.seed)
     mask = repair_mask(
         gen_mask(args.height, args.width, 0.7, seed=args.seed), config
     )
@@ -506,12 +531,13 @@ def _percentile(sorted_ms: list[float], fraction: float) -> float:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     config = SceneConfig(args.height, args.width, args.bands, args.shift_step)
     mask = repair_mask(gen_mask(args.height, args.width, 0.5, seed=0), config)
     op = build_operator(mask, config)
     h, w, nc, _ = config.geometry
-    rng = np.random.Generator(np.random.Philox(7))
-    cube = HSICube(config, rng.random((nc, h, w)))
+    cube = HSICube(config, _rng(7).random((nc, h, w)))
     meas = op.forward(cube)
     zero_q = HSICube(config, np.zeros((nc, h, w)))
     prior = TvPrior()

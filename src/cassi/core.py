@@ -27,6 +27,14 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _int_at_least(value, name: str, minimum: int) -> int:
+    """``value`` as an int (see :func:`_as_int`); it must be >= ``minimum``."""
+    value = _as_int(value, name)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Geometry shared by a scene, its sensing operator, and its measurement.
@@ -42,10 +50,7 @@ class SceneConfig:
 
     def __post_init__(self):
         for name in ("height", "width", "bands", "shift_step"):
-            value = _as_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _int_at_least(getattr(self, name), name, 1))
 
     def measurement_width(self) -> int:
         """Detector width: scene width plus the dispersion span d*(C-1)."""

@@ -12,7 +12,9 @@ not depend on the pool size.
 
 The iterate lives in measurement-width coordinates so the denoiser can be
 fed either the full dispersed tensor or only the on-support crop; with the
-crop enabled, margin values pass through the denoising step untouched.
+crop enabled, margin values pass through the denoising step untouched.  In
+both settings the prior receives a private copy of what it sees, and its
+output is written back into the iterate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Protocol
 import numpy as np
 
 from ._pool import band_block, run_band_spans
-from .core import HSICube, Measurement, SceneConfig, ShiftedCube, _as_int
+from .core import HSICube, Measurement, SceneConfig, ShiftedCube, _int_at_least
 from .errors import DimensionMismatch, NonFiniteValue
 from .operator import SensingOperator, _forward, _on_support, shift_cube
 
@@ -89,8 +91,7 @@ class SolverConfig:
     convergence_tol: float = 0.0
 
     def __post_init__(self):
-        if _as_int(self.iterations, "iterations") < 1:
-            raise ValueError("iterations must be >= 1")
+        _int_at_least(self.iterations, "iterations", 1)
         _check_tv_strength(self.tv_weight, "tv_weight")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
             raise ValueError(
@@ -102,12 +103,16 @@ class SolverConfig:
 class SolveStats:
     """Per-run instrumentation from :func:`gap_solve_with_stats`."""
 
-    iterations_run: int
     residual_l2: tuple[float, ...]
     denoised_pixels_per_iteration: int
 
+    @property
+    def iterations_run(self) -> int:
+        """Iterations completed: one residual norm is kept per iteration."""
+        return len(self.residual_l2)
 
-def init_shift(meas: Measurement) -> ShiftedCube:
+
+def _init_shift(meas: Measurement) -> ShiftedCube:
     """Repeat the measurement per band, band c translated right by d*c.
 
     The translation runs over the full measurement width: columns shifted
@@ -123,14 +128,14 @@ def init_shift(meas: Measurement) -> ShiftedCube:
     return ShiftedCube._adopt(meas.config, out)
 
 
-def init_repeat(meas: Measurement) -> ShiftedCube:
+def _init_repeat(meas: Measurement) -> ShiftedCube:
     """Every band is the measurement verbatim."""
     h, _, nc, _ = meas.config.geometry
     out = np.broadcast_to(meas.data, (nc, h, meas.config.measurement_width()))
     return ShiftedCube._adopt(meas.config, np.ascontiguousarray(out))
 
 
-def init_roll(meas: Measurement) -> ShiftedCube:
+def _init_roll(meas: Measurement) -> ShiftedCube:
     """Band c is the measurement cyclically rotated right by d*c columns.
 
     The rotation is over the full measurement width, so every band is a
@@ -144,9 +149,9 @@ def init_roll(meas: Measurement) -> ShiftedCube:
 
 
 _INITS = {
-    InitStrategy.SHIFT: init_shift,
-    InitStrategy.REPEAT: init_repeat,
-    InitStrategy.ROLL: init_roll,
+    InitStrategy.SHIFT: _init_shift,
+    InitStrategy.REPEAT: _init_repeat,
+    InitStrategy.ROLL: _init_roll,
 }
 
 
@@ -268,17 +273,6 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     return out
 
 
-def tv_denoise(cube: HSICube, strength: float, inner_iterations: int) -> HSICube:
-    """Approximate prox of strength * anisotropic TV, per band independently."""
-    _check_tv_strength(strength, "strength")
-    if inner_iterations < 1:
-        raise ValueError("inner_iterations must be >= 1")
-    if strength == 0.0:
-        return HSICube._adopt(cube.config, cube.data.copy())
-    out = _tv_prox_planes(cube.data, strength, inner_iterations)
-    return HSICube._adopt(cube.config, out)
-
-
 @dataclass(frozen=True)
 class TvPrior:
     """Total-variation prior; ``strength`` is the TV weight at call time.
@@ -290,28 +284,15 @@ class TvPrior:
     inner_iterations: int = 20
 
     def __post_init__(self):
-        if _as_int(self.inner_iterations, "inner_iterations") < 1:
-            raise ValueError(
-                f"inner_iterations must be >= 1, got {self.inner_iterations!r}"
-            )
+        _int_at_least(self.inner_iterations, "inner_iterations", 1)
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube:
-        return tv_denoise(cube, strength, self.inner_iterations)
-
-
-class IdentityPrior:
-    """No-op prior; the solver reduces to pure data-consistency projection."""
-
-    def denoise(self, cube: HSICube, strength: float) -> HSICube:
-        return cube
-
-
-def _wide_config(config: SceneConfig) -> SceneConfig:
-    """A config whose scene width is the measurement width, for denoising
-    the full dispersed tensor through the cube-typed prior interface."""
-    return SceneConfig(
-        config.height, config.measurement_width(), config.bands, config.shift_step
-    )
+        """Approximate prox of strength * anisotropic TV, per band independently."""
+        _check_tv_strength(strength, "strength")
+        if strength == 0.0:
+            return HSICube._adopt(cube.config, cube.data.copy())
+        out = _tv_prox_planes(cube.data, strength, self.inner_iterations)
+        return HSICube._adopt(cube.config, out)
 
 
 def gap_solve_with_stats(
@@ -325,13 +306,15 @@ def gap_solve_with_stats(
 
     Each iteration runs the data step ``z += pinv(y - A z)``, then applies
     the prior.  With ``crop_denoiser_input`` the prior sees only the
-    on-support crop and the dispersed margin is restored from the
-    pre-denoise iterate; otherwise the prior sees the full-width tensor.
-    Raises NonFiniteValue if an iterate diverges.
+    on-support crop and the dispersed margin keeps its post-data-step
+    values; otherwise the prior sees the full-width tensor.  Either way it
+    receives a private copy, so it may return or keep its input, and its
+    output is written back into the iterate.  Raises NonFiniteValue if an
+    iterate diverges.
     """
     if meas.config.geometry != op.config.geometry:
         raise DimensionMismatch("measurement geometry disagrees with operator")
-    h, w, nc, d = op.config.geometry
+    h, _, nc, d = op.config.geometry
     wp = op.config.measurement_width()
 
     if x0 is None:
@@ -346,28 +329,25 @@ def gap_solve_with_stats(
     # One private copy, updated in place.  The detector residual of each
     # iterate serves both its norm and the next data step.
     z = z.copy()
-    wide = _wide_config(op.config)
     support = _on_support(z, d)
+    if cfg.crop_denoiser_input:
+        seen, seen_config = support, op.config
+    else:
+        # The full dispersed tensor goes through the cube-typed prior
+        # interface as a scene of measurement width.
+        seen, seen_config = z, SceneConfig(h, wp, nc, d)
     r = meas.data - _forward(op.mask, d, support)
     residuals = []
-    iterations_run = 0
     for _ in range(cfg.iterations):
         z_prev = z.copy() if cfg.convergence_tol > 0.0 else None
         op._add_pinv(support, r)
-
-        if cfg.crop_denoiser_input:
-            core = HSICube._adopt(op.config, support.copy())
-            support[...] = prior.denoise(core, cfg.tv_weight).data
-        else:
-            # Priors return read-only arrays, so keep a writeable copy.
-            z = prior.denoise(HSICube._adopt(wide, z), cfg.tv_weight).data.copy()
-            support = _on_support(z, d)
-
+        seen[...] = prior.denoise(
+            HSICube._adopt(seen_config, seen.copy()), cfg.tv_weight
+        ).data
         if not np.isfinite(z).all():
             raise NonFiniteValue(
-                f"solver iterate diverged at iteration {iterations_run}"
+                f"solver iterate diverged at iteration {len(residuals)}"
             )
-        iterations_run += 1
 
         r = meas.data - _forward(op.mask, d, support)
         residuals.append(float(np.linalg.norm(r)))
@@ -378,11 +358,8 @@ def gap_solve_with_stats(
             if delta <= cfg.convergence_tol * scale:
                 break
 
-    pixels = nc * h * (w if cfg.crop_denoiser_input else wp)
     stats = SolveStats(
-        iterations_run=iterations_run,
-        residual_l2=tuple(residuals),
-        denoised_pixels_per_iteration=pixels,
+        residual_l2=tuple(residuals), denoised_pixels_per_iteration=seen.size
     )
     return HSICube._adopt(op.config, _on_support(z, d).copy()), stats
 

@@ -13,13 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodedAperture, HSICube, Measurement, SceneConfig, _as_int
+from .core import (
+    CodedAperture,
+    HSICube,
+    Measurement,
+    SceneConfig,
+    _as_int,
+    _int_at_least,
+)
 from .errors import CropTooLarge, NegativeMeasurement
 from .operator import _gram_diagonal
 
 
+def _seed(seed: int) -> int:
+    """The one rule for every seed: an integer >= 0."""
+    return _int_at_least(seed, "seed", 0)
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_seed(seed)))
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 1 <= _as_int(self.shot_bits, "shot_bits") <= 16:
             raise ValueError(f"shot_bits must be in [1, 16], got {self.shot_bits}")
-        if _as_int(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _seed(self.seed)
         if self.full_scale is not None and not (
             math.isfinite(self.full_scale) and self.full_scale > 0
         ):
@@ -49,15 +60,16 @@ class NoiseSpec:
 
 def gen_mask(height: int, width: int, density: float, seed: int) -> CodedAperture:
     """I.i.d. Bernoulli(density) binary mask, reproducible per seed."""
+    shape = (_int_at_least(height, "height", 1), _int_at_least(width, "width", 1))
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    draws = _rng(seed).random((height, width))
+    draws = _rng(seed).random(shape)
     return CodedAperture((draws < density).astype(np.float64))
 
 
 def crop_mask(mask: CodedAperture, size: int, seed: int) -> CodedAperture:
     """Uniformly random axis-aligned size x size window from a larger mask."""
-    if size < 1:
+    if _as_int(size, "size") < 1:
         raise ValueError(f"crop size must be >= 1, got {size}")
     if size > min(mask.height, mask.width):
         raise CropTooLarge(
@@ -97,8 +109,7 @@ def gen_scene(config: SceneConfig, complexity: int, seed: int) -> HSICube:
     table of spectra.  Every voxel is written once, so the traced peak is
     about one cube.
     """
-    if complexity < 0:
-        raise ValueError("complexity must be >= 0")
+    complexity = _int_at_least(complexity, "complexity", 0)
     h, w, nc, _ = config.geometry
     rng = _rng(seed)
     spectra = np.empty((nc, complexity + 1))

@@ -355,6 +355,62 @@ class TestReconstruct:
         for name in names:
             assert (out_dir / name).read_bytes() == (single / name).read_bytes()
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("step", [0, -2])
+    def test_shift_step_below_one_exits_2_before_any_read(
+        self, tmp_path, capsys, monkeypatch, step, source, batch
+    ):
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        if source == "flag":
+            given = ["--shift-step", step]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"shift_step = {step}\n")
+            given = ["--config", cfg]
+        if batch:
+            second = tmp_path / "meas2.hsic"
+            second.write_bytes(meas_path.read_bytes())
+            inputs, out = [meas_path, second], tmp_path / "out"
+            out.mkdir()
+        else:
+            inputs, out = [meas_path], tmp_path / "o.hsic"
+        reads = []
+        read = cli.read_cube
+        monkeypatch.setattr(
+            cli, "read_cube", lambda path: reads.append(path) or read(path)
+        )
+        code = run_cli(
+            "reconstruct", "--meas", *inputs, "--mask", mask_path, *given,
+            "--method", "pinv", "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: shift_step must be >= 1, got {step}\n"
+        )
+        assert reads == []
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("threads", ["abc", "1.5", ""])
+    def test_non_integer_cassi_threads_exits_2(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        second = tmp_path / "meas2.hsic"
+        second.write_bytes(meas_path.read_bytes())
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("CASSI_THREADS", threads)
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, second, "--mask", mask_path,
+            "--shift-step", 2, "--method", "pinv", "--out", out_dir,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: CASSI_THREADS must be an integer, got {threads!r}\n"
+        )
+        assert not any(out_dir.iterdir())
+
     def test_batch_rejects_shared_output_stem(self, tmp_path, capsys):
         _, meas_path, mask_path, _ = self.make_measurement(tmp_path)
         other = tmp_path / "b"
@@ -610,6 +666,15 @@ class TestOracleCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_exits_2(self, capsys, seed):
+        code = run_cli(
+            "oracle-check", "--height", 4, "--width", 4, "--bands", 3,
+            "--shift-step", 1, "--seed", seed,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+
     def test_corrupted_sigma_exits_5(self, capsys, monkeypatch):
         # Perturb one reciprocal Gram entry, so pinv disagrees with the
         # dense oracle, which is built from the mask alone.
@@ -641,6 +706,17 @@ class TestBench:
         assert "p95" not in out
         assert "evaluate" not in out  # 8x8 bands are smaller than the window
         assert f"kernel_workers {_pool.kernel_workers()}\n" in out
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_below_one_exits_2(self, capsys, reps):
+        code = run_cli(
+            "bench", "--height", 8, "--width", 8, "--bands", 2,
+            "--shift-step", 1, "--reps", reps,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --reps must be >= 1, got {reps}\n"
+        assert captured.out == ""
 
     def test_evaluate_runs_from_11x11_bands(self, capsys):
         for height, width, shown in ((11, 11, True), (11, 10, False)):
@@ -750,6 +826,25 @@ class TestMask:
             argv = [*argv, "--mask", src]
         assert run_cli("mask", *argv, "--out", out) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--height", 4, "--width", 4, "--density", 0.5, "--seed", -1],
+            ["crop", "--size", 2, "--seed", -5],
+        ],
+        ids=["gen", "crop"],
+    )
+    def test_negative_seed_exits_2_and_names_it(self, tmp_path, capsys, argv):
+        src = tmp_path / "src.hsic"
+        write_cube(src, np.ones((4, 4)))
+        out = tmp_path / "o.hsic"
+        if argv[0] == "crop":
+            argv = [*argv, "--mask", src]
+        assert run_cli("mask", *argv, "--out", out) == 2
+        seed = argv[argv.index("--seed") + 1]
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
         assert not out.exists()
 
     def test_full_rank_repair_flags(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cassi import HSICube, SceneConfig, _pool, evaluate, tv_denoise
+from cassi import HSICube, SceneConfig, TvPrior, _pool, evaluate
 
 
 def spans_of(n, block):
@@ -84,16 +84,17 @@ def test_concurrent_callers_get_the_serial_bytes(kernel_pool):
     # Four callers share a two-worker pool while the interpreter switches
     # threads as often as it can.
     cubes = [multi_block_cube(seed) for seed in range(4)]
+    prior = TvPrior(5)
     kernel_pool(1)
     expected = [
-        (tv_denoise(c, 0.1, 5).data.tobytes(), evaluate(cubes[0], c)) for c in cubes
+        (prior.denoise(c, 0.1).data.tobytes(), evaluate(cubes[0], c)) for c in cubes
     ]
     kernel_pool(2)
     got = [None] * 4
 
     def call(i):
         got[i] = (
-            tv_denoise(cubes[i], 0.1, 5).data.tobytes(),
+            prior.denoise(cubes[i], 0.1).data.tobytes(),
             evaluate(cubes[0], cubes[i]),
         )
 
@@ -117,12 +118,13 @@ def test_forked_child_gets_its_own_pool(kernel_pool):
     # work queued on it would never run.
     kernel_pool(2)
     cube = multi_block_cube(7)
-    expected = tv_denoise(cube, 0.1, 5).data.tobytes()
+    prior = TvPrior(5)
+    expected = prior.denoise(cube, 0.1).data.tobytes()
     pid = os.fork()
     if pid == 0:  # child: never return into the test runner
         code = 1
         try:
-            code = 0 if tv_denoise(cube, 0.1, 5).data.tobytes() == expected else 3
+            code = 0 if prior.denoise(cube, 0.1).data.tobytes() == expected else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -133,6 +135,6 @@ def test_forked_child_gets_its_own_pool(kernel_pool):
         if time.monotonic() > deadline:
             os.kill(pid, 9)
             os.waitpid(pid, 0)
-            pytest.fail("forked child did not finish tv_denoise within 30 s")
+            pytest.fail("forked child did not finish the TV prox within 30 s")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(status) == 0

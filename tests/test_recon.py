@@ -14,17 +14,12 @@ from cassi import (
     NonFiniteValue,
     SceneConfig,
     ShiftedCube,
-    IdentityPrior,
     InitStrategy,
     SolverConfig,
     TvPrior,
     gap_solve_with_stats,
-    init_repeat,
-    init_roll,
-    init_shift,
     rnd_reconstruct,
     shift_cube,
-    tv_denoise,
 )
 from cassi import _pool, recon
 from cassi.operator import _on_support
@@ -47,17 +42,17 @@ def meas_row(config, row):
 class TestInitShift:
     def test_hand_example(self):
         config = SceneConfig(1, 2, 2, 1)
-        z = init_shift(meas_row(config, [1.0, 2.0, 3.0]))
+        z = recon._init_shift(meas_row(config, [1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(z.data[0], [[1, 2, 3]])
         np.testing.assert_array_equal(z.data[1], [[0, 1, 2]])
 
     def test_single_band_is_measurement(self):
         config = SceneConfig(1, 3, 1, 1)
-        z = init_shift(meas_row(config, [4.0, 5.0, 6.0]))
+        z = recon._init_shift(meas_row(config, [4.0, 5.0, 6.0]))
         np.testing.assert_array_equal(z.data[0], [[4, 5, 6]])
 
     def test_zero_measurement(self, tiny_config):
-        z = init_shift(Measurement(tiny_config, np.zeros((2, 3))))
+        z = recon._init_shift(Measurement(tiny_config, np.zeros((2, 3))))
         assert not z.data.any()
 
     @given(operator_configs())
@@ -68,7 +63,7 @@ class TestInitShift:
             config,
             0.1 + rng.random((config.height, config.measurement_width())),
         )
-        z = init_shift(meas)
+        z = recon._init_shift(meas)
         for c in range(config.bands):
             zeros = int(np.count_nonzero(z.data[c] == 0.0))
             assert zeros == config.height * config.shift_step * c
@@ -77,37 +72,38 @@ class TestInitShift:
 class TestInitRepeat:
     def test_bands_verbatim(self):
         config = SceneConfig(1, 2, 2, 1)
-        z = init_repeat(meas_row(config, [1.0, 2.0, 3.0]))
+        z = recon._init_repeat(meas_row(config, [1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(z.data[0], [[1, 2, 3]])
         np.testing.assert_array_equal(z.data[1], [[1, 2, 3]])
 
     def test_zero_measurement(self, tiny_config):
-        assert not init_repeat(Measurement(tiny_config, np.zeros((2, 3)))).data.any()
+        meas = Measurement(tiny_config, np.zeros((2, 3)))
+        assert not recon._init_repeat(meas).data.any()
 
     @given(operator_configs())
     def test_total_is_band_count_times_measurement(self, case):
         config, seed = case
         meas = random_meas(config, seed)
-        z = init_repeat(meas)
+        z = recon._init_repeat(meas)
         assert np.isclose(z.data.sum(), config.bands * meas.data.sum())
 
 
 class TestInitRoll:
     def test_hand_example_rotates_over_measurement_width(self):
         config = SceneConfig(1, 2, 2, 1)
-        z = init_roll(meas_row(config, [1.0, 2.0, 3.0]))
+        z = recon._init_roll(meas_row(config, [1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(z.data[0], [[1, 2, 3]])
         np.testing.assert_array_equal(z.data[1], [[3, 1, 2]])
 
     def test_band_zero_is_identity(self, tiny_config):
         meas = random_meas(tiny_config, 3)
-        np.testing.assert_array_equal(init_roll(meas).data[0], meas.data)
+        np.testing.assert_array_equal(recon._init_roll(meas).data[0], meas.data)
 
     @given(operator_configs())
     def test_every_band_is_a_permutation(self, case):
         config, seed = case
         meas = random_meas(config, seed)
-        z = init_roll(meas)
+        z = recon._init_roll(meas)
         reference = np.sort(meas.data, axis=None)
         for c in range(config.bands):
             np.testing.assert_array_equal(np.sort(z.data[c], axis=None), reference)
@@ -123,7 +119,7 @@ class TestCropToScene:
     @given(operator_configs())
     def test_output_width_is_scene_width(self, case):
         config, seed = case
-        z = init_repeat(random_meas(config, seed)).data
+        z = recon._init_repeat(random_meas(config, seed)).data
         cropped = _on_support(z, config.shift_step)
         assert cropped.shape == (config.bands, config.height, config.width)
 
@@ -131,13 +127,13 @@ class TestCropToScene:
 class TestTvDenoise:
     def test_zero_strength_is_identity(self, tiny_config):
         cube = random_cube(tiny_config, 6)
-        out = tv_denoise(cube, 0.0, 30)
+        out = TvPrior(30).denoise(cube, 0.0)
         assert np.abs(out.data - cube.data).max() <= 1e-12
 
     def test_constant_cube_unchanged(self):
         config = SceneConfig(4, 5, 2, 1)
         cube = HSICube(config, np.full((2, 4, 5), 0.37))
-        out = tv_denoise(cube, 0.3, 50)
+        out = TvPrior(50).denoise(cube, 0.3)
         np.testing.assert_allclose(out.data, cube.data, atol=1e-14)
 
     def test_step_signal_matches_exact_prox(self):
@@ -146,7 +142,7 @@ class TestTvDenoise:
         # both plateaus move toward the mean by strength/2.
         config = SceneConfig(1, 4, 1, 1)
         cube = HSICube(config, np.array([[[0.0, 0.0, 1.0, 1.0]]]))
-        out = tv_denoise(cube, 0.05, 2000)
+        out = TvPrior(2000).denoise(cube, 0.05)
         np.testing.assert_allclose(
             out.data[0, 0], [0.025, 0.025, 0.975, 0.975], atol=1e-6
         )
@@ -157,7 +153,7 @@ class TestTvDenoise:
         config = SceneConfig(3, 3, 1, 1)
         plane = np.full((3, 3), 0.2)
         plane[1, 1] = 1.0
-        out = tv_denoise(HSICube(config, plane[None]), 0.08, 4000)
+        out = TvPrior(4000).denoise(HSICube(config, plane[None]), 0.08)
         expected = np.full((3, 3), 0.24)
         expected[1, 1] = 0.68
         np.testing.assert_allclose(out.data[0], expected, atol=1e-6)
@@ -165,9 +161,9 @@ class TestTvDenoise:
     def test_bad_arguments(self, tiny_config):
         cube = random_cube(tiny_config, 7)
         with pytest.raises(ValueError):
-            tv_denoise(cube, -0.1, 10)
+            TvPrior(10).denoise(cube, -0.1)
         with pytest.raises(ValueError):
-            tv_denoise(cube, 0.1, 0)
+            TvPrior(0).denoise(cube, 0.1)
 
     @pytest.mark.parametrize(
         "strength", [float("nan"), float("inf"), -float("inf"), 1e-320, 6.9e-310]
@@ -178,14 +174,12 @@ class TestTvDenoise:
         # 1/(8*s) overflows below about 6.95e-310, and inf * 0 is NaN.
         cube = random_cube(tiny_config, 7)
         with pytest.raises(ValueError, match="strength must be"):
-            tv_denoise(cube, strength, 3)
-        with pytest.raises(ValueError, match="strength must be"):
             TvPrior(3).denoise(cube, strength)
 
     @pytest.mark.parametrize("strength", [7e-310, 1e-300, 1e300])
     def test_extreme_finite_strengths_stay_finite(self, tiny_config, strength):
         cube = random_cube(tiny_config, 7)
-        assert np.isfinite(tv_denoise(cube, strength, 3).data).all()
+        assert np.isfinite(TvPrior(3).denoise(cube, strength).data).all()
 
     @given(operator_configs(), st.floats(0.01, 0.5))
     def test_shrinks_total_variation(self, case, strength):
@@ -198,7 +192,7 @@ class TestTvDenoise:
                 + np.abs(np.diff(data, axis=2)).sum()
             )
 
-        out = tv_denoise(cube, strength, 40)
+        out = TvPrior(40).denoise(cube, strength)
         assert tv(out.data) <= tv(cube.data) + 1e-12
 
 
@@ -264,14 +258,16 @@ class TestTvOutputBytesPinned:
         assert _pool.band_block(c, h, w) < c  # really multi-block
         rng = np.random.Generator(np.random.Philox(2024))
         cube = HSICube(SceneConfig(h, w, c, 1), rng.random(shape))
-        assert sha256_of(tv_denoise(cube, 0.1, 20).data) == self.TV_DIGESTS[shape]
+        out = TvPrior(20).denoise(cube, 0.1)
+        assert sha256_of(out.data) == self.TV_DIGESTS[shape]
 
 
 def per_band_tv(data: np.ndarray, strength: float, iterations: int) -> np.ndarray:
     c, h, w = data.shape
     config = SceneConfig(h, w, 1, 1)
     bands = [HSICube(config, band[None]) for band in data]
-    return np.concatenate([tv_denoise(b, strength, iterations).data for b in bands])
+    prior = TvPrior(iterations)
+    return np.concatenate([prior.denoise(b, strength).data for b in bands])
 
 
 def assert_band_independent(shape, seed, strength, iterations, data=None):
@@ -279,7 +275,8 @@ def assert_band_independent(shape, seed, strength, iterations, data=None):
     c, h, w = shape
     if data is None:
         data = np.random.Generator(np.random.Philox(seed)).random(shape)
-    out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), strength, iterations)
+    cube = HSICube(SceneConfig(h, w, c, 1), data)
+    out = TvPrior(iterations).denoise(cube, strength)
     assert out.data.tobytes() == per_band_tv(data, strength, iterations).tobytes()
     assert out.data.tobytes() == reference_tv_prox(data, strength, iterations).tobytes()
 
@@ -394,7 +391,7 @@ class TestTvWorkspaceAlignment:
             with mock.patch.object(recon, "run_band_spans", spans_spy):
                 with mock.patch.object(recon, "_aligned_rows", rows_spy):
                     cube = HSICube(SceneConfig(h, w, c, 1), data)
-                    out = tv_denoise(cube, 0.1, 3)
+                    out = TvPrior(3).denoise(cube, 0.1)
             assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
             assert len(made) == min(workers, blocks)
             for (lo, hi), rows, n, ws in made:
@@ -430,7 +427,7 @@ class TestTvWorkspaceAlignment:
         spans = min(workers, -(-c // block))
         data = np.random.Generator(np.random.Philox(3)).random((c, h, w))
         cube = HSICube(SceneConfig(h, w, c, 1), data)
-        out, peak = traced_peak(lambda: tv_denoise(cube, 0.1, 5))
+        out, peak = traced_peak(lambda: TvPrior(5).denoise(cube, 0.1))
         block_bytes = 8 * block * h * w
         slack = 64 * 1024  # the leads, line padding and Python objects
         assert peak <= out.data.nbytes + spans * (5 * block_bytes + slack)
@@ -450,7 +447,8 @@ class TestTvOnKernelPool:
         kernel_pool(workers)
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(c * h * w)).random(shape)
-        out = tv_denoise(HSICube(SceneConfig(h, w, c, 1), data), 0.1, 5)
+        cube = HSICube(SceneConfig(h, w, c, 1), data)
+        out = TvPrior(5).denoise(cube, 0.1)
         assert out.data.tobytes() == reference_tv_prox(data, 0.1, 5).tobytes()
 
 
@@ -483,7 +481,7 @@ def test_frozen_tv_values_match_brute_force_solver():
 class TestPriors:
     def test_identity_at_zero_strength(self, tiny_config):
         cube = random_cube(tiny_config, 8)
-        for prior in (TvPrior(20), IdentityPrior()):
+        for prior in (TvPrior(20), _IdentityPrior()):
             out = prior.denoise(cube, 0.0)
             assert out.data.shape == cube.data.shape
             assert np.abs(out.data - cube.data).max() <= 1e-12
@@ -508,6 +506,13 @@ class TestPriors:
         cube = random_cube(tiny_config, 9)
         out = TvPrior(np.int64(3)).denoise(cube, 0.2)
         assert out.data.tobytes() == TvPrior(3).denoise(cube, 0.2).data.tobytes()
+
+
+class _IdentityPrior:
+    """No-op prior; the solver reduces to pure data-consistency projection."""
+
+    def denoise(self, cube, strength):
+        return cube
 
 
 class _OraclePrior:
@@ -539,7 +544,7 @@ class TestGapSolve:
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 14))
         cfg = SolverConfig(iterations=8)
-        _, stats = gap_solve_with_stats(op, meas, IdentityPrior(), cfg)
+        _, stats = gap_solve_with_stats(op, meas, _IdentityPrior(), cfg)
         res = stats.residual_l2
         assert all(res[i + 1] <= res[i] + 1e-12 for i in range(len(res) - 1))
         # one projection step reaches data consistency with full row rank
@@ -553,7 +558,7 @@ class TestGapSolve:
         cfg = SolverConfig(iterations=5)
         for scene in scenes:
             meas = op.forward(scene)
-            _, stats = gap_solve_with_stats(op, meas, IdentityPrior(), cfg)
+            _, stats = gap_solve_with_stats(op, meas, _IdentityPrior(), cfg)
             res = stats.residual_l2
             assert all(
                 res[i + 1] <= res[i] + 1e-12 for i in range(len(res) - 1)
@@ -564,7 +569,7 @@ class TestGapSolve:
         meas = op.forward(random_cube(config, 15))
         x0 = op.pinv(meas)
         out, _ = gap_solve_with_stats(
-            op, meas, IdentityPrior(), SolverConfig(iterations=5), x0=x0
+            op, meas, _IdentityPrior(), SolverConfig(iterations=5), x0=x0
         )
         assert rel_err(out.data, x0.data) < 1e-12
 
@@ -577,7 +582,7 @@ class TestGapSolve:
         meas = random_meas(config, 17)
         q = random_cube(config, 18)
         out, _ = gap_solve_with_stats(
-            op, meas, IdentityPrior(), SolverConfig(iterations=1), x0=q
+            op, meas, _IdentityPrior(), SolverConfig(iterations=1), x0=q
         )
         assert out.data.tobytes() == op.rnd_combine(meas, q).data.tobytes()
 
@@ -590,7 +595,7 @@ class TestGapSolve:
             gap_solve_with_stats(
                 op,
                 meas,
-                IdentityPrior(),
+                _IdentityPrior(),
                 SolverConfig(iterations=2),
                 x0=random_cube(SceneConfig(3, 3, 2, 1), 1),
             )
@@ -613,7 +618,7 @@ class TestGapSolve:
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 18))
         cfg = SolverConfig(iterations=50, convergence_tol=1e-12)
-        _, stats = gap_solve_with_stats(op, meas, IdentityPrior(), cfg)
+        _, stats = gap_solve_with_stats(op, meas, _IdentityPrior(), cfg)
         assert stats.iterations_run < 50
 
     def test_denoised_pixel_count_tracks_crop_flag(self):
@@ -685,8 +690,29 @@ class TestGapSolveWorkingCopy:
         before = x0.data.tobytes()
         cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
         gap_solve_with_stats(op, meas, TvPrior(3), cfg, x0=x0)
-        gap_solve_with_stats(op, meas, IdentityPrior(), cfg, x0=x0)
+        gap_solve_with_stats(op, meas, _IdentityPrior(), cfg, x0=x0)
         assert x0.data.tobytes() == before
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_prior_gets_a_private_copy(self, crop):
+        # A prior may keep or return its input: the solver never writes to
+        # an array it handed over.
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = op.forward(random_cube(config, 46))
+        kept = []
+
+        class KeepingPrior:
+            def denoise(self, cube, strength):
+                kept.append((cube, cube.data.tobytes()))
+                return cube
+
+        cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
+        out, _ = gap_solve_with_stats(op, meas, KeepingPrior(), cfg)
+        assert len({id(cube.data) for cube, _ in kept}) == len(kept) == 3
+        for cube, before in kept:
+            assert cube.data.tobytes() == before
+            assert not np.shares_memory(cube.data, out.data)
 
     @pytest.mark.parametrize("crop", [True, False])
     @pytest.mark.parametrize("tol", [0.0, 1e-2])

@@ -109,6 +109,71 @@ def _repaired_one_by_one(mask, config):
     return data
 
 
+def _seeded_call(name, seed):
+    if name == "gen_mask":
+        return gen_mask(4, 4, 0.5, seed)
+    if name == "crop_mask":
+        return crop_mask(gen_mask(6, 6, 0.5, 0), 3, seed)
+    return gen_scene(SceneConfig(4, 4, 2, 1), 3, seed)
+
+
+class TestSeedsAndCounts:
+    @pytest.mark.parametrize("name", ["gen_mask", "crop_mask", "gen_scene"])
+    @pytest.mark.parametrize(
+        "seed, match",
+        [
+            (-1, "seed must be >= 0, got -1"),
+            (2.5, "seed must be an integer"),
+            (np.float64(3.0), "seed must be an integer"),
+            (True, "seed must be an integer"),
+        ],
+        ids=["negative", "float", "numpy-float", "bool"],
+    )
+    def test_bad_seed_rejected_by_name(self, name, seed, match):
+        with pytest.raises(ValueError, match=match):
+            _seeded_call(name, seed)
+
+    @pytest.mark.parametrize("name", ["gen_mask", "crop_mask", "gen_scene"])
+    def test_numpy_integer_seed_is_the_same_stream(self, name):
+        got = _seeded_call(name, np.uint32(11)).data
+        assert got.tobytes() == _seeded_call(name, 11).data.tobytes()
+
+    @pytest.mark.parametrize(
+        "value", [2.5, np.float64(3.0), True], ids=["float", "numpy-float", "bool"]
+    )
+    def test_complexity_and_size_must_be_integers(self, value):
+        with pytest.raises(ValueError, match="complexity must be an integer"):
+            gen_scene(SceneConfig(4, 4, 2, 1), value, 0)
+        with pytest.raises(ValueError, match="size must be an integer"):
+            crop_mask(gen_mask(6, 6, 0.5, 0), value, 0)
+
+    @pytest.mark.parametrize(
+        "height, width, match",
+        [
+            (2.5, 4, "height must be an integer"),
+            (True, 4, "height must be an integer"),
+            (-1, 4, "height must be >= 1, got -1"),
+            (4, 0, "width must be >= 1, got 0"),
+        ],
+        ids=["float", "bool", "negative-height", "zero-width"],
+    )
+    def test_mask_dimensions_checked_by_name(self, height, width, match):
+        with pytest.raises(ValueError, match=match):
+            gen_mask(height, width, 0.5, 0)
+
+    def test_negative_complexity_rejected(self):
+        with pytest.raises(ValueError, match="complexity must be >= 0, got -1"):
+            gen_scene(SceneConfig(4, 4, 2, 1), -1, 0)
+
+    def test_numpy_integer_complexity_and_size_accepted(self):
+        config = SceneConfig(4, 4, 2, 1)
+        scene = gen_scene(config, np.int64(3), 0)
+        assert scene.data.tobytes() == gen_scene(config, 3, 0).data.tobytes()
+        mask = gen_mask(6, 6, 0.5, 0)
+        window = crop_mask(mask, np.int16(3), 4)
+        assert window.data.tobytes() == crop_mask(mask, 3, 4).data.tobytes()
+
+
 class TestRepairMask:
     @given(
         h=st.integers(1, 8),
