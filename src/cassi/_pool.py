@@ -19,10 +19,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 # Bytes per working array of one band block, so the TV prox's workspace
-# (the field, the duals p and q and their differences: 5 such arrays,
-# 2.5 MiB) and its slice of the input stay in cache instead of streaming
-# the whole stack through DRAM on every step.  Small stacks get a
-# single block, which keeps their per-call overhead low.  SSIM scores the
+# (the field and the duals p and q: 3 such arrays, 1.5 MiB) and its slice
+# of the input stay in cache instead of streaming the whole stack through
+# DRAM on every step.  Small stacks get a single block, which keeps their
+# per-call overhead low.  SSIM scores the
 # same blocks, so a stack the TV prox runs inline is scored inline.
 BLOCK_BYTES = 512 * 1024
 

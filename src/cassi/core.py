@@ -13,6 +13,7 @@ from this layout and is defined there; nothing else depends on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(value, name: str) -> float:
+    """``value`` as a float; it must be a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _int_at_least(value, name: str, minimum: int) -> int:

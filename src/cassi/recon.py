@@ -27,7 +27,14 @@ from typing import Protocol
 import numpy as np
 
 from ._pool import band_block, run_band_spans
-from .core import HSICube, Measurement, SceneConfig, ShiftedCube, _int_at_least
+from .core import (
+    HSICube,
+    Measurement,
+    SceneConfig,
+    ShiftedCube,
+    _as_float,
+    _int_at_least,
+)
 from .errors import DimensionMismatch, NonFiniteValue
 from .operator import SensingOperator, _forward, _on_support, shift_cube
 
@@ -58,9 +65,12 @@ class Prior(Protocol):
 
 
 def _check_tv_strength(strength: float, name: str) -> None:
-    """Raise ValueError unless the TV prox runs finite at ``strength``: it
-    must be finite and >= 0, and when positive its dual step
-    ``1/(8*strength)`` must not overflow."""
+    """Raise ValueError unless ``strength`` is a valid TV weight: finite and
+    >= 0, and when positive, large enough that the classical dual step
+    ``1/(8*strength)`` is finite.  The prox iterates on the dual scaled by
+    that step's inverse, ``v = p / step``, clipped to ``[-8*strength,
+    8*strength]``; a step that overflows (a positive strength below about
+    6.95e-310) leaves no finite scaling to the classical dual ``p``."""
     if not (math.isfinite(strength) and strength >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {strength!r}")
     if strength > 0 and not math.isfinite(1.0 / (8.0 * strength)):
@@ -92,8 +102,9 @@ class SolverConfig:
 
     def __post_init__(self):
         _int_at_least(self.iterations, "iterations", 1)
-        _check_tv_strength(self.tv_weight, "tv_weight")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+        _check_tv_strength(_as_float(self.tv_weight, "tv_weight"), "tv_weight")
+        tol = _as_float(self.convergence_tol, "convergence_tol")
+        if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(
                 f"convergence_tol must be finite and >= 0, got {self.convergence_tol!r}"
             )
@@ -184,62 +195,64 @@ def _tv_field(
     p_prev: np.ndarray,
     q: np.ndarray,
     q_prev: np.ndarray,
-    lam: np.float64,
 ) -> None:
-    """Write the primal field ``f - lam * div(p, q)`` into ``out``.
+    """Write the primal field ``f - div(p, q) * 0.125`` into ``out``.
 
     All arrays are flat views of C-contiguous band blocks; ``p`` and ``q``
-    are padded duals whose last row (``p``) or last column (``q``) is +0.
-    ``p_prev`` and ``q_prev`` are the same duals one row and one value
-    earlier, led by +0, so the shifts hold across the whole block.  The
-    divergence is assembled in a fixed order (+p, -p, +q, -q).  Starting
-    from ``p - p_prev`` rather than ``0 + p - p_prev``, and adding or
-    subtracting a +0 pad or lead term, leave every value unchanged because
-    no partial sum is -0: the duals start at +0, and a sum rounds to -0
-    only when both operands are -0 (``v - (+0)`` is ``v`` for any ``v``).
+    are the scaled duals (see :func:`_tv_prox_planes`), padded so that
+    their last row (``p``) or last column (``q``) is +0.  ``p_prev`` and
+    ``q_prev`` are the same duals one row and one value earlier, behind a
+    lead of +0, so the shifts hold across the whole block.  The divergence
+    is assembled in a fixed order (+p, -p, +q, -q) and scaled by the exact
+    0.125.  Starting from ``p - p_prev`` rather than ``0 + p - p_prev``,
+    and adding or subtracting a +0 pad or lead term, leave every value
+    unchanged because no partial sum is -0: the duals start at +0 and are
+    never -0 (a sum rounds to -0 only when both operands are -0, a
+    difference only for ``-0 - (+0)``, and the clip bounds are nonzero).
     So the result is bitwise that of the unpadded per-band sums, whatever
-    the blocking.
+    the blocking.  Five numpy calls.
     """
     np.subtract(p, p_prev, out)
     out += q
     out -= q_prev
-    out *= lam
+    out *= 0.125
     np.subtract(f, out, out)
 
 
 def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     """Anisotropic TV proximal step on a stack of 2-D planes.
 
-    Projected gradient on the dual with the classical 1/(8*lam) step;
-    fixed iteration count, fully deterministic.  Planes are independent, so
+    Projected gradient on the dual (Chambolle's classical 1/(8*lam) step),
+    run on the scaled dual ``v = p / step = 8*lam*p``: the field is
+    ``f - div(v) * 0.125``, the differences of the field are added
+    straight into ``v``, and ``v`` is clipped to ``[-8*lam, 8*lam]``.
+    Fixed iteration count, fully deterministic.  Planes are independent, so
     the stack is processed in blocks of whole bands sized by
     :func:`cassi._pool.band_block`, and spans of blocks run on the kernel
     pool, each in its own workspace (a stack of one block runs inline).
 
-    The workspace is one allocation of three line-aligned buffers: the
-    field ``x``, the dual ``[lead | p | gap | q]`` and the difference
-    ``[lead | dp | gap | dq]``, the last two with the same offsets.  The
-    lead is at least one row of +0 ahead of ``p``, and ``q`` starts on the
-    first line after ``p``, behind a gap of up to 7 values (or behind
-    ``p``'s last pad row); the lead and the gap stay +0 in both buffers.
-    The duals are stored padded to full planes (see :func:`_tv_field`),
-    and each flat difference has its pad row or column reset to +0, so one
-    step, one sum and one clip update ``p`` and ``q`` together.  Every view
+    The workspace is one allocation of two line-aligned buffers, three
+    block-sized arrays in all: the field ``x`` and the dual
+    ``[lead | p | gap | q]``.  The lead is at least one row of +0 ahead of
+    ``p``, and ``q`` starts on the first line after ``p``, behind a gap of
+    up to 7 values (or behind ``p``'s last pad row); the lead and the gap
+    stay +0.  The duals are stored padded to full planes (see
+    :func:`_tv_field`); after the flat updates each pad row or column is
+    reset to +0, so one clip covers ``p`` and ``q`` together.  Every view
     is built once per block, so a dual step is 12 numpy calls on whole
-    blocks.
+    blocks: five for the field, two per dual plus its pad reset, and the
+    clip.
     """
     nc, h, w = f.shape
     out = np.empty((nc, h, w))
     block = band_block(nc, h, w)
-    step = np.float64(1.0 / (8.0 * lam))
-    lam = np.float64(lam)
+    bound = np.float64(8.0 * lam)
     lead = _line_up(w)
     cap = _line_up(block * h * w)
-    dual_size = lead + 2 * cap
 
     def run_span(start: int, stop: int) -> None:
-        ws = _aligned_rows(1, cap + 2 * dual_size)[0]
-        x, dual, diff = ws[:cap], ws[cap : cap + dual_size], ws[cap + dual_size :]
+        ws = _aligned_rows(1, 3 * cap + lead)[0]
+        x, dual = ws[:cap], ws[cap:]
         for lo in range(start, stop, block):
             bands = min(block, stop - lo)
             n = bands * h * w
@@ -248,26 +261,22 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
             xb = x[:n]
             p, p_prev = dual[lead : lead + n], dual[lead - w : lead - w + n]
             q, q_prev = dual[qo : qo + n], dual[qo - 1 : qo - 1 + n]
-            pq, dpq = dual[lead : qo + n], diff[lead : qo + n]
-            dp, dq = diff[lead : lead + n], diff[qo : qo + n]
-            pad_row = dp.reshape(bands, h, w)[:, -1, :]
-            pad_col = dq.reshape(bands, h, w)[:, :, -1]
-            x_up, x_down, dp_head = xb[:-w], xb[w:], dp[:-w]
-            x_left, x_right, dq_head = xb[:-1], xb[1:], dq[:-1]
+            pq = dual[lead : qo + n]
+            pad_row = p.reshape(bands, h, w)[:, -1, :]
+            pad_col = q.reshape(bands, h, w)[:, :, -1]
+            x_up, x_down, p_head = xb[:-w], xb[w:], p[:-w]
+            x_left, x_right, q_head = xb[:-1], xb[1:], q[:-1]
             dual[: qo + n].fill(0.0)
-            diff[lead + n : qo].fill(0.0)
             for _ in range(iters):
-                _tv_field(xb, fb, p, p_prev, q, q_prev, lam)
-                np.subtract(x_up, x_down, dp_head)
+                _tv_field(xb, fb, p, p_prev, q, q_prev)
+                p_head += x_up
+                p_head -= x_down
                 pad_row.fill(0.0)
-                np.subtract(x_left, x_right, dq_head)
+                q_head += x_left
+                q_head -= x_right
                 pad_col.fill(0.0)
-                dpq *= step
-                pq += dpq
-                np.clip(pq, -1.0, 1.0, out=pq)
-            _tv_field(
-                out[lo : lo + bands].reshape(-1), fb, p, p_prev, q, q_prev, lam
-            )
+                np.clip(pq, -bound, bound, out=pq)
+            _tv_field(out[lo : lo + bands].reshape(-1), fb, p, p_prev, q, q_prev)
 
     run_band_spans(run_span, nc, block)
     return out
@@ -288,6 +297,7 @@ class TvPrior:
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube:
         """Approximate prox of strength * anisotropic TV, per band independently."""
+        strength = _as_float(strength, "strength")
         _check_tv_strength(strength, "strength")
         if strength == 0.0:
             return HSICube._adopt(cube.config, cube.data.copy())

@@ -18,6 +18,7 @@ from .core import (
     HSICube,
     Measurement,
     SceneConfig,
+    _as_float,
     _as_int,
     _int_at_least,
 )
@@ -50,9 +51,10 @@ class NoiseSpec:
         if not 1 <= _as_int(self.shot_bits, "shot_bits") <= 16:
             raise ValueError(f"shot_bits must be in [1, 16], got {self.shot_bits}")
         _seed(self.seed)
-        if self.full_scale is not None and not (
-            math.isfinite(self.full_scale) and self.full_scale > 0
-        ):
+        if self.full_scale is None:
+            return
+        full_scale = _as_float(self.full_scale, "full_scale")
+        if not (math.isfinite(full_scale) and full_scale > 0):
             raise ValueError(
                 f"full_scale must be finite and positive, got {self.full_scale!r}"
             )
@@ -61,7 +63,7 @@ class NoiseSpec:
 def gen_mask(height: int, width: int, density: float, seed: int) -> CodedAperture:
     """I.i.d. Bernoulli(density) binary mask, reproducible per seed."""
     shape = (_int_at_least(height, "height", 1), _int_at_least(width, "width", 1))
-    if not 0.0 < density <= 1.0:
+    if not 0.0 < _as_float(density, "density") <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     draws = _rng(seed).random(shape)
     return CodedAperture((draws < density).astype(np.float64))

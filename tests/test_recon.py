@@ -176,6 +176,12 @@ class TestTvDenoise:
         with pytest.raises(ValueError, match="strength must be"):
             TvPrior(3).denoise(cube, strength)
 
+    @pytest.mark.parametrize("strength", [True, False, np.True_, "0.1"])
+    def test_strength_must_be_a_real_number(self, tiny_config, strength):
+        cube = random_cube(tiny_config, 7)
+        with pytest.raises(ValueError, match="strength must be a real number"):
+            TvPrior(3).denoise(cube, strength)
+
     @pytest.mark.parametrize("strength", [7e-310, 1e-300, 1e300])
     def test_extreme_finite_strengths_stay_finite(self, tiny_config, strength):
         cube = random_cube(tiny_config, 7)
@@ -196,47 +202,80 @@ class TestTvDenoise:
         assert tv(out.data) <= tv(cube.data) + 1e-12
 
 
+def _tv_div(p, q):
+    """Per-band divergence of the unpadded duals, in the kernel's order."""
+    x = np.zeros((q.shape[0], q.shape[1], p.shape[2]))
+    x[:, :-1, :] += p
+    x[:, 1:, :] -= p
+    x[:, :, :-1] += q
+    x[:, :, 1:] -= q
+    return x
+
+
 def reference_tv_prox(f, lam, iters):
     """Whole-stack TV prox with fresh temporaries at every step: the
-    arithmetic, in the order, that the blocked kernel must reproduce."""
+    arithmetic, in the order, that the blocked kernel must reproduce.  The
+    duals are scaled by ``8*lam`` (``v = p / step``), so the field's
+    differences are added straight into them."""
+    p = np.zeros((f.shape[0], f.shape[1] - 1, f.shape[2]))
+    q = np.zeros((f.shape[0], f.shape[1], f.shape[2] - 1))
+    bound = 8.0 * lam
+    for _ in range(iters):
+        x = f - _tv_div(p, q) * 0.125
+        p = np.clip(p + x[:, :-1, :] - x[:, 1:, :], -bound, bound)
+        q = np.clip(q + x[:, :, :-1] - x[:, :, 1:], -bound, bound)
+    return f - _tv_div(p, q) * 0.125
 
-    def div(p, q):
-        x = np.zeros(f.shape)
-        x[:, :-1, :] += p
-        x[:, 1:, :] -= p
-        x[:, :, :-1] += q
-        x[:, :, 1:] -= q
-        return x
 
+def classical_tv_prox(f, lam, iters):
+    """Chambolle's projected dual gradient with the classical ``1/(8*lam)``
+    step on unit-bounded duals: the same iteration as
+    :func:`reference_tv_prox` before its duals were scaled, so the two
+    differ only in rounding."""
     p = np.zeros((f.shape[0], f.shape[1] - 1, f.shape[2]))
     q = np.zeros((f.shape[0], f.shape[1], f.shape[2] - 1))
     step = 1.0 / (8.0 * lam)
     for _ in range(iters):
-        x = f - lam * div(p, q)
+        x = f - lam * _tv_div(p, q)
         p = np.clip(p + step * (x[:, :-1, :] - x[:, 1:, :]), -1.0, 1.0)
         q = np.clip(q + step * (x[:, :, :-1] - x[:, :, 1:]), -1.0, 1.0)
-    return f - lam * div(p, q)
+    return f - lam * _tv_div(p, q)
+
+
+class TestTvMatchesClassicalStep:
+    @pytest.mark.parametrize("iterations", [1, 20, 100])
+    @pytest.mark.parametrize("strength", [0.01, 0.1, 0.5, 3.0])
+    @pytest.mark.parametrize("shape", [(20, 64, 64), (3, 181, 181)])
+    def test_within_rounding_of_the_classical_step(self, shape, strength, iterations):
+        # The scaled dual changes only the rounding, never the iteration.
+        c, h, w = shape
+        assert _pool.band_block(c, h, w) < c  # really multi-block
+        data = np.random.Generator(np.random.Philox(c * h)).random(shape)
+        cube = HSICube(SceneConfig(h, w, c, 1), data)
+        out = TvPrior(iterations).denoise(cube, strength)
+        expected = classical_tv_prox(data, strength, iterations)
+        assert np.abs(out.data - expected).max() <= 1e-12
 
 
 class TestTvOutputBytesPinned:
-    """SHA-256 of output bytes, fixed before the TV prox was blocked; any
-    rounding change in the kernel breaks these.  The RND ones were fixed
-    again when ``rnd_combine`` became ``q + pinv(y - A q)``."""
+    """SHA-256 of output bytes; any rounding change in the kernel breaks
+    these.  They were fixed again when the prox moved to the scaled dual
+    (a last-bit change, at most 4.4e-16 after a 60-iteration RND solve)."""
 
     RND_DIGESTS = {
-        (0, True): "6e3c1fee354e0d6c27337e7247f485ae7068f276cd4e619945ea8d2c9f44c6c9",
-        (0, False): "c29da2b2a5d8c497961532dfb3b9ed0cc61951a03f6cff24de73a06e736ae6dd",
-        (1, True): "59c737279b023f4b53baacd583e26572e4b2c72776f020a8d91ec67548791cc1",
-        (1, False): "5f2f22e19aeac903d5aff1df8ecfccb7f18d41e280b64d1387103a223bcddbac",
+        (0, True): "9efa2a74d0ab0e0fe44d3c91796ff130c8dc7f8dc6c7c7467aac0cc94bcc11b5",
+        (0, False): "2c72ba6f4203e9579ed56f900e14c53185e31d76c26d496f3025510dbee9138f",
+        (1, True): "254031f953fc80d421a57ec436d6f1f81faf8db278fc11e868058d4800d6d2d6",
+        (1, False): "6de21f20be04123fe930677eacbb57394fdf55345a44b37ebf3ffefc70229d08",
     }
     TV_DIGESTS = {
         # blocks of 16 + 4 bands: several blocks, ragged last block
         (20, 64, 64): (
-            "33389e7674b0752865cfaf13314bf92483fa027b8d24e75c19c85175f153a1d0"
+            "87954d0a501f3b8e852046377486cdf51680b7ca924de5300973db26cc4a6fb4"
         ),
         # blocks of 2 + 1 bands
         (3, 181, 181): (
-            "9a84174235bd96c082c87d5be9cba9c6bcd44a0df2df98618d6bfb747e594c4a"
+            "f4aff290c28dec159e6766e465ae375159cc8a5fec2fd26fd2fafe6fe46b472d"
         ),
     }
 
@@ -355,16 +394,15 @@ class TestTvWorkspaceAlignment:
     @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
     def test_prox_works_in_aligned_rows(self, shape, kernel_pool):
         # The whole dual iteration runs in one workspace from _aligned_rows
-        # per pool task, laid out [x | lead, p, gap, q | lead, dp, gap, dq],
-        # so no block's speed depends on where the allocator put it.  The
-        # kernel relies on the lead and the gaps staying +0.
+        # per pool task, laid out [x | lead, p, gap, q], so no block's speed
+        # depends on where the allocator put it.  The kernel relies on the
+        # lead and the gap staying +0.
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(4)).random(shape)
         block = _pool.band_block(c, h, w)
         blocks = -(-c // block)
         cap = recon._line_up(block * h * w)
         lead = recon._line_up(w)
-        dual_size = lead + 2 * cap
         aligned_rows = recon._aligned_rows
         run_band_spans = recon.run_band_spans
 
@@ -395,31 +433,28 @@ class TestTvWorkspaceAlignment:
             assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
             assert len(made) == min(workers, blocks)
             for (lo, hi), rows, n, ws in made:
-                assert (rows, n) == (1, cap + 2 * dual_size)
+                assert (rows, n) == (1, 3 * cap + lead)
                 ws = ws[0]
                 assert ws.ctypes.data % recon._TV_ALIGN_BYTES == 0
-                x, dual, diff = ws[:cap], ws[cap:-dual_size], ws[-dual_size:]
+                x, dual = ws[:cap], ws[cap:]
                 # The buffers hold the span's last block.
                 bands = hi - lo - (hi - lo - 1) // block * block
                 size = bands * h * w
                 qo = lead + recon._line_up(size)
-                for a in (x, dual[lead:], dual[qo:], diff[lead:], diff[qo:]):
+                for a in (x, dual[lead:], dual[qo:]):
                     assert a.ctypes.data % recon._TV_ALIGN_BYTES == 0
                 assert is_plus_zero(dual[:lead])
-                for buf in (dual, diff):
-                    assert is_plus_zero(buf[lead + size : qo])
-                    assert is_plus_zero(
-                        buf[lead : lead + size].reshape(bands, h, w)[:, -1, :]
-                    )
-                    assert is_plus_zero(
-                        buf[qo : qo + size].reshape(bands, h, w)[:, :, -1]
-                    )
+                assert is_plus_zero(dual[lead + size : qo])
+                assert is_plus_zero(
+                    dual[lead : lead + size].reshape(bands, h, w)[:, -1, :]
+                )
+                assert is_plus_zero(dual[qo : qo + size].reshape(bands, h, w)[:, :, -1])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_prox_allocates_one_workspace_per_span(self, workers, kernel_pool):
-        # One output cube plus, per span, the five block-sized working
-        # arrays (x, p, q, dp, dq): an allocation inside the dual loop would
-        # add at least one more block.
+        # One output cube plus, per span, the three block-sized working
+        # arrays (x, p, q): an allocation inside the dual loop would add at
+        # least one more block.
         kernel_pool(workers)
         c, h, w = 20, 64, 64
         block = _pool.band_block(c, h, w)
@@ -430,7 +465,7 @@ class TestTvWorkspaceAlignment:
         out, peak = traced_peak(lambda: TvPrior(5).denoise(cube, 0.1))
         block_bytes = 8 * block * h * w
         slack = 64 * 1024  # the leads, line padding and Python objects
-        assert peak <= out.data.nbytes + spans * (5 * block_bytes + slack)
+        assert peak <= out.data.nbytes + spans * (3 * block_bytes + slack)
 
 
 class TestTvOnKernelPool:
@@ -738,59 +773,59 @@ class TestGapSolveWorkingCopy:
 
 
 class TestGapSolveBytesPinned:
-    """SHA-256 of the solver output and of its residual trace, fixed before
-    the data step and the crops went through the operator's kernels."""
+    """SHA-256 of the solver output and of its residual trace, fixed again
+    when the TV prox moved to the scaled dual."""
 
     # The shift and roll inits agree on the band support, so with the crop
     # their outputs are the same.
     DIGESTS = {
         "shift/crop=True": (
-            "cac453937b982a2018a656236c333358b0aab712d945572b47cd6195144dd1bf",
-            "b1b03c3afa6f5b84efa4b12886ce66eab089c5c09c13c150bc5836f00515cedb",
+            "9f60718ccaf4c70b45f0cc06d7c53574c6466947b8b2b77cbadbe32214976902",
+            "c85c0cb288f7741258a72bd1036820dec6004be39c54f323ed5afb7b8bb4a0dc",
             4,
         ),
         "shift/crop=False": (
-            "6a47f5eca4c62b90fe096e8e20ffa9840a36ee512a7e58a25dd2358affd704ab",
-            "29c2a3d3f10f46f941c6813c955a9ae0a19fa1c83d2af7835d2d2f15047edd7d",
+            "635fddab7307f099b69e937a87cd6c870a7a6382d1a7f57d64bd6841f363e9ea",
+            "3c59e12922ecd4ec6a683f56fa2e7376d137a068f55b7ba87fc1d5a2e097c248",
             4,
         ),
         "repeat/crop=True": (
-            "4ec1f0b67ab69c59124dae968e874eaefe908884cea7f859cf08d4cef20cfd16",
-            "8a78a9726cdf40477ecfb39d04689009d773e8f9b697726178752cbb57b70f07",
+            "f89f72970cc22d90600169456823e574ac37e5005102a8be533ada39896bc2d5",
+            "172ee8e5c5cd6704db52b511be8610a3a9e5b54301ca8ef1dc6f0403fa8fefac",
             4,
         ),
         "repeat/crop=False": (
-            "a8c77630dab8c6e49a67408f1f40058cffd0fab30b56c025bead985cd7d00a96",
-            "6b0c4ae2f016518986571ba0896d761fb20a098d2cc18643603ed8f36d14f0f7",
+            "3d89bac8544d93135465a7ddefd7719f0e94db40c4249eb8d86ac189edfa0115",
+            "bb09d22884532aa82f3f30af92da3c55668b18dd7b86716719eb44e090974d40",
             4,
         ),
         "roll/crop=True": (
-            "cac453937b982a2018a656236c333358b0aab712d945572b47cd6195144dd1bf",
-            "b1b03c3afa6f5b84efa4b12886ce66eab089c5c09c13c150bc5836f00515cedb",
+            "9f60718ccaf4c70b45f0cc06d7c53574c6466947b8b2b77cbadbe32214976902",
+            "c85c0cb288f7741258a72bd1036820dec6004be39c54f323ed5afb7b8bb4a0dc",
             4,
         ),
         "roll/crop=False": (
-            "5f69f8e1e08250138430bf0464b6a3a9d697c56bdf8f1b3ab370eb7420ce66cf",
-            "062194d1578db0ad2e69a9f0594cdf891109d8012f1786111631828ee68f1138",
+            "53a930ca91676e74c84a41f0c165cafd247f6caab4cd49563c0903890310ff20",
+            "d1dd589ed2281fa470ed4185ff2c0df763c69db557ab363638994a6baa85494d",
             4,
         ),
         "tol": (
-            "88fa1d0976952450d216372d4e40582ee15791a328b83675f1e0321736330200",
-            "6252a34247706ac71b4b6dd9dc7cd905c53c32518a75dba9e6783479c6ad5b6f",
+            "4d0f92bfc4b69b71633d34588b2418746d18ce27a3fb42c22c43b46ea7fb3002",
+            "d1d8e111e23a829cf65f12439164a4036cec6a1f78ba8400495488f99e045b46",
             14,
         ),
         "x0=pinv": (
-            "2b6184d53ed06c26786b2f2bd629e026e04d903956a5df64d90f8be37756922c",
-            "86a44f7de5c0a083f88990a08748453c3bc7fcaa96452729f57655766dbcc8df",
+            "276ee86bfcb789c867b49bcc612ecb87e627b5fe2093323ef27a155a2eecf82a",
+            "fcb939063b264c8886d35990bf65f835cb3659e656ac1c26f335558a5e590220",
             4,
         ),
         "x0=shifted/crop=True": (
-            "36034a31be7f5dc7f055337d7707f7cb7d2a0fa81f640d36469aa32db08801a2",
+            "b09f094517acf1dd15918834ea22cce164ab1760e7d23765629a9d79b4befd8b",
             "1fff1b4ccbf6325cf8a944d7986ee0f289fff54ec6497dcb7d0a1e5be7c7078f",
             4,
         ),
         "x0=shifted/crop=False": (
-            "1b77fa27dcfda8f5d234be8cc2a921f0b7c5712d1818acc0c6dbb2977de740c4",
+            "1861e2f2330968ade79404b6d78bc70d04dc3cb782b8c3aa41a79364d61937c0",
             "c44aebcb72e254b98ba2be27bb624f15b75060a7e9616a41a1e619423d709455",
             4,
         ),
@@ -896,6 +931,17 @@ class TestSolverConfig:
     def test_takes_the_smallest_tv_weights_with_a_finite_step(self):
         for weight in (0.0, 7e-310, 1e-300):
             assert SolverConfig(tv_weight=weight).tv_weight == weight
+
+    @pytest.mark.parametrize("name", ["tv_weight", "convergence_tol"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1"])
+    def test_rejects_a_non_number_for_a_float_setting(self, name, value):
+        # True would otherwise run as weight or tolerance 1.
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            SolverConfig(**{name: value})
+
+    def test_takes_ints_and_numpy_floats_for_float_settings(self):
+        cfg = SolverConfig(tv_weight=np.float32(0.25), convergence_tol=1)
+        assert (cfg.tv_weight, cfg.convergence_tol) == (0.25, 1)
 
     @pytest.mark.parametrize("iterations", [2.5, True, 3.0])
     def test_rejects_non_integer_iterations(self, iterations):

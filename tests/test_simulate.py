@@ -51,6 +51,12 @@ class TestGenMask:
         with pytest.raises(ValueError):
             gen_mask(4, 4, 1.5, seed=0)
 
+    @pytest.mark.parametrize("density", [True, np.True_, "0.5", None])
+    def test_density_must_be_a_real_number(self, density):
+        # True would otherwise count as density 1 and give an all-ones mask.
+        with pytest.raises(ValueError, match="density must be a real number"):
+            gen_mask(2, 2, density, 0)
+
     def test_full_density_never_degenerate(self):
         for d in (1, 2):
             for c in (1, 3, 5):
@@ -374,11 +380,18 @@ class TestAddShotNoise:
             ({"full_scale": 0.0}, "full_scale must be finite and positive"),
             ({"full_scale": float("inf")}, "full_scale must be finite and positive"),
             ({"full_scale": float("nan")}, "full_scale must be finite and positive"),
+            ({"full_scale": True}, "full_scale must be a real number"),
+            ({"full_scale": np.True_}, "full_scale must be a real number"),
+            ({"full_scale": "1.0"}, "full_scale must be a real number"),
         ],
     )
     def test_seed_and_full_scale_validated(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             NoiseSpec(**{"shot_bits": 11, "seed": 0, **kwargs})
+
+    def test_full_scale_takes_ints_and_numpy_floats(self):
+        for full_scale in (2, np.float32(2.5), np.int64(3)):
+            assert NoiseSpec(11, 0, full_scale).full_scale == full_scale
 
     @pytest.mark.parametrize(
         "kwargs, match",
