@@ -1,7 +1,7 @@
 """The process-wide kernel thread pool.
 
-The TV prox and SSIM treat every band on its own, and they spend their time
-in numpy and scipy loops that release the interpreter lock.  So their band
+The TV prox and the metrics treat every band on its own, and they spend
+their time in numpy loops that release the interpreter lock.  So their band
 blocks are spread over one thread per CPU this process may run on
 (``taskset`` limits it).  Every caller shares the one pool: batch
 reconstruction threads queue their blocks on it rather than bring their
@@ -22,8 +22,10 @@ from typing import Callable
 # (the field and the duals p and q: 3 such arrays, 1.5 MiB) and its slice
 # of the input stay in cache instead of streaming the whole stack through
 # DRAM on every step.  Small stacks get a single block, which keeps their
-# per-call overhead low.  SSIM scores the
-# same blocks, so a stack the TV prox runs inline is scored inline.
+# per-call overhead low.  The metrics' SSIM workspace has 7 block arrays,
+# so its blocks hold max(1, BLOCK_BYTES // (7*H*W*8)) bands: the whole
+# workspace fits in BLOCK_BYTES, or holds one band (7 planes) when a band
+# is larger.
 BLOCK_BYTES = 512 * 1024
 
 _lock = threading.Lock()

@@ -143,7 +143,7 @@ def _init_repeat(meas: Measurement) -> ShiftedCube:
     """Every band is the measurement verbatim."""
     h, _, nc, _ = meas.config.geometry
     out = np.broadcast_to(meas.data, (nc, h, meas.config.measurement_width()))
-    return ShiftedCube._adopt(meas.config, np.ascontiguousarray(out))
+    return ShiftedCube._adopt(meas.config, out.copy())
 
 
 def _init_roll(meas: Measurement) -> ShiftedCube:
@@ -327,18 +327,21 @@ def gap_solve_with_stats(
     h, _, nc, d = op.config.geometry
     wp = op.config.measurement_width()
 
+    # The iterate is a private array, updated in place.  The inits and
+    # shift_cube return a fresh array, frozen only by a wrapper that no one
+    # else holds, so it is made writeable again; a caller's tensor is copied.
     if x0 is None:
         z = _INITS[cfg.init](meas).data
     elif isinstance(x0, HSICube):
         z = shift_cube(x0).data
     else:
-        z = x0.data
+        z = x0.data.copy()
     if z.shape != (nc, h, wp):
         raise DimensionMismatch("x0 geometry disagrees with operator")
+    z.setflags(write=True)
 
-    # One private copy, updated in place.  The detector residual of each
-    # iterate serves both its norm and the next data step.
-    z = z.copy()
+    # The detector residual of each iterate serves both its norm and the
+    # next data step.
     support = _on_support(z, d)
     if cfg.crop_denoiser_input:
         seen, seen_config = support, op.config

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from cassi import metrics
+from cassi import _pool, metrics
 from cassi import (
     DimensionMismatch,
     HSICube,
@@ -17,6 +19,8 @@ from cassi import (
     ssim,
     ssim_bands,
 )
+
+from conftest import traced_peak
 
 CFG = SceneConfig(16, 16, 3, 1)
 
@@ -217,3 +221,81 @@ class TestScoresOnKernelPool:
         assert tuple(ssim_bands(ref, test)) == tuple(ssim_values)
         assert tuple(psnr_bands(ref, test)) == tuple(psnr_db)
 
+    @staticmethod
+    def assert_reference_bytes(ref, test):
+        psnr_db, ssim_values, band_mse, mse = reference_scores(ref.data, test.data)
+        report = evaluate(ref, test)
+        assert report.per_band_psnr == tuple(psnr_db)
+        assert report.per_band_ssim == tuple(ssim_values)
+        assert report.per_band_mse == tuple(band_mse)
+        assert report.mse == mse
+        assert tuple(ssim_bands(ref, test)) == tuple(ssim_values)
+        assert tuple(psnr_bands(ref, test)) == tuple(psnr_db)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_bytes_equal_the_reference_for_any_block_budget(
+        self, block, workers, kernel_pool, monkeypatch
+    ):
+        # A budget of ``block`` seven-plane workspaces splits 8x32x32 into
+        # blocks of that many bands (the last one shorter).
+        kernel_pool(workers)
+        c, h, w = 8, 32, 32
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", block * 7 * h * w * 8)
+        blocks = []
+        run_band_spans = metrics.run_band_spans
+
+        def recording(task, n, size):
+            blocks.append(size)
+            run_band_spans(task, n, size)
+
+        monkeypatch.setattr(metrics, "run_band_spans", recording)
+        self.assert_reference_bytes(*noisy_pair((c, h, w), 60 + block))
+        assert set(blocks) == {block}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, _pool.BLOCK_BYTES])
+    @pytest.mark.parametrize("shape", [(1, 11, 11), (2, 11, 40), (3, 40, 11), (2, 12, 12)])
+    def test_edge_shapes_equal_the_reference(
+        self, shape, budget, workers, kernel_pool, monkeypatch
+    ):
+        # Planes one window high or wide, one band per block or the whole
+        # stack in one block, so window sums cross row and band edges.
+        kernel_pool(workers)
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", budget)
+        self.assert_reference_bytes(*noisy_pair(shape, 70 + sum(shape)))
+
+
+class TestBandsBelowTheWindow:
+    def test_psnr_bands_scores_8x8_bands(self):
+        ref, test = noisy_pair((2, 8, 8), 80)
+        a, b = np.clip(ref.data, 0.0, 1.0), np.clip(test.data, 0.0, 1.0)
+        mse = [float(np.mean((a[c] - b[c]) ** 2)) for c in range(2)]
+        assert tuple(psnr_bands(ref, test)) == tuple(
+            10.0 * np.log10(1.0 / m) for m in mse
+        )
+
+    @pytest.mark.parametrize("fn", [ssim, ssim_bands, evaluate])
+    @pytest.mark.parametrize("h,w", [(8, 8), (10, 12), (12, 10)])
+    def test_ssim_rejects_them_with_the_same_message(self, fn, h, w):
+        ref, test = noisy_pair((2, h, w), 81)
+        message = f"bands of shape {(h, w)} are smaller than the 11x11 ssim window"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            fn(ref, test)
+
+    @pytest.mark.parametrize("fn", [psnr_bands, ssim_bands, evaluate])
+    def test_shape_mismatch_message(self, fn):
+        other = HSICube(SceneConfig(16, 17, 3, 1), np.zeros((3, 16, 17)))
+        message = "cube shapes differ: (3, 16, 16) vs (3, 16, 17)"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            fn(cube_of(0.5), other)
+
+
+class TestEvaluateMemory:
+    def test_peak_is_at_most_two_cubes(self, kernel_pool):
+        # The squared-error cube plus one span's seven-plane workspace; the
+        # clamped pair is never copied whole.
+        kernel_pool(1)
+        ref, test = noisy_pair((16, 96, 96), 82)
+        _, peak = traced_peak(lambda: evaluate(ref, test))
+        assert peak <= 2.0 * ref.data.nbytes

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 
 import cassi
@@ -57,3 +60,37 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(cassi, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+SCIPY_FREE_RUN = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import cassi
+
+small = cassi.SceneConfig(8, 8, 2, 1)
+a = cassi.HSICube(small, np.full((2, 8, 8), 0.25))
+b = cassi.HSICube(small, np.full((2, 8, 8), 0.5))
+assert list(cassi.psnr_bands(a, b)) == [12.041199826559248] * 2
+
+config = cassi.SceneConfig(12, 12, 2, 1)
+ref = cassi.gen_scene(config, 4, seed=1)
+test = cassi.gen_scene(config, 4, seed=2)
+assert tuple(cassi.ssim_bands(ref, test)) == cassi.evaluate(ref, test).per_band_ssim
+assert [m for m in sys.modules if m.startswith("scipy")] == ["scipy"]
+print("ok")
+"""
+
+
+def test_runs_without_scipy():
+    # numpy is the only run-time dependency.
+    src = os.path.dirname(os.path.dirname(cassi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

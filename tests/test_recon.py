@@ -87,6 +87,28 @@ class TestInitRepeat:
         z = recon._init_repeat(meas)
         assert np.isclose(z.data.sum(), config.bands * meas.data.sum())
 
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_returns_an_array_of_its_own(self, bands):
+        # The solver updates an init in place without copying it, so even a
+        # single band must not be a view of the measurement.
+        config = SceneConfig(3, 4, bands, 1)
+        meas = random_meas(config, 47)
+        z = recon._init_repeat(meas)
+        assert z.data.flags.owndata and z.data.flags.c_contiguous
+        assert not np.shares_memory(z.data, meas.data)
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_single_band_solve_leaves_the_measurement_unchanged(self, crop):
+        config = SceneConfig(4, 5, 1, 1)
+        op = make_operator(config, seed=48)
+        meas = op.forward(random_cube(config, 49))
+        before = meas.data.tobytes()
+        cfg = SolverConfig(
+            iterations=2, init=InitStrategy.REPEAT, crop_denoiser_input=crop
+        )
+        gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+        assert meas.data.tobytes() == before
+
 
 class TestInitRoll:
     def test_hand_example_rotates_over_measurement_width(self):
