@@ -31,11 +31,13 @@ def ablation_grid(op, scenes, iterations=60, tv_weight=0.1):
 
     Each (crop, init) pair is solved once per scene; the iterate ``q`` scores
     the ``rnd=False`` cell and ``op.rnd_combine(y, q)`` the ``rnd=True`` one.
-    Returns ``{(crop, init name, rnd): (mean psnr_db, mean ssim, denoised
-    pixels per iteration)}`` in CSV row order: crop, then init, then rnd.
+    Returns ``(grid, iterates)``: ``grid`` is ``{(crop, init name, rnd):
+    (mean psnr_db, mean ssim, denoised pixels per iteration)}`` in CSV row
+    order (crop, then init, then rnd), and ``iterates`` maps each ``(crop,
+    init name)`` to its per-scene ``q``, in scene order.
     """
     prior = TvPrior(20)
-    grid = {}
+    grid, iterates = {}, {}
     for crop in (False, True):
         for init in InitStrategy:
             cfg = SolverConfig(
@@ -45,9 +47,11 @@ def ablation_grid(op, scenes, iterations=60, tv_weight=0.1):
                 crop_denoiser_input=crop,
             )
             reports = {False: [], True: []}
+            iterates[(crop, init.value)] = []
             for scene in scenes:
                 y = op.forward(scene)
                 q, stats = gap_solve_with_stats(op, y, prior, cfg)
+                iterates[(crop, init.value)].append(q)
                 reports[False].append(evaluate(scene, q))
                 reports[True].append(evaluate(scene, op.rnd_combine(y, q)))
             for rnd in (False, True):
@@ -56,7 +60,7 @@ def ablation_grid(op, scenes, iterations=60, tv_weight=0.1):
                     float(np.mean([r.ssim for r in reports[rnd]])),
                     stats.denoised_pixels_per_iteration,
                 )
-    return grid
+    return grid, iterates
 
 
 def main(argv=None) -> int:
@@ -68,7 +72,7 @@ def main(argv=None) -> int:
 
     config, mask, scenes = bundled_suite()
     op = build_operator(mask, config)
-    grid = ablation_grid(op, scenes, args.iters, args.tv_weight)
+    grid, _ = ablation_grid(op, scenes, args.iters, args.tv_weight)
 
     rows = []
     for (crop, init, wrapper), (psnr_db, ssim, pixels) in grid.items():

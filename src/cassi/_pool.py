@@ -19,10 +19,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 # Bytes per working array of one band block, so the TV prox's workspace
-# (the field and the duals p and q: 3 such arrays, 1.5 MiB) and its slice
-# of the input stay in cache instead of streaming the whole stack through
-# DRAM on every step.  Small stacks get a single block, which keeps their
-# per-call overhead low.  The metrics' SSIM workspace has 7 block arrays,
+# (the block's input, the field and the duals p and q: 4 such arrays, about
+# 2 MiB per span at 256x256) stays in cache instead of streaming the whole
+# stack through DRAM on every step.  Small stacks get a single block, which
+# keeps their per-call overhead low.  The metrics' SSIM workspace has 7 block arrays,
 # so its blocks hold max(1, BLOCK_BYTES // (7*H*W*8)) bands: the whole
 # workspace fits in BLOCK_BYTES, or holds one band (7 planes) when a band
 # is larger.

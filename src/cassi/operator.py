@@ -73,9 +73,14 @@ def _backproject(
 
 
 def _gram_diagonal(mask: np.ndarray, config: SceneConfig) -> np.ndarray:
-    """Gram diagonal ``sigma``: the forward image of the mask in every band."""
+    """Gram diagonal ``sigma``: the forward image of the mask in every band,
+    so the squared mask shifted d*c columns, added in band order."""
     h, w, nc, d = config.geometry
-    return _forward(mask, d, np.broadcast_to(mask, (nc, h, w)))
+    square = mask * mask
+    sigma = np.zeros((h, w + d * (nc - 1)))
+    for c in range(nc):
+        sigma[:, d * c : d * c + w] += square
+    return sigma
 
 
 def shift_cube(cube: HSICube) -> ShiftedCube:

@@ -13,8 +13,9 @@ not depend on the pool size.
 The iterate lives in measurement-width coordinates so the denoiser can be
 fed either the full dispersed tensor or only the on-support crop; with the
 crop enabled, margin values pass through the denoising step untouched.  In
-both settings the prior receives a private copy of what it sees, and its
-output is written back into the iterate.
+both settings the bundled TV prior runs in place on what it sees; any
+other prior receives a private copy, and its output is written back into
+the iterate.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class Prior(Protocol):
     """Pluggable denoiser producing the candidate for the null-space part.
 
     Implementations must preserve dimensions, return finite values, and act
-    as the identity at strength 0.
+    as the identity at strength 0.  The solver hands every call a private
+    copy of what the prior sees, so a prior may return or keep its input;
+    only the bundled :class:`TvPrior` is run in place on the iterate.
     """
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube: ...
@@ -188,15 +191,15 @@ def _aligned_rows(rows: int, n: int) -> np.ndarray:
     return raw[start : start + rows * stride].reshape(rows, stride)[:, :n]
 
 
-def _tv_field(
+def _tv_div(
     out: np.ndarray,
-    f: np.ndarray,
     p: np.ndarray,
     p_prev: np.ndarray,
     q: np.ndarray,
     q_prev: np.ndarray,
 ) -> None:
-    """Write the primal field ``f - div(p, q) * 0.125`` into ``out``.
+    """Write the scaled divergence ``div(p, q) * 0.125`` into ``out``; the
+    primal field is ``f - out``.
 
     All arrays are flat views of C-contiguous band blocks; ``p`` and ``q``
     are the scaled duals (see :func:`_tv_prox_planes`), padded so that
@@ -210,17 +213,22 @@ def _tv_field(
     never -0 (a sum rounds to -0 only when both operands are -0, a
     difference only for ``-0 - (+0)``, and the clip bounds are nonzero).
     So the result is bitwise that of the unpadded per-band sums, whatever
-    the blocking.  Five numpy calls.
+    the blocking.  Four numpy calls.
     """
     np.subtract(p, p_prev, out)
     out += q
     out -= q_prev
     out *= 0.125
-    np.subtract(f, out, out)
 
 
-def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
-    """Anisotropic TV proximal step on a stack of 2-D planes.
+def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> bool:
+    """Anisotropic TV proximal step on a stack of 2-D planes, written into
+    ``out``; returns whether every output value is finite.
+
+    ``f`` and ``out`` are (C, H, W) arrays of any strides, and ``out`` may
+    be ``f`` itself: each block of ``f`` is copied into the workspace
+    before its dual loop, and only the block's final field is written to
+    ``out``, where its finiteness is checked while the block is in cache.
 
     Projected gradient on the dual (Chambolle's classical 1/(8*lam) step),
     run on the scaled dual ``v = p / step = 8*lam*p``: the field is
@@ -231,34 +239,34 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
     :func:`cassi._pool.band_block`, and spans of blocks run on the kernel
     pool, each in its own workspace (a stack of one block runs inline).
 
-    The workspace is one allocation of two line-aligned buffers, three
-    block-sized arrays in all: the field ``x`` and the dual
-    ``[lead | p | gap | q]``.  The lead is at least one row of +0 ahead of
-    ``p``, and ``q`` starts on the first line after ``p``, behind a gap of
-    up to 7 values (or behind ``p``'s last pad row); the lead and the gap
-    stay +0.  The duals are stored padded to full planes (see
-    :func:`_tv_field`); after the flat updates each pad row or column is
-    reset to +0, so one clip covers ``p`` and ``q`` together.  Every view
-    is built once per block, so a dual step is 12 numpy calls on whole
-    blocks: five for the field, two per dual plus its pad reset, and the
-    clip.
+    The workspace is one allocation of three line-aligned buffers, four
+    block-sized arrays in all: the block's input ``f``, the field ``x``
+    and the dual ``[lead | p | gap | q]``.  The lead is at least one row
+    of +0 ahead of ``p``, and ``q`` starts on the first line after ``p``,
+    behind a gap of up to 7 values (or behind ``p``'s last pad row); the
+    lead and the gap stay +0.  The duals are stored padded to full planes
+    (see :func:`_tv_div`); after the flat updates each pad row or column
+    is reset to +0, so one clip covers ``p`` and ``q`` together.  Every
+    view is built once per block, so a dual step is 12 numpy calls on
+    whole blocks: five for the field, two per dual plus its pad reset, and
+    the clip.
     """
     nc, h, w = f.shape
-    out = np.empty((nc, h, w))
     block = band_block(nc, h, w)
     bound = np.float64(8.0 * lam)
     lead = _line_up(w)
     cap = _line_up(block * h * w)
+    finite = [True] * nc
 
     def run_span(start: int, stop: int) -> None:
-        ws = _aligned_rows(1, 3 * cap + lead)[0]
-        x, dual = ws[:cap], ws[cap:]
+        ws = _aligned_rows(1, 4 * cap + lead)[0]
+        fw, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
         for lo in range(start, stop, block):
             bands = min(block, stop - lo)
             n = bands * h * w
             qo = lead + _line_up(n)
-            fb = f[lo : lo + bands].reshape(-1)
-            xb = x[:n]
+            fb, xb = fw[:n], x[:n]
+            fb.reshape(bands, h, w)[...] = f[lo : lo + bands]
             p, p_prev = dual[lead : lead + n], dual[lead - w : lead - w + n]
             q, q_prev = dual[qo : qo + n], dual[qo - 1 : qo - 1 + n]
             pq = dual[lead : qo + n]
@@ -268,7 +276,8 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
             x_left, x_right, q_head = xb[:-1], xb[1:], q[:-1]
             dual[: qo + n].fill(0.0)
             for _ in range(iters):
-                _tv_field(xb, fb, p, p_prev, q, q_prev)
+                _tv_div(xb, p, p_prev, q, q_prev)
+                np.subtract(fb, xb, xb)
                 p_head += x_up
                 p_head -= x_down
                 pad_row.fill(0.0)
@@ -276,10 +285,13 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int) -> np.ndarray:
                 q_head -= x_right
                 pad_col.fill(0.0)
                 np.clip(pq, -bound, bound, out=pq)
-            _tv_field(out[lo : lo + bands].reshape(-1), fb, p, p_prev, q, q_prev)
+            _tv_div(xb, p, p_prev, q, q_prev)
+            done = out[lo : lo + bands]
+            np.subtract(fb.reshape(bands, h, w), xb.reshape(bands, h, w), done)
+            finite[lo] = bool(np.isfinite(done).all())
 
     run_band_spans(run_span, nc, block)
-    return out
+    return all(finite)
 
 
 @dataclass(frozen=True)
@@ -297,12 +309,27 @@ class TvPrior:
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube:
         """Approximate prox of strength * anisotropic TV, per band independently."""
-        strength = _as_float(strength, "strength")
-        _check_tv_strength(strength, "strength")
+        strength = self._checked_strength(strength)
         if strength == 0.0:
             return HSICube._adopt(cube.config, cube.data.copy())
-        out = _tv_prox_planes(cube.data, strength, self.inner_iterations)
+        out = np.empty(cube.data.shape)
+        _tv_prox_planes(cube.data, strength, self.inner_iterations, out)
         return HSICube._adopt(cube.config, out)
+
+    def _denoise_in_place(self, planes: np.ndarray, strength: float) -> bool:
+        """:meth:`denoise` of the (C, H, W) ``planes`` (a view is fine),
+        written back into them; returns whether every value is finite.
+        The solver runs the prior this way, with no copy of the iterate."""
+        strength = self._checked_strength(strength)
+        if strength == 0.0:
+            return bool(np.isfinite(planes).all())
+        return _tv_prox_planes(planes, strength, self.inner_iterations, planes)
+
+    @staticmethod
+    def _checked_strength(strength: float) -> float:
+        strength = _as_float(strength, "strength")
+        _check_tv_strength(strength, "strength")
+        return strength
 
 
 def gap_solve_with_stats(
@@ -317,10 +344,11 @@ def gap_solve_with_stats(
     Each iteration runs the data step ``z += pinv(y - A z)``, then applies
     the prior.  With ``crop_denoiser_input`` the prior sees only the
     on-support crop and the dispersed margin keeps its post-data-step
-    values; otherwise the prior sees the full-width tensor.  Either way it
+    values; otherwise the prior sees the full-width tensor.  The bundled
+    :class:`TvPrior` runs in place on the iterate.  Any other prior
     receives a private copy, so it may return or keep its input, and its
-    output is written back into the iterate.  Raises NonFiniteValue if an
-    iterate diverges.
+    output is written back into the iterate.  Raises NonFiniteValue if the
+    prior's output is not finite.
     """
     if meas.config.geometry != op.config.geometry:
         raise DimensionMismatch("measurement geometry disagrees with operator")
@@ -349,15 +377,22 @@ def gap_solve_with_stats(
         # The full dispersed tensor goes through the cube-typed prior
         # interface as a scene of measurement width.
         seen, seen_config = z, SceneConfig(h, wp, nc, d)
+    # The margins outside a crop only ever hold the finite start, so a
+    # finite prior output means a finite iterate.
+    in_place = getattr(prior, "_denoise_in_place", None)
     r = meas.data - _forward(op.mask, d, support)
     residuals = []
     for _ in range(cfg.iterations):
         z_prev = z.copy() if cfg.convergence_tol > 0.0 else None
         op._add_pinv(support, r)
-        seen[...] = prior.denoise(
-            HSICube._adopt(seen_config, seen.copy()), cfg.tv_weight
-        ).data
-        if not np.isfinite(z).all():
+        if in_place is not None:
+            finite = in_place(seen, cfg.tv_weight)
+        else:
+            seen[...] = prior.denoise(
+                HSICube._adopt(seen_config, seen.copy()), cfg.tv_weight
+            ).data
+            finite = np.isfinite(seen).all()
+        if not finite:
             raise NonFiniteValue(
                 f"solver iterate diverged at iteration {len(residuals)}"
             )

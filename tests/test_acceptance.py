@@ -13,6 +13,7 @@ import pytest
 
 from cassi import (
     HSICube,
+    InitStrategy,
     Measurement,
     NoiseSpec,
     SceneConfig,
@@ -21,7 +22,6 @@ from cassi import (
     add_shot_noise,
     build_operator,
     bundled_suite,
-    gap_solve_with_stats,
     gen_mask,
     gen_scene,
     psnr,
@@ -199,18 +199,30 @@ def test_criterion_4_exact_recovery_with_oracle_prior():
     _report(4, f"10 scenes, worst oracle-prior PSNR {worst:.1f} dB")
 
 
-def test_criterion_5_prior_beats_pinv_and_wrapper_fixes_residual():
+@pytest.fixture(scope="module")
+def ablation():
+    """The bundled suite, its operator, and the ablation script's grid and
+    per-scene iterates, solved once for criteria 5 and 6."""
     config, mask, scenes = bundled_suite()
     op = build_operator(mask, config)
-    prior = TvPrior(20)
-    cfg = SolverConfig()
+    cells, iterates = load_script("run_ablation").ablation_grid(op, scenes)
+    return config, mask, scenes, op, cells, iterates
+
+
+def test_criterion_5_prior_beats_pinv_and_wrapper_fixes_residual(ablation):
+    _, _, scenes, op, _, iterates = ablation
+    # The grid's default cell, crop on and roll init, is the default
+    # solver with TvPrior(20): criterion 6 already solved each scene.
+    assert SolverConfig() == SolverConfig(
+        iterations=60, tv_weight=0.1, init=InitStrategy.ROLL,
+        crop_denoiser_input=True,
+    )
     pinv_psnr, rnd_psnr = [], []
     ratios = []
-    for scene in scenes:
+    for scene, q in zip(scenes, iterates[(True, "roll")], strict=True):
         y = op.forward(scene)
         y_inf = np.abs(y.data).max()
         xp = op.pinv(y)
-        q, _ = gap_solve_with_stats(op, y, prior, cfg)
         xr = op.rnd_combine(y, q)
         pinv_psnr.append(psnr(scene, xp))
         rnd_psnr.append(psnr(scene, xr))
@@ -230,15 +242,13 @@ def test_criterion_5_prior_beats_pinv_and_wrapper_fixes_residual():
     )
 
 
-def test_criterion_6_ablation_grid_structure(tmp_path):
-    config, mask, scenes = bundled_suite()
-    op = build_operator(mask, config)
+def test_criterion_6_ablation_grid_structure(ablation, tmp_path):
+    config, mask, scenes, op, cells, _ = ablation
     h, w, nc, d = config.geometry
     wp = config.measurement_width()
 
     # The script's grid: one solve per (crop, init, scene), scored with and
     # without the wrapper.
-    cells = load_script("run_ablation").ablation_grid(op, scenes)
     grid = {key: psnr_db for key, (psnr_db, _, _) in cells.items()}
     pixel_counts = {crop: pixels for (crop, _, _), (_, _, pixels) in cells.items()}
 

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -299,3 +301,89 @@ class TestEvaluateMemory:
         ref, test = noisy_pair((16, 96, 96), 82)
         _, peak = traced_peak(lambda: evaluate(ref, test))
         assert peak <= 2.0 * ref.data.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_is_below_one_cube(self, workers, kernel_pool):
+        # One seven-plane workspace per span, and no squared-error cube: a
+        # block's squared error lives in a workspace row.  64 KiB covers
+        # the pairwise tree, the per-band lists and Python objects.
+        kernel_pool(workers)
+        c, h, w = 16, 96, 96
+        block = _pool.band_block(c, 7 * h, w)
+        spans = min(workers, -(-c // block))
+        assert spans == workers
+        ref, test = noisy_pair((c, h, w), 82)
+        bound = spans * 7 * 8 * block * h * w + 64 * 1024
+        assert bound < ref.data.nbytes
+        _, peak = traced_peak(lambda: evaluate(ref, test))
+        assert peak <= bound
+
+    def test_test_cube_dies_with_its_last_reference(self, kernel_pool):
+        # With the cyclic collector off, a reference cycle through the
+        # inputs (such as a recursive closure) would keep them alive.
+        kernel_pool(2)
+        ref, test = noisy_pair((16, 96, 96), 83)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = evaluate(ref, test)
+            data = weakref.ref(test.data)
+            del test
+            assert data() is None
+            assert report.mse > 0.0
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def tree_sum(x, cut):
+    """Sum of ``x`` over :func:`metrics._pairwise_tree`, each frontier node
+    summed whole by numpy."""
+    nodes, kids = metrics._pairwise_tree(x.size, cut)
+    sums = [0.0] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        lo, hi = nodes[i]
+        if kids[i] is None:
+            assert lo // cut == (hi - 1) // cut or hi - lo <= 128
+            sums[i] = float(np.sum(x[lo:hi]))
+        else:
+            assert nodes[kids[i][0]][0] == lo and nodes[kids[i][1]][1] == hi
+            sums[i] = sums[kids[i][0]] + sums[kids[i][1]]
+    return sums[0]
+
+
+class TestWholeCubeMse:
+    """The whole-cube MSE is rebuilt from numpy's pairwise-summation tree
+    cut at the block bounds, so it stays bitwise ``np.mean`` of the
+    squared-error cube only while numpy splits and leaves its runs as
+    :func:`metrics._pairwise_tree` assumes.  These tests fail if it stops."""
+
+    SIZES = [1, 7, 8, 9, 127, 128, 129, 136, 140, 255, 256, 257, 1000, 1031,
+             4096, 4099, 65536, 65545, 3 * 181 * 181, 16 * 96 * 96]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("cut", [1, 20, 128, 1000, 181 * 181, 1 << 20])
+    def test_tree_sums_like_numpy(self, n, cut):
+        # Values spread over 16 decades make every order of addition round
+        # differently; a cut of 1 rebuilds the whole tree from its leaves.
+        rng = np.random.Generator(np.random.Philox(n))
+        x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+        assert tree_sum(x, cut) == float(np.sum(x))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @pytest.mark.parametrize("shape", [(3, 181, 181), (7, 5, 4), (9, 12, 13)])
+    def test_equals_np_mean_for_any_block_budget(
+        self, shape, block, workers, kernel_pool, monkeypatch
+    ):
+        # Blocks of ``block`` bands, so tree nodes straddle block bounds.
+        kernel_pool(workers)
+        c, h, w = shape
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", block * 7 * h * w * 8)
+        ref, test = noisy_pair(shape, 90 + block)
+        a, b = np.clip(ref.data, 0.0, 1.0), np.clip(test.data, 0.0, 1.0)
+        mse, band_mse, _ = metrics._band_pass(ref, test, ssim=False)
+        assert mse == float(np.mean((a - b) ** 2))
+        assert band_mse == [float(np.mean((a[k] - b[k]) ** 2)) for k in range(c)]
+        if min(h, w) >= 11:
+            assert metrics._band_pass(ref, test, ssim=True)[0] == mse

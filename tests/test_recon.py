@@ -1,4 +1,6 @@
+import gc
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -416,7 +418,7 @@ class TestTvWorkspaceAlignment:
     @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
     def test_prox_works_in_aligned_rows(self, shape, kernel_pool):
         # The whole dual iteration runs in one workspace from _aligned_rows
-        # per pool task, laid out [x | lead, p, gap, q], so no block's speed
+        # per pool task, laid out [f | x | lead, p, gap, q], so no block's speed
         # depends on where the allocator put it.  The kernel relies on the
         # lead and the gap staying +0.
         c, h, w = shape
@@ -455,15 +457,15 @@ class TestTvWorkspaceAlignment:
             assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
             assert len(made) == min(workers, blocks)
             for (lo, hi), rows, n, ws in made:
-                assert (rows, n) == (1, 3 * cap + lead)
+                assert (rows, n) == (1, 4 * cap + lead)
                 ws = ws[0]
                 assert ws.ctypes.data % recon._TV_ALIGN_BYTES == 0
-                x, dual = ws[:cap], ws[cap:]
+                f, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
                 # The buffers hold the span's last block.
                 bands = hi - lo - (hi - lo - 1) // block * block
                 size = bands * h * w
                 qo = lead + recon._line_up(size)
-                for a in (x, dual[lead:], dual[qo:]):
+                for a in (f, x, dual[lead:], dual[qo:]):
                     assert a.ctypes.data % recon._TV_ALIGN_BYTES == 0
                 assert is_plus_zero(dual[:lead])
                 assert is_plus_zero(dual[lead + size : qo])
@@ -474,9 +476,10 @@ class TestTvWorkspaceAlignment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_prox_allocates_one_workspace_per_span(self, workers, kernel_pool):
-        # One output cube plus, per span, the three block-sized working
-        # arrays (x, p, q): an allocation inside the dual loop would add at
-        # least one more block.
+        # One output cube plus, per span, the four block-sized working
+        # arrays (f, x, p, q) and a block's finiteness mask (one byte a
+        # value): an allocation inside the dual loop would add at least one
+        # more block.
         kernel_pool(workers)
         c, h, w = 20, 64, 64
         block = _pool.band_block(c, h, w)
@@ -487,7 +490,10 @@ class TestTvWorkspaceAlignment:
         out, peak = traced_peak(lambda: TvPrior(5).denoise(cube, 0.1))
         block_bytes = 8 * block * h * w
         slack = 64 * 1024  # the leads, line padding and Python objects
-        assert peak <= out.data.nbytes + spans * (3 * block_bytes + slack)
+        mask_bytes = block * h * w
+        assert peak <= out.data.nbytes + spans * (
+            4 * block_bytes + mask_bytes + slack
+        )
 
 
 class TestTvOnKernelPool:
@@ -792,6 +798,128 @@ class TestGapSolveWorkingCopy:
         _, stats = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
         assert len(calls) == stats.iterations_run + 1
         assert (stats.iterations_run < 60) == (tol > 0.0)
+
+
+class _DelegatingPrior:
+    """External prior that only delegates to :meth:`TvPrior.denoise`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def denoise(self, cube, strength):
+        return self.inner.denoise(cube, strength)
+
+
+class TestGapSolveInPlacePrior:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_same_bytes_as_the_private_copy_path(
+        self, crop, workers, kernel_pool, monkeypatch
+    ):
+        # TvPrior runs in place on the iterate (through a strided crop with
+        # the crop on); an external prior gets a private copy.  A budget of
+        # three bands makes both multi-block.
+        kernel_pool(workers)
+        config = SceneConfig(24, 20, 9, 2)
+        wp = config.measurement_width()
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", 3 * config.height * wp * 8)
+        op = make_operator(config, seed=47)
+        meas = op.forward(random_cube(config, 48))
+        cfg = SolverConfig(iterations=4, crop_denoiser_input=crop)
+        inner, _ = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
+        outer, _ = gap_solve_with_stats(op, meas, _DelegatingPrior(TvPrior(5)), cfg)
+        assert inner.data.tobytes() == outer.data.tobytes()
+
+    @pytest.mark.parametrize("crop", [True, False])
+    @pytest.mark.parametrize("prior", [TvPrior(3), _DelegatingPrior(TvPrior(3))])
+    def test_overflowing_data_step_raises_at_iteration_0(self, crop, prior):
+        # Band sums of values near 1e308 overflow in the first data step,
+        # so the prior's first output is not finite.
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = Measurement(config, np.full((6, config.measurement_width()), 1e308))
+        cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue, match="diverged at iteration 0$"):
+                gap_solve_with_stats(op, meas, prior, cfg)
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_zero_tv_weight_still_checks_the_iterate(self, crop):
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = Measurement(config, np.full((6, config.measurement_width()), 1e308))
+        cfg = SolverConfig(iterations=3, tv_weight=0.0, crop_denoiser_input=crop)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue, match="diverged at iteration 0$"):
+                gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_iterate_and_output_die_with_their_last_reference(
+        self, crop, monkeypatch
+    ):
+        # With the cyclic collector off, a reference cycle through the
+        # iterate (such as a recursive closure) would keep it alive.
+        made = []
+        on_support = recon._on_support
+
+        def spy(t, d):
+            made.append(weakref.ref(t))
+            return on_support(t, d)
+
+        monkeypatch.setattr(recon, "_on_support", spy)
+        config = SceneConfig(10, 8, 5, 2)
+        op = make_operator(config, seed=41)
+        meas = op.forward(random_cube(config, 42))
+        cfg = SolverConfig(iterations=2, crop_denoiser_input=crop)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+            assert made and all(ref() is None for ref in made)
+            output = weakref.ref(out.data)
+            del out
+            assert output() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+class TestGapSolveMemory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_no_second_cube_beyond_the_iterate(
+        self, crop, workers, kernel_pool, monkeypatch
+    ):
+        # TvPrior runs in place: no copy of what it sees and no output cube
+        # (either one is a full cube).  A budget of one band per block keeps
+        # the TV workspaces small next to a cube.
+        kernel_pool(workers)
+        config = SceneConfig(96, 96, 16, 1)
+        h, w, nc, _ = config.geometry
+        wp = config.measurement_width()
+        seen_w = w if crop else wp
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", h * seen_w * 8)
+        block = _pool.band_block(nc, h, seen_w)
+        spans = min(workers, -(-nc // block))
+        assert block < nc and spans == workers
+        op = make_operator(config, seed=5)
+        meas = op.forward(random_cube(config, 6))
+        cfg = SolverConfig(iterations=2, crop_denoiser_input=crop)
+        (out, _), peak = traced_peak(
+            lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+        )
+        iterate = 8 * nc * h * wp
+        # Per span: four block arrays (f, x, p, q), the block's finiteness
+        # mask (one byte a value), and 64 KiB for the lead, line padding and
+        # Python objects.
+        values = block * h * seen_w
+        workspaces = spans * (4 * 8 * values + values + 64 * 1024)
+        # The residual, the next residual, a forward image and the residual
+        # scaled by the Gram diagonal.
+        detector = 4 * 8 * h * wp
+        # The returned crop is made after the last prox call has freed its
+        # workspaces.
+        assert peak <= iterate + max(out.data.nbytes, workspaces) + detector
 
 
 class TestGapSolveBytesPinned:
