@@ -448,6 +448,7 @@ def cmd_metrics(args) -> int:
                     "mse": report.mse,
                     "per_band_psnr": list(report.per_band_psnr),
                     "per_band_ssim": list(report.per_band_ssim),
+                    "per_band_mse": list(report.per_band_mse),
                 },
                 indent=2,
                 sort_keys=True,

@@ -1,4 +1,6 @@
-"""Reference image-quality metrics: PSNR and SSIM, per band then averaged.
+"""Reference image-quality metrics: PSNR, SSIM and MSE per band, and their
+band means.  Every band has H*W pixels, so the band mean of the MSE is the
+whole-cube MSE.
 
 Both cubes are clamped to [0, 1] before comparison (peak 1.0).  SSIM uses
 the classical 11x11 Gaussian window with sigma 1.5 and stabilizers
@@ -41,14 +43,27 @@ _SSIM_ARRAYS = 7
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-band and averaged quality numbers for one cube pair."""
+    """Per-band quality numbers for one cube pair, and their band means.
 
-    psnr_db: float
-    ssim: float
+    Every band has the same number of pixels, so the band mean of the MSE
+    is the whole-cube MSE.
+    """
+
     per_band_psnr: tuple[float, ...]
     per_band_ssim: tuple[float, ...]
     per_band_mse: tuple[float, ...]
-    mse: float
+
+    @property
+    def psnr_db(self) -> float:
+        return float(np.mean(self.per_band_psnr))
+
+    @property
+    def ssim(self) -> float:
+        return float(np.mean(self.per_band_ssim))
+
+    @property
+    def mse(self) -> float:
+        return float(np.mean(self.per_band_mse))
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -135,51 +150,15 @@ def _ssim_block(ws: np.ndarray, bands: int, h: int, w: int, out: np.ndarray) -> 
         out[c] = float(np.mean(valid))
 
 
-# numpy adds a contiguous float64 run pairwise: a run of at most 128 values
-# in eight interleaved partial sums, a longer one as the sum of its halves,
-# split at half its length rounded down to a multiple of 8.
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_tree(n: int, cut: int) -> tuple[list, list]:
-    """numpy's pairwise-summation tree over ``n`` values, cut into the
-    pieces ``[k*cut, (k+1)*cut)``.
-
-    Returns ``(nodes, kids)``: node i covers values ``nodes[i] = (lo,
-    hi)`` and is the sum of nodes ``kids[i] = (left, right)``, or is a
-    frontier node (``kids[i]`` is None) whose sum is taken whole: one that
-    lies inside a piece, or a leaf of at most 128 values that straddles
-    pieces.  Node 0 is the root, and children come after their parent.
-    Built by a loop, not recursion, so it leaves no reference cycle.
-    """
-    nodes, kids = [(0, n)], [None]
-    i = 0
-    while i < len(nodes):
-        lo, hi = nodes[i]
-        if hi - lo > _PAIRWISE_LEAF and lo // cut != (hi - 1) // cut:
-            half = (hi - lo) // 2
-            mid = lo + half - half % 8
-            kids[i] = (len(nodes), len(nodes) + 1)
-            nodes += [(lo, mid), (mid, hi)]
-            kids += [None, None]
-        i += 1
-    return nodes, kids
-
-
 def _band_pass(
     reference: HSICube, test: HSICube, ssim: bool
-) -> tuple[float, list[float], np.ndarray | None]:
-    """Whole-cube MSE of the clamped pair, per-band MSE and, with ``ssim``,
-    per-band SSIM.
+) -> tuple[list[float], np.ndarray | None]:
+    """Per-band MSE of the clamped pair and, with ``ssim``, per-band SSIM.
 
     Blocks hold as many whole bands as keep the seven-array SSIM workspace
     within ``BLOCK_BYTES`` (one band at least), and the scores do not depend
     on the blocking or the pool size.  Each block's squared error lives
-    only in a workspace row.  The whole-cube MSE is bitwise ``np.mean`` of
-    the squared-error cube: numpy's pairwise tree over it is cut at the
-    block bounds (:func:`_pairwise_tree`), each node inside a block is
-    summed from that block's row, and each of the few leaves that straddle
-    two blocks is summed from the clamped inputs.
+    only in a workspace row.
     """
     a, b = reference.data, test.data
     if a.shape != b.shape:
@@ -192,20 +171,9 @@ def _band_pass(
     band_mse = [0.0] * nc
     band_ssim = np.empty(nc) if ssim else None
     block = band_block(nc, _SSIM_ARRAYS * h, w)
-    block_len = block * h * w
-    nodes, kids = _pairwise_tree(nc * h * w, block_len)
-    sums = [0.0] * len(nodes)
-    in_block = [[] for _ in range(-(-nc // block))]
-    straddling = []
-    for i, (lo, hi) in enumerate(nodes):
-        if kids[i] is None:
-            if lo // block_len == (hi - 1) // block_len:
-                in_block[lo // block_len].append(i)
-            else:
-                straddling.append(i)
 
     def run_span(start: int, stop: int) -> None:
-        ws = np.empty((_SSIM_ARRAYS if ssim else 3, block_len))
+        ws = np.empty((_SSIM_ARRAYS if ssim else 3, block * h * w))
         for lo in range(start, stop, block):
             hi = min(lo + block, stop)
             shape = (hi - lo, h, w)
@@ -217,22 +185,11 @@ def _band_pass(
             np.square(sq, out=sq)
             for c, band in zip(range(lo, hi), sq.reshape(hi - lo, h * w)):
                 band_mse[c] = float(np.mean(band))
-            base = lo * h * w
-            for i in in_block[lo // block]:
-                sums[i] = float(np.sum(sq[nodes[i][0] - base : nodes[i][1] - base]))
             if band_ssim is not None:
                 _ssim_block(ws, hi - lo, h, w, band_ssim[lo:hi])
 
     run_band_spans(run_span, nc, block)
-    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
-    for i in straddling:
-        lo, hi = nodes[i]
-        d = np.clip(flat_a[lo:hi], 0.0, 1.0) - np.clip(flat_b[lo:hi], 0.0, 1.0)
-        sums[i] = float(np.sum(np.square(d)))
-    for i in range(len(nodes) - 1, -1, -1):
-        if kids[i] is not None:
-            sums[i] = sums[kids[i][0]] + sums[kids[i][1]]
-    return sums[0] / (nc * h * w), band_mse, band_ssim
+    return band_mse, band_ssim
 
 
 def _psnr_planes(mse: list[float]) -> np.ndarray:
@@ -245,7 +202,7 @@ def _psnr_planes(mse: list[float]) -> np.ndarray:
 def psnr_bands(reference: HSICube, test: HSICube) -> np.ndarray:
     """Per-band PSNR in dB against peak 1.0; a zero-MSE band reports the
     100 dB cap."""
-    return _psnr_planes(_band_pass(reference, test, ssim=False)[1])
+    return _psnr_planes(_band_pass(reference, test, ssim=False)[0])
 
 
 def psnr(reference: HSICube, test: HSICube) -> float:
@@ -255,7 +212,7 @@ def psnr(reference: HSICube, test: HSICube) -> float:
 
 def ssim_bands(reference: HSICube, test: HSICube) -> np.ndarray:
     """Per-band structural similarity (valid-region 11x11 Gaussian window)."""
-    return _band_pass(reference, test, ssim=True)[2]
+    return _band_pass(reference, test, ssim=True)[1]
 
 
 def ssim(reference: HSICube, test: HSICube) -> float:
@@ -264,15 +221,10 @@ def ssim(reference: HSICube, test: HSICube) -> float:
 
 
 def evaluate(reference: HSICube, test: HSICube) -> MetricReport:
-    """Full report: per-band PSNR/SSIM/MSE, the PSNR and SSIM means, and
-    whole-cube MSE."""
-    total_mse, mse, s = _band_pass(reference, test, ssim=True)
-    p = _psnr_planes(mse)
+    """Full report: per-band PSNR, SSIM and MSE, and their band means."""
+    mse, s = _band_pass(reference, test, ssim=True)
     return MetricReport(
-        psnr_db=float(np.mean(p)),
-        ssim=float(np.mean(s)),
-        per_band_psnr=tuple(float(x) for x in p),
+        per_band_psnr=tuple(float(x) for x in _psnr_planes(mse)),
         per_band_ssim=tuple(float(x) for x in s),
         per_band_mse=tuple(mse),
-        mse=total_mse,
     )

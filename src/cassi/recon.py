@@ -382,8 +382,12 @@ def gap_solve_with_stats(
     in_place = getattr(prior, "_denoise_in_place", None)
     r = meas.data - _forward(op.mask, d, support)
     residuals = []
+    # The stopping test reuses one buffer: ``max|x|`` is exactly
+    # ``max(x.max(), -x.min())``, so no absolute-value array is made.
+    prev = np.empty_like(z) if cfg.convergence_tol > 0.0 else None
     for _ in range(cfg.iterations):
-        z_prev = z.copy() if cfg.convergence_tol > 0.0 else None
+        if prev is not None:
+            np.copyto(prev, z)
         op._add_pinv(support, r)
         if in_place is not None:
             finite = in_place(seen, cfg.tv_weight)
@@ -400,9 +404,10 @@ def gap_solve_with_stats(
         r = meas.data - _forward(op.mask, d, support)
         residuals.append(float(np.linalg.norm(r)))
 
-        if z_prev is not None:
-            delta = float(np.max(np.abs(z - z_prev)))
-            scale = max(float(np.max(np.abs(z_prev))), np.finfo(float).tiny)
+        if prev is not None:
+            scale = max(float(prev.max()), -float(prev.min()), np.finfo(float).tiny)
+            np.subtract(z, prev, out=prev)
+            delta = max(float(prev.max()), -float(prev.min()))
             if delta <= cfg.convergence_tol * scale:
                 break
 

@@ -28,10 +28,10 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def load_script(name: str):
-    """Import ``scripts/<name>.py`` as a module, so a test can run the
+def load_script(name: str, directory: str = "scripts"):
+    """Import ``<directory>/<name>.py`` as a module, so a test can run the
     script's own protocol instead of a copy of it."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, directory, f"{name}.py")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -606,6 +606,29 @@ class TestMetrics:
             diff = np.clip(ref[c], 0.0, 1.0) - np.clip(test[c], 0.0, 1.0)
             assert row.split(",")[3] == repr(float(np.mean(diff**2)))
 
+    def test_json_and_csv_carry_the_same_numbers(self, tmp_path, capsys):
+        rng = np.random.Generator(np.random.Philox(23))
+        ref = rng.random((3, 16, 16))
+        a, b = tmp_path / "a.hsic", tmp_path / "b.hsic"
+        write_cube(a, ref)
+        write_cube(b, ref + 0.3 * rng.standard_normal((3, 16, 16)))
+        assert run_cli("metrics", "--ref", a, "--test", b) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "psnr_db", "ssim", "mse", "per_band_psnr", "per_band_ssim", "per_band_mse",
+        }
+        assert payload["mse"] == float(np.mean(payload["per_band_mse"]))
+        assert run_cli("metrics", "--ref", a, "--test", b, "--format", "csv") == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        columns = ("per_band_psnr", "per_band_ssim", "per_band_mse")
+        for c, row in enumerate(rows[:-1]):
+            assert row[0] == str(c)
+            assert [float(v) for v in row[1:]] == [payload[k][c] for k in columns]
+        assert rows[-1][0] == "mean"
+        assert [float(v) for v in rows[-1][1:]] == [
+            payload[k] for k in ("psnr_db", "ssim", "mse")
+        ]
+
     def test_malformed_file_exits_2_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.hsic"
         bad.write_bytes(b"HSICxxxxxxxxxxxxxxxxxx")
@@ -634,9 +657,10 @@ class TestMetrics:
         assert capsys.readouterr().err == "error: HSICube contains NaN or Inf\n"
 
     def test_inputs_are_not_copied(self, tmp_path, capsys, kernel_pool):
-        # The two cubes read plus evaluate's own work (clamped pair, squared
-        # error, one SSIM workspace on one worker): 4.7x one cube.  A
-        # defensive copy of each input would add 2x.
+        # The two cubes read (2x one cube) plus evaluate's own work, which
+        # is one seven-band SSIM workspace on one worker and never a whole
+        # cube (TestEvaluateMemory): under 3x.  A defensive copy of either
+        # input would add 1x.
         kernel_pool(1)
         rng = np.random.Generator(np.random.Philox(22))
         ref = rng.random((16, 96, 96))
@@ -646,7 +670,7 @@ class TestMetrics:
         argv = ("metrics", "--ref", a, "--test", b)
         code, peak = traced_peak(lambda: run_cli(*argv))
         assert code == 0
-        assert peak <= 5.5 * ref.nbytes
+        assert peak <= 3.0 * ref.nbytes
 
 
 class TestOracleCheck:

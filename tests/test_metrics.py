@@ -173,7 +173,7 @@ class TestEvaluate:
 
 
 def reference_scores(a, b):
-    """Per-band PSNR, SSIM and MSE, and MSE of the clamped pair, with fresh
+    """Per-band PSNR, SSIM and MSE, and the band mean of the MSE, with fresh
     temporaries, one band at a time and an out-of-place first window pass:
     the arithmetic, in the order, that the pooled kernels must reproduce."""
     a, b = np.clip(a, 0.0, 1.0), np.clip(b, 0.0, 1.0)
@@ -192,7 +192,7 @@ def reference_scores(a, b):
         num = (2.0 * mu_a * mu_b + 0.01**2) * (2.0 * cov + 0.03**2)
         den = (mu_a * mu_a + mu_b * mu_b + 0.01**2) * (var_a + var_b + 0.03**2)
         ssim_values.append(float(np.mean(num / den)))
-    return psnr_db, ssim_values, band_mse, float(np.mean((a - b) ** 2))
+    return psnr_db, ssim_values, band_mse, float(np.mean(band_mse))
 
 
 def noisy_pair(shape, seed):
@@ -295,8 +295,8 @@ class TestBandsBelowTheWindow:
 
 class TestEvaluateMemory:
     def test_peak_is_at_most_two_cubes(self, kernel_pool):
-        # The squared-error cube plus one span's seven-plane workspace; the
-        # clamped pair is never copied whole.
+        # One span's seven-plane workspace; neither the clamped pair nor
+        # the squared error is ever a whole cube.
         kernel_pool(1)
         ref, test = noisy_pair((16, 96, 96), 82)
         _, peak = traced_peak(lambda: evaluate(ref, test))
@@ -306,7 +306,7 @@ class TestEvaluateMemory:
     def test_peak_is_below_one_cube(self, workers, kernel_pool):
         # One seven-plane workspace per span, and no squared-error cube: a
         # block's squared error lives in a workspace row.  64 KiB covers
-        # the pairwise tree, the per-band lists and Python objects.
+        # the per-band lists and Python objects.
         kernel_pool(workers)
         c, h, w = 16, 96, 96
         block = _pool.band_block(c, 7 * h, w)
@@ -336,39 +336,10 @@ class TestEvaluateMemory:
                 gc.enable()
 
 
-def tree_sum(x, cut):
-    """Sum of ``x`` over :func:`metrics._pairwise_tree`, each frontier node
-    summed whole by numpy."""
-    nodes, kids = metrics._pairwise_tree(x.size, cut)
-    sums = [0.0] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        lo, hi = nodes[i]
-        if kids[i] is None:
-            assert lo // cut == (hi - 1) // cut or hi - lo <= 128
-            sums[i] = float(np.sum(x[lo:hi]))
-        else:
-            assert nodes[kids[i][0]][0] == lo and nodes[kids[i][1]][1] == hi
-            sums[i] = sums[kids[i][0]] + sums[kids[i][1]]
-    return sums[0]
-
-
 class TestWholeCubeMse:
-    """The whole-cube MSE is rebuilt from numpy's pairwise-summation tree
-    cut at the block bounds, so it stays bitwise ``np.mean`` of the
-    squared-error cube only while numpy splits and leaves its runs as
-    :func:`metrics._pairwise_tree` assumes.  These tests fail if it stops."""
-
-    SIZES = [1, 7, 8, 9, 127, 128, 129, 136, 140, 255, 256, 257, 1000, 1031,
-             4096, 4099, 65536, 65545, 3 * 181 * 181, 16 * 96 * 96]
-
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("cut", [1, 20, 128, 1000, 181 * 181, 1 << 20])
-    def test_tree_sums_like_numpy(self, n, cut):
-        # Values spread over 16 decades make every order of addition round
-        # differently; a cut of 1 rebuilds the whole tree from its leaves.
-        rng = np.random.Generator(np.random.Philox(n))
-        x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
-        assert tree_sum(x, cut) == float(np.sum(x))
+    """The whole-cube MSE is the band mean of the per-band MSE, which every
+    band's equal pixel count makes the MSE of the clamped pair; its last
+    bits may differ from ``np.mean`` of the squared-error cube."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 8])
@@ -376,14 +347,24 @@ class TestWholeCubeMse:
     def test_equals_np_mean_for_any_block_budget(
         self, shape, block, workers, kernel_pool, monkeypatch
     ):
-        # Blocks of ``block`` bands, so tree nodes straddle block bounds.
+        # Blocks of ``block`` bands, whatever the pool size.
         kernel_pool(workers)
         c, h, w = shape
         monkeypatch.setattr(_pool, "BLOCK_BYTES", block * 7 * h * w * 8)
         ref, test = noisy_pair(shape, 90 + block)
         a, b = np.clip(ref.data, 0.0, 1.0), np.clip(test.data, 0.0, 1.0)
-        mse, band_mse, _ = metrics._band_pass(ref, test, ssim=False)
-        assert mse == float(np.mean((a - b) ** 2))
+        band_mse, _ = metrics._band_pass(ref, test, ssim=False)
         assert band_mse == [float(np.mean((a[k] - b[k]) ** 2)) for k in range(c)]
         if min(h, w) >= 11:
-            assert metrics._band_pass(ref, test, ssim=True)[0] == mse
+            report = evaluate(ref, test)
+            assert report.per_band_mse == tuple(band_mse)
+            assert report.mse == float(np.mean(band_mse))
+            assert report.mse == pytest.approx(np.mean((a - b) ** 2), rel=1e-14)
+
+    def test_band_mean_is_not_the_cube_mean_bitwise(self):
+        # A pair where the two summation orders round one ulp apart.
+        ref, test = noisy_pair((3, 16, 16), 103)
+        a, b = np.clip(ref.data, 0.0, 1.0), np.clip(test.data, 0.0, 1.0)
+        report = evaluate(ref, test)
+        assert report.mse == float.fromhex("0x1.028ef46ead226p-5")
+        assert float(np.mean((a - b) ** 2)) == float.fromhex("0x1.028ef46ead227p-5")

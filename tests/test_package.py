@@ -5,6 +5,8 @@ import types
 
 import cassi
 
+from conftest import load_script
+
 # Every public name the package exports, modules aside.  A name added for
 # tests alone, or removed by accident, shows up here.
 PUBLIC_NAMES = [
@@ -94,3 +96,20 @@ def test_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_benchmark_shims_find_and_restore_their_targets():
+    # The traced benchmark run swaps library attributes (such as
+    # cli.evaluate and metrics.psnr_bands) for timing shims; a rename in
+    # the library breaks that run, and shows here first.
+    tracer = load_script("tracing", "perfbench").Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original

@@ -921,6 +921,25 @@ class TestGapSolveMemory:
         # workspaces.
         assert peak <= iterate + max(out.data.nbytes, workspaces) + detector
 
+    def test_stopping_test_costs_one_iterate(self, kernel_pool):
+        # With a tolerance the loop keeps one copy of the last iterate and
+        # takes the change into that same buffer, so the peak grows by one
+        # iterate over the run without it.  64 KiB covers Python objects.
+        kernel_pool(1)
+        config = SceneConfig(96, 96, 16, 1)
+        op = make_operator(config, seed=5)
+        meas = op.forward(random_cube(config, 6))
+        peaks = []
+        for tol in (0.0, 1e-9):
+            cfg = SolverConfig(iterations=3, convergence_tol=tol)
+            (_, stats), peak = traced_peak(
+                lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+            )
+            assert stats.iterations_run == 3
+            peaks.append(peak)
+        iterate = 8 * 16 * 96 * config.measurement_width()
+        assert peaks[1] <= peaks[0] + iterate + 64 * 1024
+
 
 class TestGapSolveBytesPinned:
     """SHA-256 of the solver output and of its residual trace, fixed again
