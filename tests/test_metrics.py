@@ -341,6 +341,26 @@ class TestWholeCubeMse:
     band's equal pixel count makes the MSE of the clamped pair; its last
     bits may differ from ``np.mean`` of the squared-error cube."""
 
+    SIZES = [1, 7, 8, 9, 127, 128, 129, 136, 140, 255, 256, 257, 1000, 1031,
+             4096, 4099, 65536, 65545, 3 * 181 * 181, 16 * 96 * 96]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("cut", [1, 20, 128, 1000, 181 * 181, 1 << 20])
+    def test_tree_sums_like_numpy(self, n, cut):
+        # A band's MSE (and SSIM) is np.mean of its run cut from a block's
+        # workspace row at a band offset; the reference takes np.mean of a
+        # fresh array.  They agree bitwise only while numpy adds the run
+        # over the same pairwise tree whatever its offset, and so its
+        # alignment.  Values spread over 16 decades make almost any other
+        # order of addition round differently.
+        rng = np.random.Generator(np.random.Philox(n))
+        x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+        row = np.zeros(cut + n + 7)
+        run = row[cut : cut + n]
+        run[:] = x
+        assert float(np.sum(run)) == float(np.sum(x))
+        assert float(np.mean(run)) == float(np.mean(x))
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 8])
     @pytest.mark.parametrize("shape", [(3, 181, 181), (7, 5, 4), (9, 12, 13)])
