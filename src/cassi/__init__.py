@@ -8,7 +8,6 @@ from .core import (
     HSICube,
     Measurement,
     SceneConfig,
-    ShiftedCube,
 )
 from .errors import (
     CassiError,
@@ -25,7 +24,6 @@ from .errors import (
 from .operator import (
     SensingOperator,
     build_operator,
-    shift_cube,
 )
 from .recon import (
     InitStrategy,

@@ -124,9 +124,8 @@ def parse_run_config(path: str) -> dict:
                     else:
                         raise ValueError(text)
                 elif kind == "floats":
-                    values[key] = tuple(
-                        float(part) for part in text.split(",") if part.strip()
-                    )
+                    # An empty entry fails float(), so it is rejected.
+                    values[key] = tuple(float(part) for part in text.split(","))
                 else:
                     values[key] = kind(text)
             except ValueError:
@@ -265,6 +264,30 @@ def _reconstruct_one(op, meas, method, prior, scfg):
 
 
 def cmd_reconstruct(args) -> int:
+    # The output paths are checked before any input is read.
+    meas_paths = args.meas
+    multi = len(meas_paths) > 1
+    if multi:
+        if not os.path.isdir(args.out):
+            raise ConfigFileError(
+                f"--out must be an existing directory for {len(meas_paths)} inputs"
+            )
+        if args.report and not os.path.isdir(args.report):
+            raise ConfigFileError("--report must be a directory for batch input")
+        stems = [_stem(path) for path in meas_paths]
+        repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
+        if repeated:
+            raise ConfigFileError(
+                f"inputs share the output stem(s) {', '.join(repeated)}; "
+                "their results would overwrite each other"
+            )
+    else:
+        for flag, path in (("--out", args.out), ("--report", args.report)):
+            if path and os.path.isdir(path):
+                raise ConfigFileError(
+                    f"{flag} {path} is a directory; one input needs a file path"
+                )
+
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)
     mask = _load_mask(args.mask)
@@ -289,23 +312,6 @@ def cmd_reconstruct(args) -> int:
         prior = TvPrior() if tv_iters is None else TvPrior(tv_iters)
     except ValueError as exc:
         raise ConfigFileError(f"tv_inner_iterations: {exc}") from None
-
-    meas_paths = args.meas
-    multi = len(meas_paths) > 1
-    if multi:
-        if not os.path.isdir(args.out):
-            raise ConfigFileError(
-                f"--out must be an existing directory for {len(meas_paths)} inputs"
-            )
-        if args.report and not os.path.isdir(args.report):
-            raise ConfigFileError("--report must be a directory for batch input")
-        stems = [_stem(path) for path in meas_paths]
-        repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
-        if repeated:
-            raise ConfigFileError(
-                f"inputs share the output stem(s) {', '.join(repeated)}; "
-                "their results would overwrite each other"
-            )
 
     # All inputs share the mask, so each geometry's operator is built once.
     operators: dict[SceneConfig, SensingOperator] = {}
@@ -614,12 +620,16 @@ def cmd_mask_crop(args) -> int:
 
 def cmd_export(args) -> int:
     arr, _ = read_cube(args.cube)
+    # The band and the values are checked before anything is created.
+    if args.band is not None:
+        if not 0 <= args.band < arr.shape[0]:
+            raise ConfigFileError(f"band {args.band} outside [0, {arr.shape[0]})")
+        arr = arr[args.band : args.band + 1]
+    _require_finite(arr, f"{args.cube}: cube")
     os.makedirs(args.out_dir, exist_ok=True)
-    bands = range(arr.shape[0]) if args.band is None else [args.band]
-    for c in bands:
-        if not 0 <= c < arr.shape[0]:
-            raise ConfigFileError(f"band {c} outside [0, {arr.shape[0]})")
-        write_pgm(os.path.join(args.out_dir, f"{args.prefix}band_{c:03d}.pgm"), arr[c])
+    first = args.band or 0
+    for c, plane in enumerate(arr, start=first):
+        write_pgm(os.path.join(args.out_dir, f"{args.prefix}band_{c:03d}.pgm"), plane)
     return 0
 
 

@@ -117,27 +117,6 @@ class HSICube(_Adoptable):
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedCube(_Adoptable):
-    """A measurement-width tensor, stored as (bands, H, W').
-
-    Tensors produced by shifting a scene or mask have band c supported on
-    columns [d*c, d*c + W) with zeros elsewhere; initialization tensors for
-    the solver may legitimately carry data outside that support, so the
-    constructor checks shape and finiteness only.
-    """
-
-    config: SceneConfig
-    data: np.ndarray
-
-    def __post_init__(self):
-        h, _, c, _ = self.config.geometry
-        wp = self.config.measurement_width()
-        object.__setattr__(
-            self, "data", _checked_array(self.data, (c, h, wp), "ShiftedCube")
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class CodedAperture:
     """The 2-D modulation mask in front of the scene, stored as (H, W).
 

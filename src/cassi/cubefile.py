@@ -33,6 +33,7 @@ import struct
 
 import numpy as np
 
+from .core import _require_finite
 from .errors import CubeFileError
 
 MAGIC = b"HSIC"
@@ -48,19 +49,22 @@ def _atomic_write(path: str | os.PathLike, *chunks: bytes | np.ndarray) -> None:
     rename it over ``path``.  A chunk is any C-contiguous buffer and is
     written without a copy.  The temporary file is created with mode 0o666
     less the umask, as ``open`` would create ``path``, and is removed on any
-    error."""
+    error.  An ``OSError`` names ``path``, never the temporary file."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f"{name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") -> None:
@@ -150,10 +154,15 @@ def read_cube(path: str | os.PathLike) -> tuple[np.ndarray, str]:
 
 
 def write_pgm(path: str | os.PathLike, plane: np.ndarray) -> None:
-    """Export one band as an 8-bit binary portable graymap (clamped to [0, 1])."""
-    arr = np.clip(np.asarray(plane, dtype=np.float64), 0.0, 1.0)
+    """Export one band as an 8-bit binary portable graymap (clamped to [0, 1]).
+
+    Raises NonFiniteValue, and creates no file, if the plane holds NaN or Inf.
+    """
+    arr = np.asarray(plane, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D plane, got shape {arr.shape}")
+    _require_finite(arr, f"{path}: plane")
+    arr = np.clip(arr, 0.0, 1.0)
     h, w = arr.shape
     body = np.round(arr * 255.0).astype(np.uint8)
     _atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii"), body)

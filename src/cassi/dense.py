@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import HSICube, Measurement, SceneConfig
 from .errors import DimensionMismatch, InstanceTooLarge, NumericalFailure
-from .operator import SensingOperator, shift_cube
+from .operator import SensingOperator, _shift
 
 # 4_194_304 float64 entries = 32 MB; not configurable by design.
 MAX_DENSE_ENTRIES = 4_194_304
@@ -29,7 +29,7 @@ _SV_CUTOFF = 1e-12
 
 def cube_to_vec(cube: HSICube) -> np.ndarray:
     """Vectorize a scene cube in shifted coordinates, in the module's order."""
-    s = shift_cube(cube).data
+    s = _shift(cube.data, cube.config.shift_step)
     return np.concatenate([s[c].ravel(order="F") for c in range(s.shape[0])])
 
 
@@ -73,9 +73,9 @@ def build_dense(op: SensingOperator) -> np.ndarray:
     """Materialize the n x (n*C) sensing matrix, n = H * W'.
 
     Block c is the diagonal of the mask shifted d*c columns, built with
-    :func:`shift_cube` rather than the operator's own kernels.
+    :func:`_shift` rather than the operator's own kernels.
     """
-    h, w, nc, _ = op.config.geometry
+    h, w, nc, d = op.config.geometry
     wp = op.config.measurement_width()
     n = h * wp
     if n * n * nc > MAX_DENSE_ENTRIES:
@@ -83,11 +83,11 @@ def build_dense(op: SensingOperator) -> np.ndarray:
             f"dense matrix would hold {n * n * nc} entries "
             f"(cap {MAX_DENSE_ENTRIES})"
         )
-    shifted = shift_cube(HSICube(op.config, np.broadcast_to(op.mask, (nc, h, w))))
+    shifted = _shift(np.broadcast_to(op.mask, (nc, h, w)), d)
     mat = np.zeros((n, n * nc))
     idx = np.arange(n)
     for c in range(nc):
-        mat[idx, c * n + idx] = shifted.data[c].ravel(order="F")
+        mat[idx, c * n + idx] = shifted[c].ravel(order="F")
     return mat
 
 

@@ -16,7 +16,7 @@ on the candidate (``pinv(y) + q - pinv(A q) = q + pinv(y - A q)``), so
 
 Band c of a (C, H, W') tensor is supported on columns [d*c, d*c + W), so
 the on-support region of all bands is a single strided (C, H, W) view
-(:func:`_on_support`); shifting a cube copies through it.
+(:func:`_on_support`); :func:`_shift` copies a cube through it.
 
 Public operations allocate fresh outputs and are pure; the operator itself
 is immutable and shareable across threads.  Per-pixel sums over bands
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import CodedAperture, HSICube, Measurement, SceneConfig, ShiftedCube
+from .core import CodedAperture, HSICube, Measurement, SceneConfig
 from .errors import DimensionMismatch, MaskDegenerate
 
 
@@ -83,12 +83,14 @@ def _gram_diagonal(mask: np.ndarray, config: SceneConfig) -> np.ndarray:
     return sigma
 
 
-def shift_cube(cube: HSICube) -> ShiftedCube:
-    """Disperse a scene cube: band c translated right by d*c columns."""
-    h, _, nc, d = cube.config.geometry
-    out = np.zeros((nc, h, cube.config.measurement_width()))
-    _on_support(out, d)[...] = cube.data
-    return ShiftedCube._adopt(cube.config, out)
+def _shift(bands: np.ndarray, d: int) -> np.ndarray:
+    """Disperse (C, H, W) bands into a fresh (C, H, W') array: band c
+    translated right by d*c columns, zero elsewhere.  The inverse of
+    :func:`_on_support`."""
+    nc, h, w = bands.shape
+    out = np.zeros((nc, h, w + d * (nc - 1)))
+    _on_support(out, d)[...] = bands
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,9 @@ not depend on the pool size.
 
 The iterate lives in measurement-width coordinates so the denoiser can be
 fed either the full dispersed tensor or only the on-support crop; with the
-crop enabled, margin values pass through the denoising step untouched.  In
+crop enabled, margin values pass through the denoising step untouched.  It
+starts from a caller's scene cube ``x0``, dispersed with zero margins, or
+else from the measurement expanded per band by an :class:`InitStrategy`.  In
 both settings the bundled TV prior runs in place on what it sees; any
 other prior receives a private copy, and its output is written back into
 the iterate.
@@ -28,16 +30,9 @@ from typing import Protocol
 import numpy as np
 
 from ._pool import band_block, run_band_spans
-from .core import (
-    HSICube,
-    Measurement,
-    SceneConfig,
-    ShiftedCube,
-    _as_float,
-    _int_at_least,
-)
+from .core import HSICube, Measurement, SceneConfig, _as_float, _int_at_least
 from .errors import DimensionMismatch, NonFiniteValue
-from .operator import SensingOperator, _forward, _on_support, shift_cube
+from .operator import SensingOperator, _forward, _on_support, _shift
 
 
 class InitStrategy(enum.Enum):
@@ -105,6 +100,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _int_at_least(self.iterations, "iterations", 1)
+        if not isinstance(self.init, InitStrategy):
+            raise ValueError(f"init must be an InitStrategy, got {self.init!r}")
         _check_tv_strength(_as_float(self.tv_weight, "tv_weight"), "tv_weight")
         tol = _as_float(self.convergence_tol, "convergence_tol")
         if not (math.isfinite(tol) and tol >= 0):
@@ -126,47 +123,24 @@ class SolveStats:
         return len(self.residual_l2)
 
 
-def _init_shift(meas: Measurement) -> ShiftedCube:
-    """Repeat the measurement per band, band c translated right by d*c.
+def _start(meas: Measurement, init: InitStrategy) -> np.ndarray:
+    """A fresh, writeable (C, H, W') start: band c is the measurement
+    translated right by ``k`` columns over the full measurement width.
 
-    The translation runs over the full measurement width: columns shifted
-    past the right edge are dropped and the d*c left columns are zero, so
-    band c loses exactly H*d*c values.
+    ``k`` is 0 for REPEAT (every band is the measurement verbatim) and d*c
+    otherwise.  The k columns shifted past the right edge wrap round to the
+    left for ROLL, so every band is a permutation of the measurement; for
+    SHIFT they are dropped and the k left columns are zero.
     """
     h, _, nc, d = meas.config.geometry
-    wp = meas.config.measurement_width()
-    out = np.zeros((nc, h, wp))
+    y = meas.data
+    wp = y.shape[1]
+    z = np.empty((nc, h, wp))
     for c in range(nc):
-        lo = d * c
-        out[c, :, lo:] = meas.data[:, : wp - lo]
-    return ShiftedCube._adopt(meas.config, out)
-
-
-def _init_repeat(meas: Measurement) -> ShiftedCube:
-    """Every band is the measurement verbatim."""
-    h, _, nc, _ = meas.config.geometry
-    out = np.broadcast_to(meas.data, (nc, h, meas.config.measurement_width()))
-    return ShiftedCube._adopt(meas.config, out.copy())
-
-
-def _init_roll(meas: Measurement) -> ShiftedCube:
-    """Band c is the measurement cyclically rotated right by d*c columns.
-
-    The rotation is over the full measurement width, so every band is a
-    permutation of the measurement and no values are discarded.
-    """
-    h, _, nc, d = meas.config.geometry
-    out = np.empty((nc, h, meas.config.measurement_width()))
-    for c in range(nc):
-        out[c] = np.roll(meas.data, d * c, axis=1)
-    return ShiftedCube._adopt(meas.config, out)
-
-
-_INITS = {
-    InitStrategy.SHIFT: _init_shift,
-    InitStrategy.REPEAT: _init_repeat,
-    InitStrategy.ROLL: _init_roll,
-}
+        k = 0 if init is InitStrategy.REPEAT else d * c
+        z[c, :, k:] = y[:, : wp - k]
+        z[c, :, :k] = y[:, wp - k :] if init is InitStrategy.ROLL else 0.0
+    return z
 
 
 # The TV working arrays start on cache-line boundaries.  numpy guarantees
@@ -337,36 +311,34 @@ def gap_solve_with_stats(
     meas: Measurement,
     prior: Prior,
     cfg: SolverConfig,
-    x0: HSICube | ShiftedCube | None = None,
+    x0: HSICube | None = None,
 ) -> tuple[HSICube, SolveStats]:
     """GAP iteration returning the reconstruction and per-run stats.
 
-    Each iteration runs the data step ``z += pinv(y - A z)``, then applies
-    the prior.  With ``crop_denoiser_input`` the prior sees only the
+    The iterate starts from ``x0`` shifted into measurement width with zero
+    margins, or without ``x0`` from ``cfg.init`` (see :func:`_start`);
+    ``x0`` is never written to.  Each iteration runs the data step
+    ``z += pinv(y - A z)``, then applies the prior.  With ``crop_denoiser_input`` the prior sees only the
     on-support crop and the dispersed margin keeps its post-data-step
     values; otherwise the prior sees the full-width tensor.  The bundled
     :class:`TvPrior` runs in place on the iterate.  Any other prior
     receives a private copy, so it may return or keep its input, and its
-    output is written back into the iterate.  Raises NonFiniteValue if the
-    prior's output is not finite.
+    output is written back into the iterate.  Raises DimensionMismatch if
+    ``meas`` or ``x0`` disagrees with the operator's geometry, and
+    NonFiniteValue if the prior's output is not finite.
     """
     if meas.config.geometry != op.config.geometry:
         raise DimensionMismatch("measurement geometry disagrees with operator")
     h, _, nc, d = op.config.geometry
     wp = op.config.measurement_width()
 
-    # The iterate is a private array, updated in place.  The inits and
-    # shift_cube return a fresh array, frozen only by a wrapper that no one
-    # else holds, so it is made writeable again; a caller's tensor is copied.
+    # The iterate is a fresh private array, updated in place.
     if x0 is None:
-        z = _INITS[cfg.init](meas).data
-    elif isinstance(x0, HSICube):
-        z = shift_cube(x0).data
+        z = _start(meas, cfg.init)
+    elif x0.config.geometry == op.config.geometry:
+        z = _shift(x0.data, d)
     else:
-        z = x0.data.copy()
-    if z.shape != (nc, h, wp):
         raise DimensionMismatch("x0 geometry disagrees with operator")
-    z.setflags(write=True)
 
     # The detector residual of each iterate serves both its norm and the
     # next data step.

@@ -524,6 +524,27 @@ class TestReconstruct:
         assert code == 2
         assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_directory_output_for_one_input_exits_2_before_any_read(
+        self, tmp_path, capsys, flag
+    ):
+        # The input files do not exist, so any read would fail first.
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        out = adir if flag == "--out" else tmp_path / "o.hsic"
+        report = ["--report", adir] if flag == "--report" else []
+        code = run_cli(
+            "reconstruct", "--meas", tmp_path / "no_meas.hsic",
+            "--mask", tmp_path / "no_mask.hsic", "--shift-step", 2,
+            "--method", "pinv", "--config", tmp_path / "no.cfg",
+            "--out", out, *report,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} {adir} is a directory; one input needs a file path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+        assert not list(adir.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_solver_exits_4(self, tmp_path, capsys):
         # A faint gray mask makes the Gram diagonal tiny, so the weighted
@@ -897,6 +918,43 @@ class TestExport:
         assert names == ["band_000.pgm", "band_001.pgm", "band_002.pgm"]
         assert (out_dir / "band_000.pgm").read_bytes().startswith(b"P5\n8 8\n255\n")
 
+    @pytest.mark.parametrize("band", [None, 0, 2])
+    def test_non_finite_cube_exits_2_and_creates_nothing(self, tmp_path, capsys, band):
+        data = np.zeros((3, 4, 4))
+        data[2, 1, 1] = np.nan
+        data[0, 3, 2] = np.inf
+        src = tmp_path / "cube.hsic"
+        write_cube(src, data)
+        out_dir = tmp_path / "bands"
+        extra = [] if band is None else ["--band", band]
+        code = run_cli("export", "--cube", src, "--out-dir", out_dir, *extra)
+        assert code == 2
+        assert f"error: {src}: cube contains NaN or Inf" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_one_finite_band_of_a_non_finite_cube_exports(self, tmp_path):
+        data = np.zeros((3, 4, 4))
+        data[2, 1, 1] = np.nan
+        src = tmp_path / "cube.hsic"
+        write_cube(src, data)
+        out_dir = tmp_path / "bands"
+        code = run_cli(
+            "export", "--cube", src, "--out-dir", out_dir, "--band", 1,
+            "--prefix", "s_",
+        )
+        assert code == 0
+        assert [p.name for p in out_dir.iterdir()] == ["s_band_001.pgm"]
+
+    @pytest.mark.parametrize("band", [3, 7, -1])
+    def test_band_out_of_range_exits_2_and_creates_nothing(self, tmp_path, capsys, band):
+        src = tmp_path / "cube.hsic"
+        write_cube(src, np.zeros((3, 4, 4)))
+        out_dir = tmp_path / "bands"
+        code = run_cli("export", "--cube", src, "--out-dir", out_dir, "--band", band)
+        assert code == 2
+        assert f"band {band} outside [0, 3)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestRunConfig:
     def test_parse_and_precedence(self, tmp_path):
@@ -927,6 +985,21 @@ class TestRunConfig:
         cfg.write_text("iterations = soon\n")
         with pytest.raises(ConfigFileError):
             parse_run_config(str(cfg))
+
+    @pytest.mark.parametrize(
+        "text", ["450,,460", "450, ,460", "450,460,", ",450", "", " , "]
+    )
+    def test_empty_wavelength_entry_rejected(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"wavelengths = {text}\n")
+        match = re.escape(f"{cfg}:1: bad value {text.strip()!r} for wavelengths")
+        with pytest.raises(ConfigFileError, match=f"^{match}$"):
+            parse_run_config(str(cfg))
+
+    def test_wavelengths_parse(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wavelengths = 450, 460.5 ,470\n")
+        assert parse_run_config(str(cfg)) == {"wavelengths": (450.0, 460.5, 470.0)}
 
     def test_undecodable_file_names_path_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -10,7 +10,6 @@ from cassi import (
     Measurement,
     NonFiniteValue,
     SceneConfig,
-    ShiftedCube,
     build_operator,
 )
 from cassi.dense import cube_to_vec, meas_to_vec
@@ -77,7 +76,6 @@ class TestCubeTypes:
         # raise; the generated __hash__ would hash an array and raise.
         makers = [
             lambda: HSICube(tiny_config, np.zeros((2, 2, 2))),
-            lambda: ShiftedCube(tiny_config, np.zeros((2, 2, 3))),
             lambda: Measurement(tiny_config, np.zeros((2, 3))),
             lambda: CodedAperture(np.ones((2, 2))),
             lambda: build_operator(CodedAperture(np.ones((2, 2))), tiny_config),

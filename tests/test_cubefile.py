@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cassi import CubeFileError
+from cassi import CubeFileError, NonFiniteValue
 from cassi.cli import main
 from cassi.cubefile import HEADER_SIZE, MAGIC, read_cube, write_cube, write_pgm
 
@@ -305,6 +305,45 @@ def test_pgm_export(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n2 2\n255\n")
     assert raw[-4:] == bytes([0, 128, 255, 255])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_export_of_a_non_finite_plane_raises_and_creates_nothing(tmp_path, bad):
+    plane = np.zeros((2, 2))
+    plane[1, 0] = bad
+    with pytest.raises(NonFiniteValue, match="NaN or Inf"):
+        write_pgm(tmp_path / "band.pgm", plane)
+    assert not list(tmp_path.iterdir())
+
+
+class TestWriteErrorNamesThePath:
+    def test_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "cube.hsic"
+        with pytest.raises(FileNotFoundError) as info:
+            write_cube(path, np.zeros((1, 2, 2)))
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+
+    def test_rename_over_a_directory_removes_the_temp_file(self, tmp_path):
+        path = tmp_path / "adir"
+        path.mkdir()
+        with pytest.raises(OSError) as info:
+            write_pgm(path, np.zeros((2, 2)))
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert not list(path.iterdir())
+
+    def test_cli_message(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "m.hsic"
+        code = main([
+            "mask", "gen", "--height", "2", "--width", "2", "--density", "0.5",
+            "--seed", "0", "--out", str(path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: {str(path)!r}" in err
+        assert ".tmp" not in err
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -11,10 +11,9 @@ from cassi import (
     Measurement,
     SceneConfig,
     build_operator,
-    shift_cube,
 )
 from cassi.dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
-from cassi.operator import _gram_diagonal, _on_support
+from cassi.operator import _gram_diagonal, _on_support, _shift
 
 from conftest import (
     full_rank_mask,
@@ -46,7 +45,7 @@ def shifted_mask(mask, config):
     """Per-band shifted copies of the mask, built as the dense oracle
     builds the diagonals of its blocks."""
     h, w, nc, _ = config.geometry
-    return shift_cube(HSICube(config, np.broadcast_to(mask.data, (nc, h, w)))).data
+    return _shift(np.broadcast_to(mask.data, (nc, h, w)), config.shift_step)
 
 
 class TestShift:
@@ -72,34 +71,35 @@ class TestShift:
         cube = HSICube(
             tiny_config, np.array([[[1.0, 2], [3, 4]], [[5.0, 6], [7, 8]]])
         )
-        shifted = shift_cube(cube)
-        np.testing.assert_array_equal(shifted.data[0], [[1, 2, 0], [3, 4, 0]])
-        np.testing.assert_array_equal(shifted.data[1], [[0, 5, 6], [0, 7, 8]])
+        shifted = _shift(cube.data, tiny_config.shift_step)
+        np.testing.assert_array_equal(shifted[0], [[1, 2, 0], [3, 4, 0]])
+        np.testing.assert_array_equal(shifted[1], [[0, 5, 6], [0, 7, 8]])
 
     def test_shift_zero_cube(self, tiny_config):
-        shifted = shift_cube(HSICube(tiny_config, np.zeros((2, 2, 2))))
-        assert not shifted.data.any()
+        shifted = _shift(np.zeros((2, 2, 2)), tiny_config.shift_step)
+        assert not shifted.any()
 
     def test_unshift_inverts_shift(self, tiny_config):
         # The on-support view is the inverse of the shift.
         cube = HSICube(
             tiny_config, np.array([[[1.0, 2], [3, 4]], [[5.0, 6], [7, 8]]])
         )
-        back = _on_support(shift_cube(cube).data, tiny_config.shift_step)
+        d = tiny_config.shift_step
+        back = _on_support(_shift(cube.data, d), d)
         np.testing.assert_array_equal(back, cube.data)
 
     @given(operator_configs())
     def test_shift_roundtrip_bit_exact(self, case):
         config, seed = case
         cube = random_cube(config, seed)
-        back = _on_support(shift_cube(cube).data, config.shift_step)
+        back = _on_support(_shift(cube.data, config.shift_step), config.shift_step)
         assert np.array_equal(back, cube.data)
 
     @given(operator_configs())
     def test_shifted_support_invariant(self, case):
         config, seed = case
         h, w, nc, d = config.geometry
-        shifted = shift_cube(random_cube(config, seed)).data
+        shifted = _shift(random_cube(config, seed).data, d)
         for c in range(nc):
             margin = shifted[c].copy()
             margin[:, d * c : d * c + w] = 0.0

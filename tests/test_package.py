@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "Prior",
     "SceneConfig",
     "SensingOperator",
-    "ShiftedCube",
     "SolveStats",
     "SolverConfig",
     "TvPrior",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "read_cube",
     "repair_mask",
     "rnd_reconstruct",
-    "shift_cube",
     "ssim",
     "ssim_bands",
     "write_cube",

@@ -15,16 +15,14 @@ from cassi import (
     Measurement,
     NonFiniteValue,
     SceneConfig,
-    ShiftedCube,
     InitStrategy,
     SolverConfig,
     TvPrior,
     gap_solve_with_stats,
     rnd_reconstruct,
-    shift_cube,
 )
 from cassi import _pool, recon
-from cassi.operator import _on_support
+from cassi.operator import _on_support, _shift
 
 from conftest import (
     make_operator,
@@ -44,18 +42,19 @@ def meas_row(config, row):
 class TestInitShift:
     def test_hand_example(self):
         config = SceneConfig(1, 2, 2, 1)
-        z = recon._init_shift(meas_row(config, [1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(z.data[0], [[1, 2, 3]])
-        np.testing.assert_array_equal(z.data[1], [[0, 1, 2]])
+        z = recon._start(meas_row(config, [1.0, 2.0, 3.0]), InitStrategy.SHIFT)
+        np.testing.assert_array_equal(z[0], [[1, 2, 3]])
+        np.testing.assert_array_equal(z[1], [[0, 1, 2]])
 
     def test_single_band_is_measurement(self):
         config = SceneConfig(1, 3, 1, 1)
-        z = recon._init_shift(meas_row(config, [4.0, 5.0, 6.0]))
-        np.testing.assert_array_equal(z.data[0], [[4, 5, 6]])
+        z = recon._start(meas_row(config, [4.0, 5.0, 6.0]), InitStrategy.SHIFT)
+        np.testing.assert_array_equal(z[0], [[4, 5, 6]])
 
     def test_zero_measurement(self, tiny_config):
-        z = recon._init_shift(Measurement(tiny_config, np.zeros((2, 3))))
-        assert not z.data.any()
+        meas = Measurement(tiny_config, np.zeros((2, 3)))
+        z = recon._start(meas, InitStrategy.SHIFT)
+        assert not z.any()
 
     @given(operator_configs())
     def test_zero_count_per_band(self, case):
@@ -65,29 +64,29 @@ class TestInitShift:
             config,
             0.1 + rng.random((config.height, config.measurement_width())),
         )
-        z = recon._init_shift(meas)
+        z = recon._start(meas, InitStrategy.SHIFT)
         for c in range(config.bands):
-            zeros = int(np.count_nonzero(z.data[c] == 0.0))
+            zeros = int(np.count_nonzero(z[c] == 0.0))
             assert zeros == config.height * config.shift_step * c
 
 
 class TestInitRepeat:
     def test_bands_verbatim(self):
         config = SceneConfig(1, 2, 2, 1)
-        z = recon._init_repeat(meas_row(config, [1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(z.data[0], [[1, 2, 3]])
-        np.testing.assert_array_equal(z.data[1], [[1, 2, 3]])
+        z = recon._start(meas_row(config, [1.0, 2.0, 3.0]), InitStrategy.REPEAT)
+        np.testing.assert_array_equal(z[0], [[1, 2, 3]])
+        np.testing.assert_array_equal(z[1], [[1, 2, 3]])
 
     def test_zero_measurement(self, tiny_config):
         meas = Measurement(tiny_config, np.zeros((2, 3)))
-        assert not recon._init_repeat(meas).data.any()
+        assert not recon._start(meas, InitStrategy.REPEAT).any()
 
     @given(operator_configs())
     def test_total_is_band_count_times_measurement(self, case):
         config, seed = case
         meas = random_meas(config, seed)
-        z = recon._init_repeat(meas)
-        assert np.isclose(z.data.sum(), config.bands * meas.data.sum())
+        z = recon._start(meas, InitStrategy.REPEAT)
+        assert np.isclose(z.sum(), config.bands * meas.data.sum())
 
     @pytest.mark.parametrize("bands", [1, 3])
     def test_returns_an_array_of_its_own(self, bands):
@@ -95,9 +94,9 @@ class TestInitRepeat:
         # single band must not be a view of the measurement.
         config = SceneConfig(3, 4, bands, 1)
         meas = random_meas(config, 47)
-        z = recon._init_repeat(meas)
-        assert z.data.flags.owndata and z.data.flags.c_contiguous
-        assert not np.shares_memory(z.data, meas.data)
+        z = recon._start(meas, InitStrategy.REPEAT)
+        assert z.flags.owndata and z.flags.c_contiguous
+        assert not np.shares_memory(z, meas.data)
 
     @pytest.mark.parametrize("crop", [True, False])
     def test_single_band_solve_leaves_the_measurement_unchanged(self, crop):
@@ -115,35 +114,37 @@ class TestInitRepeat:
 class TestInitRoll:
     def test_hand_example_rotates_over_measurement_width(self):
         config = SceneConfig(1, 2, 2, 1)
-        z = recon._init_roll(meas_row(config, [1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(z.data[0], [[1, 2, 3]])
-        np.testing.assert_array_equal(z.data[1], [[3, 1, 2]])
+        z = recon._start(meas_row(config, [1.0, 2.0, 3.0]), InitStrategy.ROLL)
+        np.testing.assert_array_equal(z[0], [[1, 2, 3]])
+        np.testing.assert_array_equal(z[1], [[3, 1, 2]])
 
     def test_band_zero_is_identity(self, tiny_config):
         meas = random_meas(tiny_config, 3)
-        np.testing.assert_array_equal(recon._init_roll(meas).data[0], meas.data)
+        z = recon._start(meas, InitStrategy.ROLL)
+        np.testing.assert_array_equal(z[0], meas.data)
 
     @given(operator_configs())
     def test_every_band_is_a_permutation(self, case):
         config, seed = case
         meas = random_meas(config, seed)
-        z = recon._init_roll(meas)
+        z = recon._start(meas, InitStrategy.ROLL)
         reference = np.sort(meas.data, axis=None)
         for c in range(config.bands):
-            np.testing.assert_array_equal(np.sort(z.data[c], axis=None), reference)
-            assert np.isclose(z.data[c].sum(), meas.data.sum())
+            np.testing.assert_array_equal(np.sort(z[c], axis=None), reference)
+            assert np.isclose(z[c].sum(), meas.data.sum())
 
 
 class TestCropToScene:
     def test_inverts_shift(self, tiny_config):
         cube = random_cube(tiny_config, 5)
-        back = _on_support(shift_cube(cube).data, tiny_config.shift_step)
+        d = tiny_config.shift_step
+        back = _on_support(_shift(cube.data, d), d)
         np.testing.assert_array_equal(back, cube.data)
 
     @given(operator_configs())
     def test_output_width_is_scene_width(self, case):
         config, seed = case
-        z = recon._init_repeat(random_meas(config, seed)).data
+        z = recon._start(random_meas(config, seed), InitStrategy.REPEAT)
         cropped = _on_support(z, config.shift_step)
         assert cropped.shape == (config.bands, config.height, config.width)
 
@@ -735,21 +736,15 @@ class TestGapSolve:
 
 
 class TestGapSolveWorkingCopy:
-    @staticmethod
-    def x0_of(kind, op, meas):
-        if kind == "HSICube":
-            return op.pinv(meas)
-        h, _, nc, _ = op.config.geometry
-        rng = np.random.Generator(np.random.Philox(44))
-        return ShiftedCube(op.config, rng.random((nc, h, op.config.measurement_width())))
-
-    @pytest.mark.parametrize("kind", ["HSICube", "ShiftedCube"])
+    # ``kind`` names the type of x0; an HSICube is the only one accepted.
+    @pytest.mark.parametrize("kind", ["HSICube"])
     @pytest.mark.parametrize("crop", [True, False])
     def test_leaves_x0_unchanged(self, kind, crop):
         config = SceneConfig(6, 5, 3, 2)
         op = make_operator(config, seed=45)
         meas = op.forward(random_cube(config, 46))
-        x0 = self.x0_of(kind, op, meas)
+        x0 = op.pinv(meas)
+        assert type(x0).__name__ == kind
         before = x0.data.tobytes()
         cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
         gap_solve_with_stats(op, meas, TvPrior(3), cfg, x0=x0)
@@ -988,35 +983,22 @@ class TestGapSolveBytesPinned:
             "fcb939063b264c8886d35990bf65f835cb3659e656ac1c26f335558a5e590220",
             4,
         ),
-        "x0=shifted/crop=True": (
-            "b09f094517acf1dd15918834ea22cce164ab1760e7d23765629a9d79b4befd8b",
-            "1fff1b4ccbf6325cf8a944d7986ee0f289fff54ec6497dcb7d0a1e5be7c7078f",
-            4,
-        ),
-        "x0=shifted/crop=False": (
-            "1861e2f2330968ade79404b6d78bc70d04dc3cb782b8c3aa41a79364d61937c0",
-            "c44aebcb72e254b98ba2be27bb624f15b75060a7e9616a41a1e619423d709455",
-            4,
-        ),
     }
 
     @staticmethod
     def case(key, op, meas):
         """Solver config and x0 for ``key``; "init/crop=..." keys run 4 iterations."""
-        config = op.config
-        h, _, nc, _ = config.geometry
         if key == "tol":
             return SolverConfig(iterations=60, convergence_tol=1e-2), None
         if key == "x0=pinv":
             return SolverConfig(iterations=4), op.pinv(meas)
         head, crop = key.split("/crop=")
-        cfg = dict(iterations=4, crop_denoiser_input=crop == "True")
-        if head == "x0=shifted":
-            # Nonzero margin values, which the full-width prior sees.
-            rng = np.random.Generator(np.random.Philox(43))
-            data = rng.random((nc, h, config.measurement_width()))
-            return SolverConfig(**cfg), ShiftedCube(config, data)
-        return SolverConfig(**cfg, init=InitStrategy.from_name(head)), None
+        cfg = SolverConfig(
+            iterations=4,
+            init=InitStrategy.from_name(head),
+            crop_denoiser_input=crop == "True",
+        )
+        return cfg, None
 
     @pytest.mark.parametrize("key", sorted(DIGESTS))
     def test_output_and_residual_trace(self, key):
@@ -1090,6 +1072,11 @@ class TestSolverConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("init", ["roll", None, 0])
+    def test_rejects_an_init_that_is_not_a_strategy(self, init):
+        with pytest.raises(ValueError, match="init must be an InitStrategy"):
+            SolverConfig(init=init)
 
     @pytest.mark.parametrize("weight", [1e-310, 1e-320, 5e-324])
     def test_rejects_tv_weight_whose_dual_step_overflows(self, weight):
