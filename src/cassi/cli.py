@@ -20,6 +20,7 @@ reconstruction; it never changes numerical results.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import json
@@ -196,6 +197,31 @@ def _name_once(path: str, message: str) -> str:
     return f"{path}: {message}"
 
 
+def _check_output(flag: str, path: str, batch: bool = False) -> None:
+    """Refuse an output before any input is read, so no work is lost to a
+    write that must fail.  A batch's ``path`` is a directory that must
+    exist; a single output must not be a directory, and its parent must
+    exist.  The directory written to must be writable.  A missing or
+    unwritable directory raises the ``OSError`` the write would raise."""
+    if batch:
+        if not os.path.isdir(path):
+            raise ConfigFileError(
+                f"{flag} {path} must be an existing directory for batch input"
+            )
+        parent = path
+    else:
+        if os.path.isdir(path):
+            raise ConfigFileError(
+                f"{flag} {path} is a directory; one input needs a file path"
+            )
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -205,6 +231,7 @@ def _stem(path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _check_output("--out", args.out)
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)
     cube_arr, _ = read_cube(args.cube)
@@ -267,13 +294,10 @@ def cmd_reconstruct(args) -> int:
     # The output paths are checked before any input is read.
     meas_paths = args.meas
     multi = len(meas_paths) > 1
+    _check_output("--out", args.out, multi)
+    if args.report:
+        _check_output("--report", args.report, multi)
     if multi:
-        if not os.path.isdir(args.out):
-            raise ConfigFileError(
-                f"--out must be an existing directory for {len(meas_paths)} inputs"
-            )
-        if args.report and not os.path.isdir(args.report):
-            raise ConfigFileError("--report must be a directory for batch input")
         stems = [_stem(path) for path in meas_paths]
         repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
         if repeated:
@@ -281,12 +305,6 @@ def cmd_reconstruct(args) -> int:
                 f"inputs share the output stem(s) {', '.join(repeated)}; "
                 "their results would overwrite each other"
             )
-    else:
-        for flag, path in (("--out", args.out), ("--report", args.report)):
-            if path and os.path.isdir(path):
-                raise ConfigFileError(
-                    f"{flag} {path} is a directory; one input needs a file path"
-                )
 
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)
@@ -594,6 +612,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_mask_gen(args) -> int:
+    _check_output("--out", args.out)
     mask = gen_mask(args.height, args.width, args.density, args.seed)
     if (args.full_rank_bands is None) != (args.full_rank_step is None):
         raise ConfigFileError(
@@ -609,6 +628,7 @@ def cmd_mask_gen(args) -> int:
 
 
 def cmd_mask_crop(args) -> int:
+    _check_output("--out", args.out)
     cropped = crop_mask(_load_mask(args.mask), args.size, args.seed)
     write_cube(args.out, cropped.data, dtype=args.dtype)
     return 0

@@ -14,7 +14,12 @@ bytes 20..            data    H*W*C values, band-major, row then column
 ====================  ======  =====================================
 
 Masks and measurements are stored with C = 1.  Writes go through a
-temporary file and an atomic rename.
+temporary file and an atomic rename: a reader, or a run that fails, sees
+either the old file or the new one, never a mix.  Nothing is synced, so a
+power loss may still lose a recent write.  The temporary file's whole size
+is reserved before the first byte is written, so a full disk fails before
+any data is written, and renaming it over an existing file on ext4 does not
+force the writeback of delayed-allocation blocks.
 
 Each payload is copied once on its way between the file and the caller.
 ``write_cube`` hands a float64 array's own buffer to the file, and
@@ -26,6 +31,7 @@ such as a pipe, is read to its end and then validated.
 
 from __future__ import annotations
 
+import errno
 import os
 import secrets
 import stat
@@ -44,18 +50,39 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {"f32": 0, "f64": 1}
 
 
+# Errors that mean a file system cannot preallocate; the write goes ahead
+# without it.
+_NO_PREALLOCATION = frozenset({errno.EOPNOTSUPP, errno.ENOSYS, errno.EINVAL})
+
+
+def _preallocate(fd: int, size: int) -> None:
+    """Reserve ``size`` bytes of ``fd`` from offset 0, if the platform and
+    the file system can; any other error, such as ``ENOSPC``, is raised."""
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fallocate(fd, 0, size)
+    except OSError as exc:
+        if exc.errno not in _NO_PREALLOCATION:
+            raise
+
+
 def _atomic_write(path: str | os.PathLike, *chunks: bytes | np.ndarray) -> None:
     """Write ``chunks`` to a fresh temporary file beside ``path``, then
     rename it over ``path``.  A chunk is any C-contiguous buffer and is
-    written without a copy.  The temporary file is created with mode 0o666
-    less the umask, as ``open`` would create ``path``, and is removed on any
-    error.  An ``OSError`` names ``path``, never the temporary file."""
+    written without a copy.  The whole payload is preallocated first, so a
+    full disk fails before any chunk is written.  The temporary file is
+    created with mode 0o666 less the umask, as ``open`` would create
+    ``path``, and is removed on any error.  An ``OSError`` names ``path``,
+    never the temporary file."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f"{name}.{secrets.token_hex(8)}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
+                _preallocate(fd, sum(memoryview(chunk).nbytes for chunk in chunks))
                 for chunk in chunks:
                     fh.write(chunk)
             os.replace(tmp, path)

@@ -585,6 +585,123 @@ class TestReconstruct:
         assert not out.exists()
 
 
+class TestOutputCheckedFirst:
+    """An output that cannot be written is refused with exit 2 before any
+    input is read, so no work is lost and nothing is created."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--cube", "{cube}", "--mask", "{mask}",
+                     "--shift-step", 1, "--out", "{out}"],
+        "mask-gen": ["mask", "gen", "--height", 2, "--width", 2, "--density",
+                     0.5, "--seed", 0, "--out", "{out}"],
+        "mask-crop": ["mask", "crop", "--mask", "{mask}", "--size", 2,
+                      "--seed", 0, "--out", "{out}"],
+        "reconstruct": ["reconstruct", "--meas", "{meas}", "--mask", "{mask}",
+                        "--shift-step", 1, "--method", "pinv", "--out", "{out}"],
+        "reconstruct-report": ["reconstruct", "--meas", "{meas}", "--mask",
+                               "{mask}", "--shift-step", 1, "--method", "pinv",
+                               "--out", "{ok}", "--report", "{out}"],
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch, worked_example):
+        """Readable inputs for every command, and the list of paths that
+        ``read_cube`` is asked for."""
+        cube, mask = worked_example
+        meas = tmp_path / "meas.hsic"
+        write_cube(meas, np.ones((2, 3)))
+        reads = []
+
+        def spy(path):
+            reads.append(path)
+            return read_cube(path)
+
+        monkeypatch.setattr(cli, "read_cube", spy)
+        paths = {"cube": cube, "mask": mask, "meas": meas, "ok": tmp_path / "o.hsic"}
+        return paths, reads
+
+    @staticmethod
+    def deny(monkeypatch, directory):
+        """Make ``os.access`` refuse ``directory``.  It answers for the
+        caller's real rights, so the case runs under any user, root too."""
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: path != str(directory) and real_access(path, mode)
+        )
+
+    def run(self, tmp_path, inputs, command, out):
+        paths, reads = inputs
+        before = sorted(tmp_path.rglob("*"))
+        argv = [str(a).format(out=out, **paths) for a in self.COMMANDS[command]]
+        code = main(argv)
+        assert reads == []
+        assert sorted(tmp_path.rglob("*")) == before
+        return code
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_directory(self, tmp_path, capsys, inputs, command):
+        out = tmp_path / "missing" / "o.hsic"
+        assert self.run(tmp_path, inputs, command, out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_parent_is_a_file(self, tmp_path, capsys, inputs, command):
+        out = tmp_path / "cube.hsic" / "o.hsic"
+        assert self.run(tmp_path, inputs, command, out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 20] Not a directory: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_directory_per_access(
+        self, tmp_path, capsys, monkeypatch, inputs, command
+    ):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        self.deny(monkeypatch, locked)
+        out = locked / "o.hsic"
+        assert self.run(tmp_path, inputs, command, out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+
+    @pytest.mark.skipif(
+        os.name != "posix" or os.geteuid() == 0, reason="root writes anywhere"
+    )
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_directory(self, tmp_path, capsys, inputs, command):
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        try:
+            out = locked / "o.hsic"
+            assert self.run(tmp_path, inputs, command, out) == 2
+        finally:
+            locked.chmod(0o700)
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_batch_directory_per_access(
+        self, tmp_path, capsys, monkeypatch, inputs, flag
+    ):
+        paths, reads = inputs
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        report_dir = tmp_path / "reports"
+        report_dir.mkdir()
+        locked = out_dir if flag == "--out" else report_dir
+        self.deny(monkeypatch, locked)
+        code = run_cli(
+            "reconstruct", "--meas", paths["meas"], paths["cube"], "--mask",
+            paths["mask"], "--shift-step", 1, "--method", "pinv",
+            "--out", out_dir, "--report", report_dir,
+        )
+        assert code == 2
+        assert reads == []
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 13] Permission denied: {str(locked)!r}\n"
+        assert not any(out_dir.iterdir()) and not any(report_dir.iterdir())
+
+
 class TestMetrics:
     def test_identical_files(self, tmp_path, capsys):
         cube = gen_scene(SceneConfig(16, 16, 2, 1), 4, seed=1)

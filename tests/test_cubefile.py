@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import struct
 import threading
@@ -344,6 +346,114 @@ class TestWriteErrorNamesThePath:
         err = capsys.readouterr().err
         assert f"No such file or directory: {str(path)!r}" in err
         assert ".tmp" not in err
+
+
+def _fail_with(code):
+    def fallocate(fd, offset, length):
+        raise OSError(code, os.strerror(code))
+
+    return fallocate
+
+
+class TestPreallocation:
+    """Every write reserves its whole payload with ``os.posix_fallocate``
+    before the first byte; where that is not supported the write goes ahead
+    unchanged, and any other failure fails the write."""
+
+    def cube(self):
+        return np.random.Generator(np.random.Philox(8)).random((3, 4, 5))
+
+    @pytest.mark.parametrize(
+        "write,size",
+        [
+            (lambda path, data: write_cube(path, data), HEADER_SIZE + 60 * 8),
+            (lambda path, data: write_cube(path, data, "f32"), HEADER_SIZE + 60 * 4),
+            (lambda path, data: write_pgm(path, data[0]), len(b"P5\n5 4\n255\n") + 20),
+        ],
+        ids=["f64", "f32", "pgm"],
+    )
+    def test_reserves_the_exact_payload_once(self, tmp_path, monkeypatch, write, size):
+        calls = []
+
+        def spy(fd, offset, length):
+            calls.append((offset, length, os.fstat(fd).st_size))
+
+        monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
+        path = tmp_path / "out"
+        write(path, self.cube())
+        assert calls == [(0, size, 0)]
+        assert path.stat().st_size == size
+
+    @pytest.mark.parametrize("code", ["ENOSPC", "EDQUOT", "EFBIG", "EIO"])
+    def test_a_refused_reservation_fails_before_any_data(
+        self, tmp_path, monkeypatch, code
+    ):
+        path = tmp_path / "cube.hsic"
+        write_cube(path, self.cube())
+        old = path.read_bytes()
+        sizes = []
+
+        def refuse(fd, offset, length):
+            sizes.append(os.fstat(fd).st_size)
+            _fail_with(getattr(errno, code))(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        with pytest.raises(OSError) as info:
+            write_cube(path, np.zeros((2, 2, 2)))
+        assert info.value.errno == getattr(errno, code)
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert sizes == [0]
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["cube.hsic"]
+
+    @pytest.mark.parametrize("code", ["EOPNOTSUPP", "ENOSYS", "EINVAL", None])
+    def test_without_preallocation_the_bytes_are_the_same(
+        self, tmp_path, monkeypatch, code
+    ):
+        data = self.cube()
+        expected = {"cube.hsic": tmp_path / "c.hsic", "band.pgm": tmp_path / "b.pgm"}
+        write_cube(expected["cube.hsic"], data)
+        write_pgm(expected["band.pgm"], data[0])
+        out = tmp_path / "out"
+        out.mkdir()
+        write_cube(out / "cube.hsic", np.ones((1, 1, 1)))  # replaced below
+        if code is None:
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            monkeypatch.setattr(
+                os, "posix_fallocate", _fail_with(getattr(errno, code)), raising=False
+            )
+        write_cube(out / "cube.hsic", data)
+        write_pgm(out / "band.pgm", data[0])
+        assert sorted(p.name for p in out.iterdir()) == ["band.pgm", "cube.hsic"]
+        for name, path in expected.items():
+            assert (out / name).read_bytes() == path.read_bytes()
+
+
+def test_a_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "cube.hsic"
+    write_cube(path, np.ones((2, 3, 3)))
+    old = path.read_bytes()
+    writes = []
+
+    class FailsAfterTheHeader(io.BufferedWriter):
+        def write(self, chunk):
+            writes.append(memoryview(chunk).nbytes)
+            if len(writes) > 1:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return super().write(chunk)
+
+    monkeypatch.setattr(
+        os, "fdopen", lambda fd, mode: FailsAfterTheHeader(io.FileIO(fd, "w"))
+    )
+    with pytest.raises(OSError) as info:
+        write_cube(path, np.zeros((2, 3, 3)))
+    assert writes == [HEADER_SIZE, 2 * 3 * 3 * 8]
+    assert info.value.errno == errno.EIO
+    assert info.value.filename == str(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.hsic"]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
