@@ -1,11 +1,17 @@
 """The process-wide kernel thread pool.
 
-The TV prox and the metrics treat every band on its own, and they spend
-their time in numpy loops that release the interpreter lock.  So their band
-blocks are spread over one thread per CPU this process may run on
-(``taskset`` limits it).  Every caller shares the one pool: batch
-reconstruction threads queue their blocks on it rather than bring their
-own.  A task must not itself wait on the pool.
+The TV prox and the metrics treat every band on its own, the operator
+kernels treat every detector row on its own, and the finite check treats
+every value on its own.  All of them spend their time in numpy loops that
+release the interpreter lock.  So their blocks of bands, rows or values
+are spread over one thread per CPU this process may run on (``taskset``
+limits it).  Every caller shares the one pool: batch reconstruction
+threads queue their blocks on it rather than bring their own.
+
+A task must not itself wait on the pool.  So no task may call an operator
+kernel or build a checked value type (an ``HSICube``, ``Measurement`` or
+``CodedAperture``): both run their own spans on the pool, and a task that
+waits for them can wait for ever on a pool whose workers all wait too.
 
 The pool is created on first use, and again in a forked child, whose copy
 of the parent's pool has no threads.
@@ -25,7 +31,10 @@ from typing import Callable
 # keeps their per-call overhead low.  The metrics' SSIM workspace has 7 block arrays,
 # so its blocks hold max(1, BLOCK_BYTES // (7*H*W*8)) bands: the whole
 # workspace fits in BLOCK_BYTES, or holds one band (7 planes) when a band
-# is larger.
+# is larger.  The operator kernels cut the detector image, and the finite
+# check its array, into blocks of rows of about BLOCK_BYTES, spread evenly
+# over the workers (see row_block); an image or array that fits runs as one
+# inline span.
 BLOCK_BYTES = 512 * 1024
 
 _lock = threading.Lock()
@@ -66,9 +75,28 @@ def band_block(bands: int, height: int, width: int) -> int:
     return min(bands, max(1, BLOCK_BYTES // (height * width * 8)))
 
 
+def row_block(rows: int, row_bytes: int) -> int:
+    """Rows per block of an array of ``rows`` rows of ``row_bytes`` each.
+
+    All of them when the array fits in ``BLOCK_BYTES``, so it runs as one
+    inline span.  Otherwise the rows are cut into ``n`` near-equal blocks,
+    ``n`` the smallest multiple of the worker count with ``n`` blocks of
+    ``BLOCK_BYTES`` holding the array, so the blocks spread evenly over
+    the workers and each is less than one row over ``BLOCK_BYTES``.
+    At least one.
+    """
+    size = rows * row_bytes
+    if size <= BLOCK_BYTES:
+        return max(1, rows)
+    workers = kernel_workers()
+    blocks = workers * -(-size // (workers * BLOCK_BYTES))
+    return -(-rows // blocks)
+
+
 def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None:
     """Call ``task(lo, hi)`` on spans of whole ``block``-band blocks that
-    together cover bands ``[0, n)``, and return when every call has.
+    together cover bands ``[0, n)``, and return when every call has.  A
+    band may be any unit of independent work, such as a row or a value.
 
     There is at most one span per worker; a single span runs inline in the
     calling thread.  Spans must be independent of each other.  The first

@@ -568,7 +568,9 @@ def cmd_bench(args) -> int:
     prior = TvPrior()
 
     targets = {
+        "build_operator": lambda: build_operator(mask, config),
         "phi_apply": lambda: op.forward(cube),
+        "adjoint_apply": lambda: op.adjoint(meas),
         "pinv_apply": lambda: op.pinv(meas),
         "rnd_combine": lambda: op.rnd_combine(meas, zero_q),
         "tv_denoise": lambda: prior.denoise(cube, 0.1),

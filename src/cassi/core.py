@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import row_block, run_band_spans
 from .errors import DimensionMismatch, NonFiniteValue
 
 
@@ -71,7 +72,25 @@ class SceneConfig:
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    """Raise NonFiniteValue if ``arr`` holds a NaN or an infinity.
+
+    The values are checked in cache-sized chunks on the kernel pool, so no
+    array-sized mask is built; a small array is one chunk checked inline.
+    """
+    flat = arr.reshape(-1)
+    block = row_block(flat.size, flat.itemsize)
+    bad = []
+
+    def run_span(start: int, stop: int) -> None:
+        finite = np.empty(min(block, stop - start), dtype=bool)
+        for lo in range(start, stop, block):
+            part = flat[lo : lo + block]
+            if not np.isfinite(part, finite[: part.size]).all():
+                bad.append(lo)
+                return
+
+    run_band_spans(run_span, flat.size, block)
+    if bad:
         raise NonFiniteValue(f"{what} contains NaN or Inf")
 
 

@@ -18,6 +18,27 @@ Band c of a (C, H, W') tensor is supported on columns [d*c, d*c + W), so
 the on-support region of all bands is a single strided (C, H, W) view
 (:func:`_on_support`); :func:`_shift` copies a cube through it.
 
+:func:`_forward` and :func:`_backproject` work on blocks of detector rows
+(:func:`cassi._pool.row_block`): an image that fits in ``BLOCK_BYTES`` is
+one block run inline, a larger one is split into near-equal blocks spread
+over the kernel pool, one span per worker, each span with its own scratch.
+Rows are independent, so the split changes no value.  Neither kernel may
+run inside a pool task (see :mod:`cassi._pool`).  In the detector image,
+band c's window over rows
+[lo, hi) is one flat run of ``y.reshape(-1)``: it starts at ``lo*W' +
+d*c`` and is ``(hi-lo-1)*W' + W`` values long, the window's rows joined
+by the ``W' - W`` values between them.  So :func:`_forward` and
+:func:`_gram_diagonal` write the band's product (or the squared mask) into
+the first W columns of a zero-padded (rows, W') scratch, and add the
+scratch to that run in one contiguous add instead of one strided add per
+row.  The pad adds +0 to the values between the window's rows.  That
+changes none of them: ``y`` starts at +0, a sum that starts at +0 is
+never -0, and ``v + (+0)`` is ``v`` for every ``v`` but -0.
+:meth:`SensingOperator._add_pinv` adds into a (C, H, W) view, often the
+on-support view of an iterate whose margins may hold -0, so it stays a
+strided add over the window alone: a flat add would also touch the
+margins and turn a -0 there into +0.
+
 Public operations allocate fresh outputs and are pure; the operator itself
 is immutable and shareable across threads.  Per-pixel sums over bands
 always run in increasing band order, so results are bitwise reproducible.
@@ -30,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._pool import row_block, run_band_spans
 from .core import CodedAperture, HSICube, Measurement, SceneConfig
 from .errors import DimensionMismatch, MaskDegenerate
 
@@ -51,9 +73,23 @@ def _forward(mask: np.ndarray, d: int, bands: np.ndarray) -> np.ndarray:
     """Detector image of (C, H, W) bands: modulate each band by the mask,
     shift band c right by d*c columns, and accumulate in band order."""
     nc, h, w = bands.shape
-    y = np.zeros((h, w + d * (nc - 1)))
-    for c in range(nc):
-        y[:, d * c : d * c + w] += bands[c] * mask
+    wp = w + d * (nc - 1)
+    y = np.zeros((h, wp))
+    flat = y.reshape(-1)
+    block = row_block(h, wp * y.itemsize)
+
+    def run_span(start: int, stop: int) -> None:
+        pad = np.zeros((min(block, stop - start), wp))
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            n, at = (hi - lo - 1) * wp + w, lo * wp
+            product, run, m = pad[: hi - lo, :w], pad.reshape(-1)[:n], mask[lo:hi]
+            for c, band in enumerate(bands[:, lo:hi]):
+                np.multiply(band, m, product)
+                window = flat[at + d * c : at + d * c + n]
+                np.add(window, run, window)
+
+    run_band_spans(run_span, h, block)
     return y
 
 
@@ -62,13 +98,24 @@ def _backproject(
 ) -> np.ndarray:
     """Transpose of :func:`_forward`: write (or, with ``accumulate``, add)
     ``mask * y[:, d*c : d*c + W]`` into band c of the (C, H, W) ``out``."""
-    w = mask.shape[1]
-    for c in range(out.shape[0]):
-        window = y[:, d * c : d * c + w]
+    nc, h, w = out.shape
+    block = row_block(h, y.shape[1] * y.itemsize)
+
+    def run_span(start: int, stop: int) -> None:
         if accumulate:
-            out[c] += mask * window
-        else:
-            np.multiply(mask, window, out=out[c])
+            scratch = np.empty((min(block, stop - start), w))
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            rows, m = y[lo:hi], mask[lo:hi]
+            for c, band in enumerate(out[:, lo:hi]):
+                window = rows[:, d * c : d * c + w]
+                if accumulate:
+                    product = np.multiply(m, window, scratch[: hi - lo])
+                    np.add(band, product, band)
+                else:
+                    np.multiply(m, window, band)
+
+    run_band_spans(run_span, h, block)
     return out
 
 
@@ -76,10 +123,16 @@ def _gram_diagonal(mask: np.ndarray, config: SceneConfig) -> np.ndarray:
     """Gram diagonal ``sigma``: the forward image of the mask in every band,
     so the squared mask shifted d*c columns, added in band order."""
     h, w, nc, d = config.geometry
-    square = mask * mask
-    sigma = np.zeros((h, w + d * (nc - 1)))
+    wp = config.measurement_width()
+    sigma = np.zeros((h, wp))
+    flat = sigma.reshape(-1)
+    pad = np.zeros((h, wp))
+    np.multiply(mask, mask, out=pad[:, :w])
+    n = (h - 1) * wp + w
+    run = pad.reshape(-1)[:n]
     for c in range(nc):
-        sigma[:, d * c : d * c + w] += square
+        window = flat[d * c : d * c + n]
+        np.add(window, run, out=window)
     return sigma
 
 

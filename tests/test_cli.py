@@ -865,6 +865,8 @@ class TestBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "phi_apply_ms" in out
+        assert "adjoint_apply_ms" in out
+        assert "build_operator_ms" in out
         assert "p95" not in out
         assert "evaluate" not in out  # 8x8 bands are smaller than the window
         assert f"kernel_workers {_pool.kernel_workers()}\n" in out
@@ -898,9 +900,12 @@ class TestBench:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "pinv_apply_median_ms" in out
-        assert "rnd_combine_p95_ms" in out
-        assert "tv_denoise_median_ms" in out
+        for target in (
+            "build_operator", "phi_apply", "adjoint_apply", "pinv_apply",
+            "rnd_combine", "tv_denoise",
+        ):
+            assert f"{target}_median_ms" in out
+            assert f"{target}_p95_ms" in out
         assert "operator_bytes" in out
 
     def test_json_has_the_keys_and_values_of_the_text_lines(self, capsys):

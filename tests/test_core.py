@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cassi import (
     CodedAperture,
+    _pool,
     DimensionMismatch,
     HSICube,
     Measurement,
@@ -12,6 +13,7 @@ from cassi import (
     SceneConfig,
     build_operator,
 )
+from cassi.core import _require_finite
 from cassi.dense import cube_to_vec, meas_to_vec
 
 
@@ -110,6 +112,51 @@ class TestCodedAperture:
         src[0, 0] = 1.0
         assert mask.data[0, 0] == 0.0
         assert not mask.data.flags.writeable
+
+
+class TestChunkedFiniteCheck:
+    """The finite check runs in chunks on the kernel pool; a bad value
+    anywhere, at a chunk edge too, raises with the same message."""
+
+    SHAPE = (3, 37, 41)  # 4,551 values
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [8 * 100, 8 * 1000, _pool.BLOCK_BYTES])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_value_anywhere_raises(
+        self, bad, budget, workers, kernel_pool, monkeypatch
+    ):
+        kernel_pool(workers)
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", budget)
+        size = int(np.prod(self.SHAPE))
+        chunk = _pool.row_block(size, 8)
+        positions = {0, size - 1}
+        for edge in range(chunk, size, chunk):
+            positions |= {edge - 1, edge}
+        rng = np.random.Generator(np.random.Philox(size))
+        finite = rng.standard_normal(self.SHAPE) * 1e300
+        _require_finite(finite, "HSICube")
+        for at in sorted(positions):
+            arr = finite.copy()
+            arr.reshape(-1)[at] = bad
+            with pytest.raises(NonFiniteValue) as info:
+                _require_finite(arr, "HSICube")
+            assert str(info.value) == "HSICube contains NaN or Inf"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_value_types_check_across_chunks(self, workers, kernel_pool, monkeypatch):
+        kernel_pool(workers)
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", 8 * 7)
+        config = SceneConfig(5, 6, 4, 1)
+        data = np.ones((4, 5, 6))
+        assert HSICube(config, data).data.tobytes() == data.tobytes()
+        data[3, 4, 5] = np.nan
+        with pytest.raises(NonFiniteValue, match="^HSICube contains NaN or Inf$"):
+            HSICube(config, data)
+        meas = np.ones((5, 9))
+        meas[0, 0] = -np.inf
+        with pytest.raises(NonFiniteValue, match="^Measurement contains NaN or Inf$"):
+            Measurement(config, meas)
 
 
 def _one_hot_cube(config: SceneConfig, c: int, u: int, x: int) -> HSICube:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cassi import (
     CodedAperture,
+    _pool,
     DimensionMismatch,
     HSICube,
     MaskDegenerate,
@@ -13,7 +14,14 @@ from cassi import (
     build_operator,
 )
 from cassi.dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
-from cassi.operator import _gram_diagonal, _on_support, _shift
+from cassi.operator import (
+    _backproject,
+    _forward,
+    _gram_diagonal,
+    _on_support,
+    _shift,
+)
+from cassi.simulate import repair_mask
 
 from conftest import (
     full_rank_mask,
@@ -458,6 +466,119 @@ class TestOneProjectionKernel:
         assert op.rnd_combine(y, q).data.tobytes() == expected.tobytes()
         expected = x.data - op.range_project(x).data
         assert op.null_project(x).data.tobytes() == expected.tobytes()
+
+
+def loop_forward(mask, d, bands):
+    """Reference for :func:`_forward`: one strided add per band."""
+    nc, h, w = bands.shape
+    y = np.zeros((h, w + d * (nc - 1)))
+    for c in range(nc):
+        y[:, d * c : d * c + w] += bands[c] * mask
+    return y
+
+
+def loop_backproject(mask, d, y, out, accumulate=False):
+    """Reference for :func:`_backproject`: one strided pass per band."""
+    w = mask.shape[1]
+    for c in range(out.shape[0]):
+        window = y[:, d * c : d * c + w]
+        if accumulate:
+            out[c] += mask * window
+        else:
+            np.multiply(mask, window, out=out[c])
+    return out
+
+
+def loop_gram_diagonal(mask, config):
+    """Reference for :func:`_gram_diagonal`: one strided add per band."""
+    h, w, nc, d = config.geometry
+    square = mask * mask
+    sigma = np.zeros((h, w + d * (nc - 1)))
+    for c in range(nc):
+        sigma[:, d * c : d * c + w] += square
+    return sigma
+
+
+def signed_values(rng, shape):
+    """Normal values, about a tenth of them -0.0 and a tenth +0.0."""
+    values = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    values[pick < 0.1] = -0.0
+    values[(pick >= 0.1) & (pick < 0.2)] = 0.0
+    return values
+
+
+@st.composite
+def kernel_cases(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    nc, d = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    budget = draw(st.sampled_from([1, 8 * w, 8 * 5 * (w + 5 * 8), _pool.BLOCK_BYTES]))
+    return SceneConfig(h, w, nc, d), budget, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestKernelsMatchPerBandLoops:
+    """The flat-span kernels against the per-band loops they replaced,
+    byte for byte: any block budget (one row per block up to one block),
+    any pool size, contiguous bands or the on-support view of a dispersed
+    tensor, and values that hold negatives, -0.0 and +0.0."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_equal_the_loops(self, workers, kernel_pool):
+        kernel_pool(workers)
+
+        @given(kernel_cases())
+        @example((SceneConfig(3, 2, 4, 5), 1, True, 0))  # d > W
+        @example((SceneConfig(5, 7, 1, 3), 1, True, 1))  # one band
+        @example((SceneConfig(40, 40, 9, 5), 8, False, 2))  # one row per block
+        def check(case):
+            config, budget, on_support, seed = case
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_pool, "BLOCK_BYTES", budget)
+                self.check_kernels(config, on_support, seed)
+
+        check()
+
+    @staticmethod
+    def check_kernels(config, on_support, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        h, w, nc, d = config.geometry
+        wp = config.measurement_width()
+        mask = np.abs(signed_values(rng, (h, w)))
+        mask[rng.random((h, w)) < 0.1] = -0.0  # -0.0 >= 0 is a legal mask value
+
+        def band_input():
+            # A fresh (C, H, W') tensor and the (C, H, W) bands inside it.
+            t = signed_values(rng, (nc, h, wp))
+            return t, (_on_support(t, d) if on_support else t[:, :, :w].copy())
+
+        t, bands = band_input()
+        assert _forward(mask, d, bands).tobytes() == loop_forward(mask, d, bands).tobytes()
+        assert _gram_diagonal(mask, config).tobytes() == (
+            loop_gram_diagonal(mask, config).tobytes()
+        )
+
+        def twin_inputs():
+            t, bands = band_input()
+            t_ref = t.copy()
+            return t, bands, t_ref, (_on_support(t_ref, d) if on_support else bands.copy())
+
+        y = signed_values(rng, (h, wp))
+        for accumulate in (False, True):
+            t, bands, t_ref, bands_ref = twin_inputs()
+            assert _backproject(mask, d, y, bands, accumulate) is bands
+            loop_backproject(mask, d, y, bands_ref, accumulate)
+            assert bands.tobytes() == bands_ref.tobytes()
+            assert t.tobytes() == t_ref.tobytes()  # margins untouched
+
+        if d > w:  # no operator: some detector columns see no band
+            return
+        op = build_operator(repair_mask(CodedAperture(mask), config), config)
+        t, bands, t_ref, bands_ref = twin_inputs()
+        assert op._add_pinv(bands, y) is bands
+        loop_backproject(op.mask, d, y * op.inv_sigma, bands_ref, accumulate=True)
+        assert bands.tobytes() == bands_ref.tobytes()
+        # The strided add leaves every margin value, -0.0 included, as it was.
+        assert t.tobytes() == t_ref.tobytes()
 
 
 class TestOperatorBytesPinned:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from cassi import HSICube, SceneConfig, TvPrior, _pool, evaluate
 
+from conftest import make_operator, random_meas
+
 
 def spans_of(n, block):
     spans = []
@@ -66,6 +68,36 @@ class TestRunBandSpans:
         assert finished == [2]
 
 
+class TestRowBlock:
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 4096),
+        st.integers(1, 1 << 16),
+        st.integers(1, 5),
+    )
+    def test_blocks_fit_the_budget_and_spread_over_the_workers(
+        self, rows, row_bytes, budget, workers
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_pool, "kernel_workers", lambda: workers)
+            mp.setattr(_pool, "BLOCK_BYTES", budget)
+            block = _pool.row_block(rows, row_bytes)
+        assert 1 <= block <= rows
+        if rows * row_bytes <= budget:
+            assert block == rows  # one block, run inline
+        else:
+            # Less than one row over the budget, and a span for every
+            # worker when the rows split evenly over them.
+            assert (block - 1) * row_bytes < budget
+            if rows % workers == 0:
+                assert -(-rows // block) >= workers
+
+    def test_a_large_image_gives_each_worker_an_equal_span(self, kernel_pool):
+        kernel_pool(2)
+        spans = spans_of(256, _pool.row_block(256, 310 * 8))
+        assert spans == [(0, 128), (128, 256)]
+
+
 class _Inline:
     """Executor stand-in that runs each task on submit."""
 
@@ -97,6 +129,45 @@ def test_concurrent_callers_get_the_serial_bytes(kernel_pool):
             prior.denoise(cubes[i], 0.1).data.tobytes(),
             evaluate(cubes[0], cubes[i]),
         )
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_concurrent_operator_callers_get_the_serial_bytes(kernel_pool, monkeypatch):
+    # Four callers share a three-worker pool, more workers than this test
+    # needs cores, with each detector image cut into several row blocks.
+    monkeypatch.setattr(_pool, "BLOCK_BYTES", 16 * 1024)
+    config = SceneConfig(181, 181, 5, 1)
+    op = make_operator(config, seed=3)
+    cubes = [multi_block_cube(seed).data for seed in range(4)]
+    meas = [random_meas(config, seed) for seed in range(4)]
+
+    def outputs(i):
+        cube = HSICube(config, cubes[i])  # the finite check runs on the pool too
+        return (
+            op.forward(cube).data.tobytes(),
+            op.pinv(meas[i]).data.tobytes(),
+            op.rnd_combine(meas[i], cube).data.tobytes(),
+        )
+
+    kernel_pool(1)
+    expected = [outputs(i) for i in range(4)]
+    kernel_pool(3)
+    got = [None] * 4
+
+    def call(i):
+        got[i] = outputs(i)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
