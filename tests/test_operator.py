@@ -513,7 +513,8 @@ def kernel_cases(draw):
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     nc, d = draw(st.integers(1, 9)), draw(st.integers(1, 5))
     budget = draw(st.sampled_from([1, 8 * w, 8 * 5 * (w + 5 * 8), _pool.BLOCK_BYTES]))
-    return SceneConfig(h, w, nc, d), budget, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    on_support, seed = draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return SceneConfig(h, w, nc, d), budget, on_support, seed
 
 
 class TestKernelsMatchPerBandLoops:
@@ -552,7 +553,8 @@ class TestKernelsMatchPerBandLoops:
             return t, (_on_support(t, d) if on_support else t[:, :, :w].copy())
 
         t, bands = band_input()
-        assert _forward(mask, d, bands).tobytes() == loop_forward(mask, d, bands).tobytes()
+        got = _forward(mask, d, bands)
+        assert got.tobytes() == loop_forward(mask, d, bands).tobytes()
         assert _gram_diagonal(mask, config).tobytes() == (
             loop_gram_diagonal(mask, config).tobytes()
         )
@@ -560,7 +562,8 @@ class TestKernelsMatchPerBandLoops:
         def twin_inputs():
             t, bands = band_input()
             t_ref = t.copy()
-            return t, bands, t_ref, (_on_support(t_ref, d) if on_support else bands.copy())
+            bands_ref = _on_support(t_ref, d) if on_support else bands.copy()
+            return t, bands, t_ref, bands_ref
 
         y = signed_values(rng, (h, wp))
         for accumulate in (False, True):
