@@ -5,8 +5,8 @@ kernels treat every detector row on its own, and the finite check treats
 every value on its own.  All of them spend their time in numpy loops that
 release the interpreter lock.  So their blocks of bands, rows or values
 are spread over one thread per CPU this process may run on (``taskset``
-limits it).  Every caller shares the one pool: batch reconstruction
-threads queue their blocks on it rather than bring their own.
+limits it).  Every caller's threads share the one pool: a thread that
+runs kernels queues its blocks on it rather than bring its own.
 
 A task must not itself wait on the pool.  So no task may call an operator
 kernel or build a checked value type (an ``HSICube``, ``Measurement`` or

@@ -9,12 +9,12 @@ Exit codes (exhaustive):
 * 4 - solver divergence (non-finite iterate)
 * 5 - oracle-check tolerance breach
 
-A batch ``reconstruct`` attempts every input, names each failed one, and
-exits with the code of the first failure in command-line order.
+A batch ``reconstruct`` attempts every input, one after another in
+command-line order on the calling thread, names each failed one, and exits
+with the code of the first failure.
 
 Flags take precedence over config-file values, which take precedence over
-defaults.  ``CASSI_THREADS`` caps the worker count used for batch
-reconstruction; it never changes numerical results.
+defaults.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import io
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -241,8 +239,16 @@ def cmd_simulate(args) -> int:
     config = SceneConfig(h, w, nc, d)
     op = build_operator(mask, config)
     # ``read_cube`` returns a fresh array of the config's shape: adopt it.
-    _require_finite(cube_arr, "HSICube")
+    # Every cube value reaches the image through a finite mask entry >= 0,
+    # so a NaN or Inf in the cube makes the image non-finite: the image is
+    # checked, and the cube only to name the cause.  A finite cube whose
+    # image is not finite overflowed in the band sum.
     meas = op.forward(HSICube._adopt(config, cube_arr))
+    try:
+        _require_finite(meas.data, "Measurement")
+    except NonFiniteValue:
+        _require_finite(cube_arr, "HSICube")
+        raise
     bits = _resolve("shot_bits", args.shot_noise_bits, file_cfg)
     if bits is not None:
         seed = _resolve("seed", args.seed, file_cfg, default=0)
@@ -333,13 +339,6 @@ def cmd_reconstruct(args) -> int:
 
     # All inputs share the mask, so each geometry's operator is built once.
     operators: dict[SceneConfig, SensingOperator] = {}
-    operators_lock = threading.Lock()
-
-    def operator_for(config: SceneConfig) -> SensingOperator:
-        with operators_lock:
-            if config not in operators:
-                operators[config] = build_operator(mask, config)
-            return operators[config]
 
     def run(meas_path: str) -> tuple[int, str] | None:
         meas_arr, _ = read_cube(meas_path)
@@ -354,11 +353,15 @@ def cmd_reconstruct(args) -> int:
             width=config.width,
             bands=config.bands,
         )
-        op = operator_for(config)
+        if config not in operators:
+            operators[config] = build_operator(mask, config)
+        op = operators[config]
+        # ``read_cube`` returns a fresh array of the config's shape: adopt it.
         try:
-            meas = Measurement(config, meas_arr[0])
+            _require_finite(meas_arr[0], "Measurement")
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"{meas_path}: {exc}") from None
+        meas = Measurement._adopt(config, meas_arr[0])
         started = time.perf_counter()
         try:
             x, stats = _reconstruct_one(op, meas, args.method, prior, scfg)
@@ -424,17 +427,10 @@ def cmd_reconstruct(args) -> int:
         _fail(status[1])
         return status[0]
 
-    # Every input is attempted; the exit code is that of the first failure
-    # in command-line order.
-    threads = os.environ.get("CASSI_THREADS", "1")
-    try:
-        workers = max(1, int(threads))
-    except ValueError:
-        raise ValueError(
-            f"CASSI_THREADS must be an integer, got {threads!r}"
-        ) from None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        statuses = list(pool.map(attempt, meas_paths))
+    # Every input is attempted in command-line order on this thread, so the
+    # kernels alone spread over the CPUs; the exit code is that of the
+    # first failure.
+    statuses = [attempt(path) for path in meas_paths]
     failed = [(path, s) for path, s in zip(meas_paths, statuses) if s is not None]
     for path, (_, message) in failed:
         _fail(_name_once(path, message))
