@@ -1,17 +1,17 @@
 """The process-wide kernel thread pool.
 
-The TV prox and the metrics treat every band on its own, the operator
-kernels treat every detector row on its own, and the finite check treats
-every value on its own.  All of them spend their time in numpy loops that
-release the interpreter lock.  So their blocks of bands, rows or values
-are spread over one thread per CPU this process may run on (``taskset``
-limits it).  Every caller's threads share the one pool: a thread that
-runs kernels queues its blocks on it rather than bring its own.
+The TV prox and the metrics treat every band on its own and spend their
+time in numpy loops that release the interpreter lock.  So their blocks of
+bands are spread over one span per CPU this process may run on
+(``taskset`` limits it): the calling thread works the first span and the
+pool's threads the rest, so the pool holds one thread fewer than there
+are CPUs.  Every caller's threads share the one pool: a thread that runs
+kernels queues its spans on it rather than bring its own.  A task must not
+itself run spans, or it could wait for ever on a pool whose threads all
+wait too.
 
-A task must not itself wait on the pool.  So no task may call an operator
-kernel or build a checked value type (an ``HSICube``, ``Measurement`` or
-``CodedAperture``): both run their own spans on the pool, and a task that
-waits for them can wait for ever on a pool whose workers all wait too.
+The operator kernels and the finite check are memory-bound and gain
+nothing from a second thread, so they run on the calling thread alone.
 
 The pool is created on first use, and again in a forked child, whose copy
 of the parent's pool has no threads.
@@ -32,9 +32,8 @@ from typing import Callable
 # so its blocks hold max(1, BLOCK_BYTES // (7*H*W*8)) bands: the whole
 # workspace fits in BLOCK_BYTES, or holds one band (7 planes) when a band
 # is larger.  The operator kernels cut the detector image, and the finite
-# check its array, into blocks of rows of about BLOCK_BYTES, spread evenly
-# over the workers (see row_block); an image or array that fits runs as one
-# inline span.
+# check its array, into near-equal blocks of rows of about BLOCK_BYTES
+# (see row_block), worked one after another on the calling thread.
 BLOCK_BYTES = 512 * 1024
 
 _lock = threading.Lock()
@@ -57,15 +56,17 @@ def _executor() -> tuple[int, ThreadPoolExecutor]:
             pool = _pool
             if pool is None or pool[0] != os.getpid():
                 workers = _pool_size()
+                # The caller works one span, so one thread fewer; threads
+                # start only when a span is submitted.
                 executor = ThreadPoolExecutor(
-                    workers, thread_name_prefix="cassi-kernel"
+                    max(1, workers - 1), thread_name_prefix="cassi-kernel"
                 )
                 pool = _pool = (os.getpid(), workers, executor)
     return pool[1], pool[2]
 
 
 def kernel_workers() -> int:
-    """Number of threads the band kernels run on."""
+    """Number of threads the band kernels run on, the caller's included."""
     return _executor()[0]
 
 
@@ -78,29 +79,25 @@ def band_block(bands: int, height: int, width: int) -> int:
 def row_block(rows: int, row_bytes: int) -> int:
     """Rows per block of an array of ``rows`` rows of ``row_bytes`` each.
 
-    All of them when the array fits in ``BLOCK_BYTES``, so it runs as one
-    inline span.  Otherwise the rows are cut into ``n`` near-equal blocks,
-    ``n`` the smallest multiple of the worker count with ``n`` blocks of
-    ``BLOCK_BYTES`` holding the array, so the blocks spread evenly over
-    the workers and each is less than one row over ``BLOCK_BYTES``.
-    At least one.
+    All of them when the array fits in ``BLOCK_BYTES``.  Otherwise the rows
+    are cut into the fewest near-equal blocks of ``BLOCK_BYTES`` that hold
+    the array, so each is less than one row over ``BLOCK_BYTES``.  At
+    least one.
     """
     size = rows * row_bytes
     if size <= BLOCK_BYTES:
         return max(1, rows)
-    workers = kernel_workers()
-    blocks = workers * -(-size // (workers * BLOCK_BYTES))
-    return -(-rows // blocks)
+    return -(-rows // -(-size // BLOCK_BYTES))
 
 
 def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None:
     """Call ``task(lo, hi)`` on spans of whole ``block``-band blocks that
-    together cover bands ``[0, n)``, and return when every call has.  A
-    band may be any unit of independent work, such as a row or a value.
+    together cover bands ``[0, n)``, and return when every call has.
 
-    There is at most one span per worker; a single span runs inline in the
-    calling thread.  Spans must be independent of each other.  The first
-    exception a span raises, in band order, is raised here.
+    There is at most one span per worker.  The calling thread runs the
+    first span and the pool the rest, so a single span runs on the caller
+    alone.  Spans must be independent of each other.  The first exception
+    a span raises, in band order, is raised here once every span is done.
     """
     workers, executor = _executor()
     blocks = -(-n // block)
@@ -109,7 +106,10 @@ def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None
         task(0, n)
         return
     bounds = [min(n, i * blocks // spans * block) for i in range(spans + 1)]
-    futures = [executor.submit(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    wait(futures)
+    futures = [executor.submit(task, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+    try:
+        task(0, bounds[1])
+    finally:
+        wait(futures)
     for future in futures:
         future.result()

@@ -5,7 +5,8 @@ Exit codes (exhaustive):
 
 * 0 - success
 * 2 - parse, format, or dimension error (diagnostic on stderr)
-* 3 - degenerate mask: some detector pixel receives no energy
+* 3 - degenerate mask: some detector pixel receives no energy, or too
+  little to invert
 * 4 - solver divergence (non-finite iterate)
 * 5 - oracle-check tolerance breach
 
@@ -242,8 +243,10 @@ def cmd_simulate(args) -> int:
     # Every cube value reaches the image through a finite mask entry >= 0,
     # so a NaN or Inf in the cube makes the image non-finite: the image is
     # checked, and the cube only to name the cause.  A finite cube whose
-    # image is not finite overflowed in the band sum.
-    meas = op.forward(HSICube._adopt(config, cube_arr))
+    # image is not finite overflowed in the band sum, which the check
+    # reports in place of numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        meas = op.forward(HSICube._adopt(config, cube_arr))
     try:
         _require_finite(meas.data, "Measurement")
     except NonFiniteValue:
@@ -283,16 +286,16 @@ def _derive_recon_config(
 
 
 def _reconstruct_one(op, meas, method, prior, scfg):
-    stats = None
     if method == "pinv":
-        x = op.pinv(meas)
-    elif method == "gap-tv":
-        x, stats = gap_solve_with_stats(op, meas, prior, scfg)
-    elif method == "rnd-gap-tv":
-        q, stats = gap_solve_with_stats(op, meas, prior, scfg)
-        x = op.rnd_combine(meas, q)
-    else:  # pragma: no cover - argparse restricts choices
+        return op.pinv(meas), None
+    if method not in ("gap-tv", "rnd-gap-tv"):  # pragma: no cover - argparse
         raise ConfigFileError(f"unknown method {method}")
+    # The solver's divergence guard reports an overflow in place of numpy's
+    # warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, stats = gap_solve_with_stats(op, meas, prior, scfg)
+    if method == "rnd-gap-tv":
+        x = op.rnd_combine(meas, x)
     return x, stats
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import row_block, run_band_spans
+from ._pool import row_block
 from .errors import DimensionMismatch, NonFiniteValue
 
 
@@ -74,24 +74,16 @@ class SceneConfig:
 def _require_finite(arr: np.ndarray, what: str) -> None:
     """Raise NonFiniteValue if ``arr`` holds a NaN or an infinity.
 
-    The values are checked in cache-sized chunks on the kernel pool, so no
-    array-sized mask is built; a small array is one chunk checked inline.
+    The values are checked on the calling thread in cache-sized chunks
+    (:func:`cassi._pool.row_block`), so no array-sized mask is built.
     """
     flat = arr.reshape(-1)
     block = row_block(flat.size, flat.itemsize)
-    bad = []
-
-    def run_span(start: int, stop: int) -> None:
-        finite = np.empty(min(block, stop - start), dtype=bool)
-        for lo in range(start, stop, block):
-            part = flat[lo : lo + block]
-            if not np.isfinite(part, finite[: part.size]).all():
-                bad.append(lo)
-                return
-
-    run_band_spans(run_span, flat.size, block)
-    if bad:
-        raise NonFiniteValue(f"{what} contains NaN or Inf")
+    finite = np.empty(min(block, flat.size), dtype=bool)
+    for lo in range(0, flat.size, block):
+        part = flat[lo : lo + block]
+        if not np.isfinite(part, finite[: part.size]).all():
+            raise NonFiniteValue(f"{what} contains NaN or Inf")
 
 
 def _checked_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:

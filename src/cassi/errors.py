@@ -14,18 +14,23 @@ class NonFiniteValue(CassiError):
 
 
 class MaskDegenerate(CassiError):
-    """A detector pixel receives no mask energy from any band.
+    """A detector pixel receives no mask energy from any band, or so little
+    that its reciprocal overflows.
 
-    The diagonal of the operator Gram matrix vanishes there, so the
-    element-wise pseudo-inverse does not exist and construction fails.
+    The diagonal of the operator Gram matrix vanishes there, or is too
+    small to invert, so the element-wise pseudo-inverse does not exist and
+    construction fails.  ``energy`` is that diagonal entry.
     """
 
-    def __init__(self, row: int, col: int):
+    def __init__(self, row: int, col: int, energy: float = 0.0):
         self.row = row
         self.col = col
-        super().__init__(
-            f"detector pixel ({row}, {col}) receives no mask energy from any band"
-        )
+        self.energy = energy
+        if energy == 0.0:
+            what = "receives no mask energy from any band"
+        else:
+            what = f"receives mask energy {energy!r}, too small to invert"
+        super().__init__(f"detector pixel ({row}, {col}) {what}")
 
 
 class InstanceTooLarge(CassiError):

@@ -19,19 +19,18 @@ the on-support region of all bands is a single strided (C, H, W) view
 (:func:`_on_support`); :func:`_shift` copies a cube through it.
 
 :func:`_forward` and :func:`_backproject` work on blocks of detector rows
-(:func:`cassi._pool.row_block`): an image that fits in ``BLOCK_BYTES`` is
-one block run inline, a larger one is split into near-equal blocks spread
-over the kernel pool, one span per worker, each span with its own scratch.
-Rows are independent, so the split changes no value.  Neither kernel may
-run inside a pool task (see :mod:`cassi._pool`).  In the detector image,
-band c's window over rows
-[lo, hi) is one flat run of ``y.reshape(-1)``: it starts at ``lo*W' +
-d*c`` and is ``(hi-lo-1)*W' + W`` values long, the window's rows joined
-by the ``W' - W`` values between them.  So :func:`_forward` and
-:func:`_gram_diagonal` write the band's product (or the squared mask) into
-the first W columns of a zero-padded (rows, W') scratch, and add the
-scratch to that run in one contiguous add instead of one strided add per
-row.  The pad adds +0 to the values between the window's rows.  That
+(:func:`cassi._pool.row_block`), one after another on the calling thread:
+an image that fits in ``BLOCK_BYTES`` is one block, a larger one is cut
+into near-equal blocks that share one scratch.  The kernels are
+memory-bound and a second thread did not speed them up, so they start no
+thread.  Rows are independent, so the split changes no value.  In the
+detector image, band c's window over rows [lo, hi) is one flat run of
+``y.reshape(-1)``: it starts at ``lo*W' + d*c`` and is ``(hi-lo-1)*W' +
+W`` values long, the window's rows joined by the ``W' - W`` values
+between them.  So :func:`_forward` and :func:`_gram_diagonal` write the
+band's product (or the squared mask) into the first W columns of a
+zero-padded (rows, W') scratch, and add the scratch to that run in one
+contiguous add instead of one strided add per row.  The pad adds +0 to the values between the window's rows.  That
 changes none of them: ``y`` starts at +0, a sum that starts at +0 is
 never -0, and ``v + (+0)`` is ``v`` for every ``v`` but -0.
 :meth:`SensingOperator._add_pinv` adds into a (C, H, W) view, often the
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._pool import row_block, run_band_spans
+from ._pool import row_block
 from .core import CodedAperture, HSICube, Measurement, SceneConfig
 from .errors import DimensionMismatch, MaskDegenerate
 
@@ -77,19 +76,15 @@ def _forward(mask: np.ndarray, d: int, bands: np.ndarray) -> np.ndarray:
     y = np.zeros((h, wp))
     flat = y.reshape(-1)
     block = row_block(h, wp * y.itemsize)
-
-    def run_span(start: int, stop: int) -> None:
-        pad = np.zeros((min(block, stop - start), wp))
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            n, at = (hi - lo - 1) * wp + w, lo * wp
-            product, run, m = pad[: hi - lo, :w], pad.reshape(-1)[:n], mask[lo:hi]
-            for c, band in enumerate(bands[:, lo:hi]):
-                np.multiply(band, m, product)
-                window = flat[at + d * c : at + d * c + n]
-                np.add(window, run, window)
-
-    run_band_spans(run_span, h, block)
+    pad = np.zeros((block, wp))
+    for lo in range(0, h, block):
+        hi = min(lo + block, h)
+        n, at = (hi - lo - 1) * wp + w, lo * wp
+        product, run, m = pad[: hi - lo, :w], pad.reshape(-1)[:n], mask[lo:hi]
+        for c, band in enumerate(bands[:, lo:hi]):
+            np.multiply(band, m, product)
+            window = flat[at + d * c : at + d * c + n]
+            np.add(window, run, window)
     return y
 
 
@@ -100,22 +95,18 @@ def _backproject(
     ``mask * y[:, d*c : d*c + W]`` into band c of the (C, H, W) ``out``."""
     nc, h, w = out.shape
     block = row_block(h, y.shape[1] * y.itemsize)
-
-    def run_span(start: int, stop: int) -> None:
-        if accumulate:
-            scratch = np.empty((min(block, stop - start), w))
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            rows, m = y[lo:hi], mask[lo:hi]
-            for c, band in enumerate(out[:, lo:hi]):
-                window = rows[:, d * c : d * c + w]
-                if accumulate:
-                    product = np.multiply(m, window, scratch[: hi - lo])
-                    np.add(band, product, band)
-                else:
-                    np.multiply(m, window, band)
-
-    run_band_spans(run_span, h, block)
+    if accumulate:
+        scratch = np.empty((block, w))
+    for lo in range(0, h, block):
+        hi = min(lo + block, h)
+        rows, m = y[lo:hi], mask[lo:hi]
+        for c, band in enumerate(out[:, lo:hi]):
+            window = rows[:, d * c : d * c + w]
+            if accumulate:
+                product = np.multiply(m, window, scratch[: hi - lo])
+                np.add(band, product, band)
+            else:
+                np.multiply(m, window, band)
     return out
 
 
@@ -152,10 +143,10 @@ class SensingOperator:
 
     ``mask`` is the read-only (H, W) coded aperture; band c sees it shifted
     d*c columns right.  The diagonal ``sigma`` of the operator Gram matrix
-    must be strictly positive everywhere (construction raises
-    :class:`MaskDegenerate` otherwise).  Only its reciprocal ``inv_sigma``
-    is kept, because that is what pinv, rnd_combine and every solver
-    iteration read.  Build instances with :func:`build_operator`, which
+    must be large enough everywhere that its reciprocal is finite
+    (construction raises :class:`MaskDegenerate` otherwise).  Only that
+    reciprocal, ``inv_sigma``, is kept, because that is what pinv,
+    rnd_combine and every solver iteration read.  Build instances with :func:`build_operator`, which
     checks the mask against the geometry.
     """
 
@@ -164,11 +155,15 @@ class SensingOperator:
     inv_sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # A diagonal entry of 0, or below about 5.6e-309, has no finite
+        # reciprocal.
         sigma = _gram_diagonal(self.mask, self.config)
-        if not (sigma > 0.0).all():
-            u, v = np.argwhere(sigma == 0.0)[0]
-            raise MaskDegenerate(int(u), int(v))
-        inv_sigma = np.divide(1.0, sigma, out=sigma)
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_sigma = np.divide(1.0, sigma, out=sigma)
+        if not np.isfinite(inv_sigma).all():
+            u, v = (int(i) for i in np.argwhere(~np.isfinite(inv_sigma))[0])
+            energy = float(_gram_diagonal(self.mask, self.config)[u, v])
+            raise MaskDegenerate(u, v, energy)
         inv_sigma.setflags(write=False)
         object.__setattr__(self, "inv_sigma", inv_sigma)
 
@@ -247,7 +242,8 @@ def build_operator(mask: CodedAperture, config: SceneConfig) -> SensingOperator:
 
     Raises DimensionMismatch if the mask is not H x W, and MaskDegenerate
     if any detector pixel receives no mask energy across all bands (the
-    operator would not have full row rank).
+    operator would not have full row rank), or so little that the
+    reciprocal overflows.
     """
     h, w = config.height, config.width
     if (mask.height, mask.width) != (h, w):

@@ -99,6 +99,25 @@ class TestSimulate:
         assert code == 3
         assert "no mask energy" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mask_too_faint_to_invert_exits_3(self, tmp_path, capsys):
+        # The Gram diagonal is about 2e-320, whose reciprocal overflows.
+        cube_path = tmp_path / "cube.hsic"
+        mask_path = tmp_path / "faint.hsic"
+        write_cube(cube_path, np.ones((2, 4, 4)))
+        write_cube(mask_path, np.full((4, 4), 1e-160))
+        code = run_cli(
+            "simulate", "--cube", cube_path, "--mask", mask_path,
+            "--shift-step", 1, "--out", tmp_path / "meas.hsic",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: detector pixel (0, 0) receives mask energy ")
+        assert err.endswith(", too small to invert\n") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cube.hsic", "faint.hsic",
+        ]
+
     def test_malformed_file_exits_2(self, tmp_path, worked_example, capsys):
         _, mask_path = worked_example
         bad = tmp_path / "bad.hsic"
@@ -125,7 +144,7 @@ class TestSimulate:
         assert "HSICube contains NaN or Inf" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_measurement_exits_2(self, tmp_path, capsys):
         # Every value is finite, but three bands of 1e308 sum past the
         # largest float64 on the detector.
@@ -183,6 +202,23 @@ class TestReconstruct:
         write_cube(meas_path, meas.data)
         write_cube(mask_path, mask.data)
         return config, meas_path, mask_path, scenes[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mask_too_faint_to_invert_exits_3(self, tmp_path, capsys):
+        meas_path = tmp_path / "meas.hsic"
+        mask_path = tmp_path / "faint.hsic"
+        write_cube(meas_path, np.ones((4, 5)))
+        write_cube(mask_path, np.full((4, 4), 1e-160))
+        out, report = tmp_path / "o.hsic", tmp_path / "o.txt"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 1, "--method", "pinv", "--out", out,
+            "--report", report,
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too small to invert" in err
+        assert not out.exists() and not report.exists()
 
     def test_pinv_has_tiny_residual(self, tmp_path):
         config, meas_path, mask_path, _ = self.make_measurement(tmp_path)
@@ -552,7 +588,7 @@ class TestReconstruct:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
         assert not list(adir.iterdir())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_solver_exits_4(self, tmp_path, capsys):
         # A faint gray mask makes the Gram diagonal tiny, so the weighted
         # correction of a near-overflow measurement goes infinite and the

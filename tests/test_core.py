@@ -115,8 +115,8 @@ class TestCodedAperture:
 
 
 class TestChunkedFiniteCheck:
-    """The finite check runs in chunks on the kernel pool; a bad value
-    anywhere, at a chunk edge too, raises with the same message."""
+    """The finite check runs in chunks; a bad value anywhere, at a chunk
+    edge too, raises with the same message."""
 
     SHAPE = (3, 37, 41)  # 4,551 values
 

@@ -168,6 +168,25 @@ class TestBuildOperator:
             build_operator(mask, tiny_config)
         assert (excinfo.value.row, excinfo.value.col) == (0, 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mask_too_faint_to_invert_is_degenerate(self):
+        # Only band 0 reaches detector column 0, so pixel (1, 0) gets
+        # about 1e-320 of mask energy, whose reciprocal overflows.
+        data = np.ones((3, 3))
+        data[1, 0] = 1e-160
+        with pytest.raises(MaskDegenerate) as excinfo:
+            build_operator(CodedAperture(data), SceneConfig(3, 3, 2, 1))
+        err = excinfo.value
+        assert (err.row, err.col, err.energy) == (1, 0, 1e-160**2)
+        assert str(err) == (
+            f"detector pixel (1, 0) receives mask energy {1e-160**2!r}, "
+            "too small to invert"
+        )
+        # Twice that energy still has no finite reciprocal.
+        faint = CodedAperture(np.full((4, 4), 1e-160))
+        with pytest.raises(MaskDegenerate, match="too small to invert"):
+            build_operator(faint, SceneConfig(4, 4, 2, 1))
+
     def test_mask_dims_must_match(self, tiny_config):
         with pytest.raises(DimensionMismatch):
             build_operator(CodedAperture(np.ones((2, 3))), tiny_config)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cassi import HSICube, SceneConfig, TvPrior, _pool, evaluate
+from cassi import HSICube, Measurement, SceneConfig, TvPrior, _pool, evaluate
 
 from conftest import make_operator, random_meas
 
@@ -50,8 +50,10 @@ class TestRunBandSpans:
             ran.append((lo, hi, threading.get_ident()))
 
         _pool.run_band_spans(task, 4, 1)
-        assert sorted((lo, hi) for lo, hi, _ in ran) == [(0, 2), (2, 4)]
-        assert threading.get_ident() not in {t for _, _, t in ran}
+        on = {(lo, hi): t for lo, hi, t in ran}
+        assert sorted(on) == [(0, 2), (2, 4)]
+        # The caller works the first span, a pool thread the second.
+        assert on[0, 2] == threading.get_ident() != on[2, 4]
 
     def test_a_failing_span_raises_in_the_caller_after_all_finish(self, kernel_pool):
         kernel_pool(2)
@@ -69,33 +71,77 @@ class TestRunBandSpans:
 
 
 class TestRowBlock:
-    @given(
-        st.integers(1, 300),
-        st.integers(1, 4096),
-        st.integers(1, 1 << 16),
-        st.integers(1, 5),
-    )
-    def test_blocks_fit_the_budget_and_spread_over_the_workers(
-        self, rows, row_bytes, budget, workers
-    ):
+    @given(st.integers(1, 300), st.integers(1, 4096), st.integers(1, 1 << 16))
+    def test_blocks_fit_the_budget(self, rows, row_bytes, budget):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_pool, "kernel_workers", lambda: workers)
             mp.setattr(_pool, "BLOCK_BYTES", budget)
             block = _pool.row_block(rows, row_bytes)
         assert 1 <= block <= rows
         if rows * row_bytes <= budget:
-            assert block == rows  # one block, run inline
+            assert block == rows  # one block
         else:
-            # Less than one row over the budget, and a span for every
-            # worker when the rows split evenly over them.
+            # Less than one row over the budget, and no more blocks than
+            # the budget needs.
             assert (block - 1) * row_bytes < budget
-            if rows % workers == 0:
-                assert -(-rows // block) >= workers
+            assert -(-rows // block) <= -(-rows * row_bytes // budget)
 
-    def test_a_large_image_gives_each_worker_an_equal_span(self, kernel_pool):
-        kernel_pool(2)
-        spans = spans_of(256, _pool.row_block(256, 310 * 8))
-        assert spans == [(0, 128), (128, 256)]
+    def test_a_large_image_gives_each_worker_an_equal_span(self):
+        block = _pool.row_block(256, 310 * 8)
+        assert (block, -(-256 // block)) == (128, 2)
+
+
+class _Refusing:
+    """Executor stand-in whose ``submit`` raises."""
+
+    def submit(self, fn, *args):
+        raise AssertionError("a kernel was queued on the pool")
+
+
+def test_operator_kernels_and_finite_check_never_use_the_pool(monkeypatch):
+    config = SceneConfig(23, 19, 6, 2)
+    op = make_operator(config, seed=5)
+    rng = np.random.Generator(np.random.Philox(8))
+    cube_data = rng.standard_normal((6, 23, 19))
+    meas_data = rng.standard_normal((23, config.measurement_width()))
+    residual = rng.standard_normal(meas_data.shape)
+
+    def outputs():
+        cube = HSICube(config, cube_data)
+        meas = Measurement(config, meas_data)
+        return [
+            a.tobytes()
+            for a in (
+                cube.data,
+                meas.data,
+                op.forward(cube).data,
+                op.adjoint(meas).data,
+                op.pinv(meas).data,
+                op.rnd_combine(meas, cube).data,
+                op.null_project(cube).data,
+                op._add_pinv(cube_data.copy(), residual),
+            )
+        ]
+
+    expected = outputs()  # each input is one block
+    monkeypatch.setattr(_pool, "_executor", lambda: (2, _Refusing()))
+    monkeypatch.setattr(_pool, "BLOCK_BYTES", 8 * 40)  # a few rows per block
+    assert _pool.row_block(23, 8 * config.measurement_width()) < 23
+    assert outputs() == expected
+
+
+def _kernel_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("cassi-kernel")}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_pool_starts_one_thread_fewer_than_its_workers(workers, kernel_pool):
+    before = _kernel_threads()
+    kernel_pool(workers)
+    cube = multi_block_cube(9)
+    for _ in range(3):
+        TvPrior(2).denoise(cube, 0.1)
+        evaluate(cube, cube)
+    assert len(_kernel_threads() - before) <= workers - 1
 
 
 class _Inline:
@@ -145,8 +191,8 @@ def test_concurrent_callers_get_the_serial_bytes(kernel_pool):
 
 
 def test_concurrent_operator_callers_get_the_serial_bytes(kernel_pool, monkeypatch):
-    # Four callers share a three-worker pool, more workers than this test
-    # needs cores, with each detector image cut into several row blocks.
+    # Four callers run the kernels at once, on a three-worker pool, with
+    # each detector image cut into several row blocks.
     monkeypatch.setattr(_pool, "BLOCK_BYTES", 16 * 1024)
     config = SceneConfig(181, 181, 5, 1)
     op = make_operator(config, seed=3)
@@ -154,7 +200,7 @@ def test_concurrent_operator_callers_get_the_serial_bytes(kernel_pool, monkeypat
     meas = [random_meas(config, seed) for seed in range(4)]
 
     def outputs(i):
-        cube = HSICube(config, cubes[i])  # the finite check runs on the pool too
+        cube = HSICube(config, cubes[i])  # the finite check runs in chunks too
         return (
             op.forward(cube).data.tobytes(),
             op.pinv(meas[i]).data.tobytes(),

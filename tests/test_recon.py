@@ -134,6 +134,30 @@ class TestInitRoll:
             assert np.isclose(z[c].sum(), meas.data.sum())
 
 
+class TestRollAndShiftUnderTheCrop:
+    """Band c's on-support columns hold ``y[:, :W]`` in both starts, and the
+    solver reads only those with the crop on and ``convergence_tol`` 0.
+    A positive tol reads the margins, where the two starts differ."""
+
+    @pytest.mark.parametrize(
+        "geometry", [(6, 5, 3, 1), (5, 7, 4, 2), (8, 4, 3, 3), (4, 3, 5, 3)]
+    )
+    def test_one_start_with_the_crop_two_without(self, geometry):
+        config = SceneConfig(*geometry)
+        op = make_operator(config, seed=61)
+        meas = op.forward(random_cube(config, 62))
+
+        def solve(init, crop):
+            cfg = SolverConfig(
+                iterations=4, init=init, crop_denoiser_input=crop, convergence_tol=0.0
+            )
+            q, stats = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+            return q.data.tobytes(), stats.residual_l2
+
+        assert solve(InitStrategy.ROLL, True) == solve(InitStrategy.SHIFT, True)
+        assert solve(InitStrategy.ROLL, False)[0] != solve(InitStrategy.SHIFT, False)[0]
+
+
 class TestCropToScene:
     def test_inverts_shift(self, tiny_config):
         cube = random_cube(tiny_config, 5)
