@@ -1,17 +1,12 @@
-"""The process-wide kernel thread pool.
+"""The process-wide kernel thread pool of the TV prox and the metrics.
 
-The TV prox and the metrics treat every band on its own and spend their
-time in numpy loops that release the interpreter lock.  So their blocks of
-bands are spread over one span per CPU this process may run on
-(``taskset`` limits it): the calling thread works the first span and the
-pool's threads the rest, so the pool holds one thread fewer than there
-are CPUs.  Every caller's threads share the one pool: a thread that runs
-kernels queues its spans on it rather than bring its own.  A task must not
-itself run spans, or it could wait for ever on a pool whose threads all
-wait too.
-
-The operator kernels and the finite check are memory-bound and gain
-nothing from a second thread, so they run on the calling thread alone.
+Both treat every band on its own and spend their time in numpy loops that
+release the interpreter lock, so their blocks of bands are spread over one
+span per CPU this process may run on (``taskset`` limits it).  The calling
+thread works the first span and the pool's threads the rest, so the pool
+holds one thread fewer than there are CPUs.  Every caller's threads share
+the one pool.  A span must not itself run spans, or it could wait for ever
+on a pool whose threads all wait too.
 
 The pool is created on first use, and again in a forked child, whose copy
 of the parent's pool has no threads.
@@ -56,8 +51,7 @@ def _executor() -> tuple[int, ThreadPoolExecutor]:
             pool = _pool
             if pool is None or pool[0] != os.getpid():
                 workers = _pool_size()
-                # The caller works one span, so one thread fewer; threads
-                # start only when a span is submitted.
+                # The caller works one span; threads start when spans are queued.
                 executor = ThreadPoolExecutor(
                     max(1, workers - 1), thread_name_prefix="cassi-kernel"
                 )

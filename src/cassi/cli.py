@@ -290,8 +290,7 @@ def _reconstruct_one(op, meas, method, prior, scfg):
         return op.pinv(meas), None
     if method not in ("gap-tv", "rnd-gap-tv"):  # pragma: no cover - argparse
         raise ConfigFileError(f"unknown method {method}")
-    # The solver's divergence guard reports an overflow in place of numpy's
-    # warning.
+    # The solver's divergence guard reports an overflow, not numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
         x, stats = gap_solve_with_stats(op, meas, prior, scfg)
     if method == "rnd-gap-tv":

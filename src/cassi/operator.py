@@ -21,10 +21,9 @@ the on-support region of all bands is a single strided (C, H, W) view
 :func:`_forward` and :func:`_backproject` work on blocks of detector rows
 (:func:`cassi._pool.row_block`), one after another on the calling thread:
 an image that fits in ``BLOCK_BYTES`` is one block, a larger one is cut
-into near-equal blocks that share one scratch.  The kernels are
-memory-bound and a second thread did not speed them up, so they start no
-thread.  Rows are independent, so the split changes no value.  In the
-detector image, band c's window over rows [lo, hi) is one flat run of
+into near-equal blocks that share one scratch, and no thread is started.
+Rows are independent, so the split changes no value.  In the detector
+image, band c's window over rows [lo, hi) is one flat run of
 ``y.reshape(-1)``: it starts at ``lo*W' + d*c`` and is ``(hi-lo-1)*W' +
 W`` values long, the window's rows joined by the ``W' - W`` values
 between them.  So :func:`_forward` and :func:`_gram_diagonal` write the

@@ -38,11 +38,9 @@ from .operator import SensingOperator, _forward, _on_support, _shift
 class InitStrategy(enum.Enum):
     """How a measurement is expanded into a per-band starting tensor.
 
-    ROLL and SHIFT differ only in the margins: band c's on-support columns
-    hold ``y[:, :W]`` in both.  With ``crop_denoiser_input`` on and
-    ``convergence_tol`` 0 the solver never reads the margins, so the two
-    give the same bytes; they differ with the crop off, or with a positive
-    tol, whose stopping test reads the whole iterate.
+    ROLL and SHIFT differ only in the margins, which the solver never reads
+    with ``crop_denoiser_input`` on and ``convergence_tol`` 0: there the
+    two give the same bytes.
     """
 
     SHIFT = "shift"
@@ -137,9 +135,8 @@ def _start(meas: Measurement, init: InitStrategy) -> np.ndarray:
     ``k`` is 0 for REPEAT (every band is the measurement verbatim) and d*c
     otherwise.  The k columns shifted past the right edge wrap round to the
     left for ROLL, so every band is a permutation of the measurement; for
-    SHIFT they are dropped and the k left columns are zero.  So ROLL and
-    SHIFT agree on every band's on-support columns, ``y[:, :W]``, and
-    differ only in the margins (see :class:`InitStrategy`).
+    SHIFT they are dropped and the k left columns are zero.  Both put
+    ``y[:, :W]`` on band c's on-support columns (see :class:`InitStrategy`).
     """
     h, _, nc, d = meas.config.geometry
     y = meas.data
