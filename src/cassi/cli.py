@@ -5,14 +5,16 @@ Exit codes (exhaustive):
 
 * 0 - success
 * 2 - parse, format, or dimension error (diagnostic on stderr)
-* 3 - degenerate mask: some detector pixel receives no energy, or too
-  little to invert
-* 4 - solver divergence (non-finite iterate)
+* 3 - degenerate mask: some detector pixel receives no energy, too
+  little to invert, or so much that it overflows
+* 4 - the reconstruction is not finite (the solver diverged, or ``pinv``
+  or the RND step overflowed)
 * 5 - oracle-check tolerance breach
 
-A batch ``reconstruct`` attempts every input, one after another in
-command-line order on the calling thread, names each failed one, and exits
-with the code of the first failure.
+``reconstruct`` attempts every input, one after another in command-line
+order on the calling thread, prints one ``error:`` line naming each failed
+one, and exits with the code of the first failure.  No method writes a
+cube or a report that is not finite.
 
 Flags take precedence over config-file values, which take precedence over
 defaults.
@@ -52,6 +54,7 @@ from .errors import (
 from .operator import SensingOperator, build_operator
 from .recon import (
     InitStrategy,
+    SolveStats,
     SolverConfig,
     TvPrior,
     gap_solve_with_stats,
@@ -286,33 +289,43 @@ def _derive_recon_config(
 
 
 def _reconstruct_one(op, meas, method, prior, scfg):
-    if method == "pinv":
-        return op.pinv(meas), None
-    if method not in ("gap-tv", "rnd-gap-tv"):  # pragma: no cover - argparse
-        raise ConfigFileError(f"unknown method {method}")
-    # The solver's divergence guard reports an overflow, not numpy's warning.
+    """Reconstruct ``meas`` by ``method`` and check that the cube is finite.
+    An overflow in any method raises ``NonFiniteValue``, here or in the
+    solver's divergence guard, in place of numpy's warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, stats = gap_solve_with_stats(op, meas, prior, scfg)
-    if method == "rnd-gap-tv":
-        x = op.rnd_combine(meas, x)
+        if method == "pinv":
+            x, stats = op.pinv(meas), SolveStats((), 0)
+        else:
+            x, stats = gap_solve_with_stats(op, meas, prior, scfg)
+            if method == "rnd-gap-tv":
+                x = op.rnd_combine(meas, x)
+    _require_finite(x.data, "reconstruction")
     return x, stats
 
 
 def cmd_reconstruct(args) -> int:
     # The output paths are checked before any input is read.
-    meas_paths = args.meas
-    multi = len(meas_paths) > 1
+    multi = len(args.meas) > 1
     _check_output("--out", args.out, multi)
     if args.report:
         _check_output("--report", args.report, multi)
+    # One (input, output, report) job per input.  A batch names each
+    # input's files after its stem, so no two inputs may share one.
     if multi:
-        stems = [_stem(path) for path in meas_paths]
+        stems = [_stem(path) for path in args.meas]
         repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
         if repeated:
             raise ConfigFileError(
                 f"inputs share the output stem(s) {', '.join(repeated)}; "
                 "their results would overwrite each other"
             )
+        jobs = [
+            (path, os.path.join(args.out, f"{stem}.recon.hsic"),
+             args.report and os.path.join(args.report, f"{stem}.report.txt"))
+            for path, stem in zip(args.meas, stems)
+        ]
+    else:
+        jobs = [(args.meas[0], args.out, args.report)]
 
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)
@@ -342,43 +355,38 @@ def cmd_reconstruct(args) -> int:
     # All inputs share the mask, so each geometry's operator is built once.
     operators: dict[SceneConfig, SensingOperator] = {}
 
-    def run(meas_path: str) -> tuple[int, str] | None:
+    def run(
+        meas_path: str, out_path: str, report_path: str | None
+    ) -> tuple[int, str] | None:
+        # A non-finite reconstruction is returned as status 4; any other
+        # failure raises.
         meas_arr, _ = read_cube(meas_path)
         if meas_arr.shape[0] != 1:
-            raise ConfigFileError(
-                f"{meas_path}: measurement files must have C = 1"
-            )
+            raise ConfigFileError("measurement files must have C = 1")
         config = _derive_recon_config(meas_arr[0], mask, d)
-        _cross_check(
-            file_cfg,
-            height=config.height,
-            width=config.width,
-            bands=config.bands,
-        )
+        h, w, nc, _ = config.geometry
+        _cross_check(file_cfg, height=h, width=w, bands=nc)
         if config not in operators:
             operators[config] = build_operator(mask, config)
         op = operators[config]
         # ``read_cube`` returns a fresh array of the config's shape: adopt it.
-        try:
-            _require_finite(meas_arr[0], "Measurement")
-        except NonFiniteValue as exc:
-            raise NonFiniteValue(f"{meas_path}: {exc}") from None
+        _require_finite(meas_arr[0], "Measurement")
         meas = Measurement._adopt(config, meas_arr[0])
         started = time.perf_counter()
         try:
             x, stats = _reconstruct_one(op, meas, args.method, prior, scfg)
         except NonFiniteValue as exc:
-            return 4, f"solver diverged: {exc}"
+            return 4, str(exc)
         elapsed = time.perf_counter() - started
-        if multi:
-            out_path = os.path.join(args.out, f"{_stem(meas_path)}.recon.hsic")
-        else:
-            out_path = args.out
         write_cube(out_path, x.data, dtype=args.dtype)
-        if args.report:
+        if report_path:
             resid = op.forward(x).data - meas.data
             r_inf = float(np.max(np.abs(resid)))
             y_inf = float(np.max(np.abs(meas.data)))
+            with np.errstate(over="ignore"):
+                r_l2 = float(np.linalg.norm(resid))
+                if not np.isfinite(r_l2):  # the sum of squares overflowed
+                    r_l2 = r_inf * float(np.linalg.norm(resid / r_inf))
             pairs = [
                 ("command", "reconstruct"),
                 ("input", meas_path),
@@ -396,51 +404,35 @@ def cmd_reconstruct(args) -> int:
                 ("convergence_tol", repr(scfg.convergence_tol)),
                 ("residual_inf", repr(r_inf)),
                 ("residual_inf_rel", repr(r_inf / y_inf if y_inf > 0 else r_inf)),
-                ("residual_l2", repr(float(np.linalg.norm(resid)))),
-                ("iterations_run", stats.iterations_run if stats else 0),
-                (
-                    "denoised_pixels_per_iteration",
-                    stats.denoised_pixels_per_iteration if stats else 0,
-                ),
+                ("residual_l2", repr(r_l2)),
+                ("iterations_run", stats.iterations_run),
+                ("denoised_pixels_per_iteration", stats.denoised_pixels_per_iteration),
                 ("wall_time_s", repr(elapsed)),
             ]
-            if multi:
-                name = f"{_stem(meas_path)}.report.txt"
-                report_path = os.path.join(args.report, name)
-            else:
-                report_path = args.report
             text = "".join(f"{k} {v}\n" for k, v in pairs)
             _atomic_write(report_path, text.encode("utf-8"))
         return None
 
-    def attempt(meas_path: str) -> tuple[int, str] | None:
+    # Every input is attempted in command-line order on this thread, so the
+    # kernels alone spread over the CPUs; the exit code is that of the
+    # first failure.
+    failures = []
+    for meas_path, out_path, report_path in jobs:
         try:
-            return run(meas_path)
+            status = run(meas_path, out_path, report_path)
         except Exception as exc:
             status = _exit_status(exc)
             if status is None:
                 raise
-            return status
-
-    if not multi:
-        status = attempt(meas_paths[0])
-        if status is None:
-            return 0
-        _fail(status[1])
-        return status[0]
-
-    # Every input is attempted in command-line order on this thread, so the
-    # kernels alone spread over the CPUs; the exit code is that of the
-    # first failure.
-    statuses = [attempt(path) for path in meas_paths]
-    failed = [(path, s) for path, s in zip(meas_paths, statuses) if s is not None]
-    for path, (_, message) in failed:
-        _fail(_name_once(path, message))
-    print(
-        f"reconstructed {len(meas_paths) - len(failed)} of {len(meas_paths)} inputs",
-        file=sys.stderr,
-    )
-    return failed[0][1][0] if failed else 0
+        if status is not None:
+            failures.append(status[0])
+            _fail(_name_once(meas_path, status[1]))
+    if multi:
+        print(
+            f"reconstructed {len(jobs) - len(failures)} of {len(jobs)} inputs",
+            file=sys.stderr,
+        )
+    return failures[0] if failures else 0
 
 
 # --------------------------------------------------------------------------

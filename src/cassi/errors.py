@@ -14,12 +14,12 @@ class NonFiniteValue(CassiError):
 
 
 class MaskDegenerate(CassiError):
-    """A detector pixel receives no mask energy from any band, or so little
-    that its reciprocal overflows.
+    """A detector pixel receives no mask energy from any band, so little
+    that its reciprocal overflows, or so much that the energy overflows.
 
-    The diagonal of the operator Gram matrix vanishes there, or is too
-    small to invert, so the element-wise pseudo-inverse does not exist and
-    construction fails.  ``energy`` is that diagonal entry.
+    The diagonal of the operator Gram matrix vanishes there, is too small
+    to invert, or is not finite, so the element-wise pseudo-inverse does
+    not exist and construction fails.  ``energy`` is that diagonal entry.
     """
 
     def __init__(self, row: int, col: int, energy: float = 0.0):
@@ -28,6 +28,8 @@ class MaskDegenerate(CassiError):
         self.energy = energy
         if energy == 0.0:
             what = "receives no mask energy from any band"
+        elif energy == float("inf"):
+            what = "receives mask energy that overflows"
         else:
             what = f"receives mask energy {energy!r}, too small to invert"
         super().__init__(f"detector pixel ({row}, {col}) {what}")

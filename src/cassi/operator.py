@@ -142,11 +142,12 @@ class SensingOperator:
 
     ``mask`` is the read-only (H, W) coded aperture; band c sees it shifted
     d*c columns right.  The diagonal ``sigma`` of the operator Gram matrix
-    must be large enough everywhere that its reciprocal is finite
-    (construction raises :class:`MaskDegenerate` otherwise).  Only that
-    reciprocal, ``inv_sigma``, is kept, because that is what pinv,
-    rnd_combine and every solver iteration read.  Build instances with :func:`build_operator`, which
-    checks the mask against the geometry.
+    must be large enough everywhere that its reciprocal is finite, and
+    finite itself, so that the reciprocal is not 0 (construction raises
+    :class:`MaskDegenerate` otherwise).  Only that reciprocal,
+    ``inv_sigma``, is kept, because that is what pinv, rnd_combine and
+    every solver iteration read.  Build instances with
+    :func:`build_operator`, which checks the mask against the geometry.
     """
 
     config: SceneConfig
@@ -155,14 +156,15 @@ class SensingOperator:
 
     def __post_init__(self):
         # A diagonal entry of 0, or below about 5.6e-309, has no finite
-        # reciprocal.
-        sigma = _gram_diagonal(self.mask, self.config)
+        # reciprocal, and one that overflows to Inf has a reciprocal of 0.
         with np.errstate(divide="ignore", over="ignore"):
+            sigma = _gram_diagonal(self.mask, self.config)
             inv_sigma = np.divide(1.0, sigma, out=sigma)
-        if not np.isfinite(inv_sigma).all():
-            u, v = (int(i) for i in np.argwhere(~np.isfinite(inv_sigma))[0])
-            energy = float(_gram_diagonal(self.mask, self.config)[u, v])
-            raise MaskDegenerate(u, v, energy)
+            if not (np.isfinite(inv_sigma).all() and inv_sigma.all()):
+                bad = ~np.isfinite(inv_sigma) | (inv_sigma == 0.0)
+                u, v = (int(i) for i in np.argwhere(bad)[0])
+                energy = float(_gram_diagonal(self.mask, self.config)[u, v])
+                raise MaskDegenerate(u, v, energy)
         inv_sigma.setflags(write=False)
         object.__setattr__(self, "inv_sigma", inv_sigma)
 
@@ -241,8 +243,8 @@ def build_operator(mask: CodedAperture, config: SceneConfig) -> SensingOperator:
 
     Raises DimensionMismatch if the mask is not H x W, and MaskDegenerate
     if any detector pixel receives no mask energy across all bands (the
-    operator would not have full row rank), or so little that the
-    reciprocal overflows.
+    operator would not have full row rank), so little that the reciprocal
+    overflows, or so much that the energy itself overflows.
     """
     h, w = config.height, config.width
     if (mask.height, mask.width) != (h, w):

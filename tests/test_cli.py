@@ -588,6 +588,26 @@ class TestReconstruct:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
         assert not list(adir.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_batch_output_that_is_a_file_exits_2_before_any_read(
+        self, tmp_path, capsys, flag
+    ):
+        # The input files do not exist, so any read would fail first.
+        afile, adir = tmp_path / "afile", tmp_path / "adir"
+        afile.write_bytes(b"kept")
+        adir.mkdir()
+        out, report = (afile, adir) if flag == "--out" else (adir, afile)
+        code = run_cli(
+            "reconstruct", "--meas", tmp_path / "a.hsic", tmp_path / "b.hsic",
+            "--mask", tmp_path / "no_mask.hsic", "--shift-step", 2,
+            "--method", "pinv", "--out", out, "--report", report,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {afile} must be an existing directory for batch input\n"
+        )
+        assert afile.read_bytes() == b"kept" and not any(adir.iterdir())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_solver_exits_4(self, tmp_path, capsys):
         # A faint gray mask makes the Gram diagonal tiny, so the weighted
@@ -626,6 +646,144 @@ class TestReconstruct:
         assert f"error: {meas_path}: " in err and "NaN or Inf" in err
         assert "diverged" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("pinv", "reconstruction contains NaN or Inf"),
+            ("gap-tv", "solver iterate diverged at iteration 0"),
+            ("rnd-gap-tv", "solver iterate diverged at iteration 0"),
+        ],
+    )
+    def test_non_finite_reconstruction_exits_4_and_writes_nothing(
+        self, tmp_path, capsys, method, message
+    ):
+        # The Gram diagonal, 1e-300 or 2e-300, has a finite reciprocal, but
+        # a measurement of 1e10 divided by it overflows.
+        meas_path, mask_path = tmp_path / "meas.hsic", tmp_path / "mask.hsic"
+        write_cube(meas_path, np.full((4, 5), 1e10))
+        write_cube(mask_path, np.full((4, 4), 1e-150))
+        out, report = tmp_path / "o.hsic", tmp_path / "o.txt"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 1, "--method", method, "--iters", 2,
+            "--out", out, "--report", report,
+        )
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {meas_path}: {message}\n"
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["pinv", "rnd-gap-tv"])
+    def test_mask_whose_energy_overflows_exits_3(self, tmp_path, capsys, method):
+        meas_path, mask_path = tmp_path / "meas.hsic", tmp_path / "mask.hsic"
+        write_cube(meas_path, np.ones((8, 12)))
+        write_cube(mask_path, np.full((8, 8), 1e200))
+        out, report = tmp_path / "o.hsic", tmp_path / "o.txt"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", method, "--iters", 2,
+            "--out", out, "--report", report,
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {meas_path}: detector pixel (0, 0) receives mask energy "
+            "that overflows\n"
+        )
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["pinv", "gap-tv", "rnd-gap-tv"])
+    def test_report_of_a_huge_measurement_is_finite(self, tmp_path, method):
+        # The residual is about 1e184, so its sum of squares overflows.
+        meas = np.random.Generator(np.random.Philox(3)).random((8, 12)) * 1e200
+        meas_path, mask_path = tmp_path / "meas.hsic", tmp_path / "mask.hsic"
+        write_cube(meas_path, meas)
+        write_cube(mask_path, np.ones((8, 8)))
+        out, report = tmp_path / "o.hsic", tmp_path / "o.txt"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path,
+            "--shift-step", 2, "--method", method, "--iters", 2,
+            "--out", out, "--report", report,
+        )
+        assert code == 0
+        values = dict(line.split(" ", 1) for line in report.read_text().splitlines())
+        r_inf, r_l2 = float(values["residual_inf"]), float(values["residual_l2"])
+        assert float(values["residual_inf_rel"]) <= 1e-8
+        assert 0 < r_inf <= r_l2 <= r_inf * np.sqrt(meas.size)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no-shift-step", "shift step not given (flag or config file)"),
+            ("mask-bands", "{mask}: mask files must have C = 1, got 2"),
+            ("meas-bands", "{meas}: measurement files must have C = 1"),
+            ("rows", "{meas}: measurement has 8 rows but mask has 7"),
+        ],
+    )
+    def test_input_error_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, case, message
+    ):
+        meas, mask, step = np.ones((8, 12)), np.ones((8, 8)), ["--shift-step", 2]
+        if case == "no-shift-step":
+            step = []
+        elif case == "mask-bands":
+            mask = np.ones((2, 8, 8))
+        elif case == "meas-bands":
+            meas = np.ones((2, 8, 12))
+        else:
+            mask = np.ones((7, 8))
+        meas_path, mask_path = tmp_path / "meas.hsic", tmp_path / "mask.hsic"
+        write_cube(meas_path, meas)
+        write_cube(mask_path, mask)
+        out, report = tmp_path / "o.hsic", tmp_path / "o.txt"
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, "--mask", mask_path, *step,
+            "--method", "pinv", "--out", out, "--report", report,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(meas=meas_path, mask=mask_path)}\n"
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("method", ["pinv", "rnd-gap-tv"])
+    def test_batch_writes_what_each_input_writes_alone(self, tmp_path, method):
+        config, meas_path, mask_path, _ = self.make_measurement(tmp_path)
+        second = tmp_path / "meas2.hsic"
+        op = build_operator(CodedAperture(read_cube(mask_path)[0][0]), config)
+        write_cube(second, op.forward(gen_scene(config, 4, seed=9)).data)
+        common = [
+            "--mask", mask_path, "--shift-step", 2, "--method", method,
+            "--iters", 3,
+        ]
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        code = run_cli(
+            "reconstruct", "--meas", meas_path, second, *common,
+            "--out", batch, "--report", batch,
+        )
+        assert code == 0
+
+        def report_lines(path):
+            # The output path and the timing are all that may differ.
+            lines = path.read_text().splitlines()
+            return [line for line in lines if line.split(" ")[0] not in (
+                "output", "wall_time_s",
+            )]
+
+        for path in (meas_path, second):
+            out, report = tmp_path / "alone.hsic", tmp_path / "alone.txt"
+            code = run_cli(
+                "reconstruct", "--meas", path, *common,
+                "--out", out, "--report", report,
+            )
+            assert code == 0
+            stem = path.stem
+            assert (batch / f"{stem}.recon.hsic").read_bytes() == out.read_bytes()
+            batch_report = batch / f"{stem}.report.txt"
+            assert report_lines(batch_report) == report_lines(report)
+            assert len(report_lines(report)) == 18
 
 
 class TestOutputCheckedFirst:
@@ -1057,6 +1215,21 @@ class TestMask:
         assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given", [["--full-rank-bands", 3], ["--full-rank-step", 2]]
+    )
+    def test_full_rank_flag_alone_exits_2(self, tmp_path, capsys, given):
+        out = tmp_path / "mask.hsic"
+        code = run_cli(
+            "mask", "gen", "--height", 4, "--width", 4, "--density", 0.5,
+            "--seed", 1, *given, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --full-rank-bands and --full-rank-step must be given together\n"
+        )
+        assert not out.exists()
+
     def test_full_rank_repair_flags(self, tmp_path):
         out = tmp_path / "mask.hsic"
         assert run_cli(
@@ -1387,6 +1560,87 @@ class TestFuzzedConfig:
             root, text, "reconstruct", "--meas", meas, "--mask", mask,
             "--shift-step", 1, "--method", "gap-tv",
         )
+
+
+def _spread(rng, shape, exponents, signed, zeros):
+    """Values whose magnitudes spread over ``10**lo`` to ``10**hi``."""
+    lo, hi = sorted(exponents)
+    values = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(lo, hi + 1, shape)
+    if signed:
+        values *= rng.choice([-1.0, 1.0], shape)
+    values[rng.random(shape) < zeros] = 0.0
+    return values
+
+
+_EXPONENTS = st.tuples(st.integers(-300, 299), st.integers(-300, 299))
+
+
+class TestNoExit0WithANonFiniteOutput:
+    """Over magnitudes from 1e-300 to 1e300 in the cube, the mask and the
+    measurement, ``simulate`` and every ``reconstruct`` method exit 0 with
+    a finite output file and a finite report, or exit 2, 3 or 4 with one
+    ``error:`` line and no output file."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200)
+    @given(
+        command=st.sampled_from(["simulate", "pinv", "gap-tv", "rnd-gap-tv"]),
+        geometry=st.tuples(
+            st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+            st.integers(1, 2),
+        ),
+        data=_EXPONENTS,
+        mask=_EXPONENTS,
+        signed=st.booleans(),
+        zeros=st.sampled_from([0.0, 0.25]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A measurement of 1e10 over a mask of 1e-150 overflows pinv and the
+    # solver's first data step; a mask of 1e200 overflows the Gram
+    # diagonal; the residual of a measurement of 1e200 overflows its L2
+    # norm.
+    @example("pinv", (4, 4, 2, 1), (10, 10), (-150, -150), False, 0.0, 0)
+    @example("rnd-gap-tv", (4, 4, 2, 1), (10, 10), (-150, -150), False, 0.0, 0)
+    @example("pinv", (4, 4, 3, 2), (0, 0), (200, 200), False, 0.0, 0)
+    @example("simulate", (4, 4, 3, 2), (0, 0), (200, 200), False, 0.0, 0)
+    @example("gap-tv", (4, 4, 3, 2), (200, 200), (0, 0), False, 0.0, 0)
+    def test_exit_0_means_finite_files(
+        self, tmp_path_factory, command, geometry, data, mask, signed, zeros, seed
+    ):
+        root = tmp_path_factory.mktemp("magnitudes")
+        rng = np.random.Generator(np.random.Philox(seed))
+        h, w, bands, d = geometry
+        mask_path, in_path = root / "mask.hsic", root / "in.hsic"
+        out, report = root / "out.hsic", root / "report.txt"
+        write_cube(mask_path, _spread(rng, (h, w), mask, False, zeros))
+        if command == "simulate":
+            write_cube(in_path, _spread(rng, (bands, h, w), data, signed, zeros))
+            argv = ["simulate", "--cube", in_path]
+        else:
+            wp = w + d * (bands - 1)
+            write_cube(in_path, _spread(rng, (h, wp), data, signed, zeros))
+            argv = [
+                "reconstruct", "--meas", in_path, "--method", command,
+                "--iters", 2, "--report", report,
+            ]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(
+                *argv, "--mask", mask_path, "--shift-step", d, "--out", out
+            )
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+            assert np.isfinite(read_cube(out)[0]).all()
+            if command != "simulate":
+                for line in report.read_text().splitlines():
+                    key, value = line.split(" ", 1)
+                    with contextlib.suppress(ValueError):
+                        assert np.isfinite(float(value)), line
+            return
+        assert code in (2, 3, 4), err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not report.exists()
 
 
 def test_console_entry_point_runs():

@@ -295,6 +295,23 @@ class TestPipe:
             self.read_through_pipe(_header(h=top, w=top, c=top) + b"abcd")
 
 
+@pytest.mark.parametrize(
+    "shape, dtype, message",
+    [
+        ((2, 2), "f16", "dtype must be 'f32' or 'f64', got 'f16'"),
+        ((4,), "f64", "expected 2-D or 3-D array, got shape (4,)"),
+        ((1, 2, 2, 2), "f32", "expected 2-D or 3-D array, got shape (1, 2, 2, 2)"),
+    ],
+)
+def test_write_of_a_bad_dtype_or_rank_raises_and_creates_nothing(
+    tmp_path, shape, dtype, message
+):
+    with pytest.raises(ValueError) as excinfo:
+        write_cube(tmp_path / "c.hsic", np.zeros(shape), dtype=dtype)
+    assert str(excinfo.value) == message
+    assert not list(tmp_path.iterdir())
+
+
 def test_header_constants():
     assert MAGIC == b"HSIC"
     assert HEADER_SIZE == 20
@@ -315,6 +332,16 @@ def test_pgm_export_of_a_non_finite_plane_raises_and_creates_nothing(tmp_path, b
     plane[1, 0] = bad
     with pytest.raises(NonFiniteValue, match="NaN or Inf"):
         write_pgm(tmp_path / "band.pgm", plane)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 2)])
+def test_pgm_export_of_a_plane_that_is_not_2d_raises_and_creates_nothing(
+    tmp_path, shape
+):
+    with pytest.raises(ValueError) as excinfo:
+        write_pgm(tmp_path / "band.pgm", np.zeros(shape))
+    assert str(excinfo.value) == f"expected 2-D plane, got shape {shape}"
     assert not list(tmp_path.iterdir())
 
 

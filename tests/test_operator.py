@@ -187,6 +187,22 @@ class TestBuildOperator:
         with pytest.raises(MaskDegenerate, match="too small to invert"):
             build_operator(faint, SceneConfig(4, 4, 2, 1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mask_whose_energy_overflows_is_degenerate(self):
+        # Each square, 1e308, is finite; pixel (1, 2) adds two of them,
+        # so its energy overflows and its reciprocal is 0.
+        data = np.ones((3, 3))
+        data[1, 1:] = 1e154
+        with pytest.raises(MaskDegenerate) as excinfo:
+            build_operator(CodedAperture(data), SceneConfig(3, 3, 2, 1))
+        err = excinfo.value
+        assert (err.row, err.col, err.energy) == (1, 2, np.inf)
+        assert str(err) == "detector pixel (1, 2) receives mask energy that overflows"
+        # A square that overflows on its own.
+        bright = CodedAperture(np.full((8, 8), 1e200))
+        with pytest.raises(MaskDegenerate, match=r"^detector pixel \(0, 0\) .* overflows$"):
+            build_operator(bright, SceneConfig(8, 8, 3, 2))
+
     def test_mask_dims_must_match(self, tiny_config):
         with pytest.raises(DimensionMismatch):
             build_operator(CodedAperture(np.ones((2, 3))), tiny_config)

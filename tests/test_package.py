@@ -111,3 +111,17 @@ def test_benchmark_shims_find_and_restore_their_targets():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+
+
+def test_benchmark_workloads_pass_their_own_checks(tmp_path):
+    # The benchmark drives the library in process: it reads cli.main's exit
+    # codes and each batch report's residual_inf_rel, and passes x0 to the
+    # solver.  One tiny operation of each workload shows a break here first.
+    workloads = load_script("workloads", "perfbench")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(tiny=True)
+        try:
+            workload.setup(seed=1, workdir=str(tmp_path))
+            assert workload.check(0, workload.op_run(0)) == [], name
+        finally:
+            workload.close()

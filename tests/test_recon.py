@@ -688,6 +688,20 @@ class TestGapSolve:
                 x0=random_cube(SceneConfig(3, 3, 2, 1), 1),
             )
 
+    def test_measurement_of_another_geometry_rejected(self):
+        _, op = self.config_op()
+        from cassi import DimensionMismatch
+
+        with pytest.raises(
+            DimensionMismatch, match="^measurement geometry disagrees with operator$"
+        ):
+            gap_solve_with_stats(
+                op,
+                random_meas(SceneConfig(3, 3, 2, 1), 1),
+                _IdentityPrior(),
+                SolverConfig(iterations=2),
+            )
+
     def test_divergence_guard(self):
         config, op = self.config_op()
         meas = op.forward(random_cube(config, 16))
