@@ -1,67 +1,34 @@
-"""The process-wide kernel thread pool of the TV prox and the metrics.
+"""The spans of the band kernels: the TV prox and the metrics.
 
 Both treat every band on its own and spend their time in numpy loops that
 release the interpreter lock, so their blocks of bands are spread over one
 span per CPU this process may run on (``taskset`` limits it).  The calling
-thread works the first span and the pool's threads the rest, so the pool
-holds one thread fewer than there are CPUs.  Every caller's threads share
-the one pool.  A span must not itself run spans, or it could wait for ever
-on a pool whose threads all wait too.
-
-The pool is created on first use, and again in a forked child, whose copy
-of the parent's pool has no threads.
+thread works the first span, and each other span runs on a helper thread
+started for it and joined before the call returns, so a call starts one
+thread fewer than there are CPUs and a stack of one block starts none.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 # Bytes per working array of one band block, so the TV prox's workspace
 # (the block's input, the field and the duals p and q: 4 such arrays, about
 # 2 MiB per span at 256x256) stays in cache instead of streaming the whole
 # stack through DRAM on every step.  Small stacks get a single block, which
-# keeps their per-call overhead low.  The metrics' SSIM workspace has 7 block arrays,
-# so its blocks hold max(1, BLOCK_BYTES // (7*H*W*8)) bands: the whole
-# workspace fits in BLOCK_BYTES, or holds one band (7 planes) when a band
-# is larger.  The operator kernels cut the detector image, and the finite
-# check its array, into near-equal blocks of rows of about BLOCK_BYTES
-# (see row_block), worked one after another on the calling thread.
+# keeps their per-call overhead low.  The metrics' 7-array SSIM blocks and
+# the operator kernels' row blocks (see row_block) keep to the same budget.
 BLOCK_BYTES = 512 * 1024
 
-_lock = threading.Lock()
-# (pid, workers, executor) of the process that created the pool.
-_pool: tuple[int, int, ThreadPoolExecutor] | None = None
 
-
-def _pool_size() -> int:
+def kernel_workers() -> int:
+    """Threads the band kernels run on, the caller's included: one per CPU."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
-
-
-def _executor() -> tuple[int, ThreadPoolExecutor]:
-    global _pool
-    pool = _pool
-    if pool is None or pool[0] != os.getpid():
-        with _lock:
-            pool = _pool
-            if pool is None or pool[0] != os.getpid():
-                workers = _pool_size()
-                # The caller works one span; threads start when spans are queued.
-                executor = ThreadPoolExecutor(
-                    max(1, workers - 1), thread_name_prefix="cassi-kernel"
-                )
-                pool = _pool = (os.getpid(), workers, executor)
-    return pool[1], pool[2]
-
-
-def kernel_workers() -> int:
-    """Number of threads the band kernels run on, the caller's included."""
-    return _executor()[0]
 
 
 def band_block(bands: int, height: int, width: int) -> int:
@@ -89,21 +56,35 @@ def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None
     together cover bands ``[0, n)``, and return when every call has.
 
     There is at most one span per worker.  The calling thread runs the
-    first span and the pool the rest, so a single span runs on the caller
-    alone.  Spans must be independent of each other.  The first exception
-    a span raises, in band order, is raised here once every span is done.
+    first span and a ``cassi-kernel`` helper thread each of the others, so
+    a single span runs on the caller alone.  Spans must be independent of
+    each other.  The first exception a span raises, in band order, is
+    raised here once every span is done.
     """
-    workers, executor = _executor()
     blocks = -(-n // block)
-    spans = min(workers, blocks)
+    spans = 1 if blocks <= 1 else min(kernel_workers(), blocks)
     if spans <= 1:
         task(0, n)
         return
     bounds = [min(n, i * blocks // spans * block) for i in range(spans + 1)]
-    futures = [executor.submit(task, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+    errors: list[BaseException | None] = [None] * spans
+
+    def work(i: int) -> None:
+        try:
+            task(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # raised in the caller, in band order
+            errors[i] = exc
+
+    helpers = []
     try:
+        for i in range(1, spans):
+            helper = threading.Thread(target=work, args=(i,), name="cassi-kernel")
+            helper.start()
+            helpers.append(helper)
         task(0, bounds[1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc

@@ -41,6 +41,7 @@ from .core import (
     Measurement,
     SceneConfig,
     _int_at_least,
+    _l2_norm,
     _require_finite,
 )
 from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
@@ -383,10 +384,7 @@ def cmd_reconstruct(args) -> int:
             resid = op.forward(x).data - meas.data
             r_inf = float(np.max(np.abs(resid)))
             y_inf = float(np.max(np.abs(meas.data)))
-            with np.errstate(over="ignore"):
-                r_l2 = float(np.linalg.norm(resid))
-                if not np.isfinite(r_l2):  # the sum of squares overflowed
-                    r_l2 = r_inf * float(np.linalg.norm(resid / r_inf))
+            r_l2 = _l2_norm(resid)
             pairs = [
                 ("command", "reconstruct"),
                 ("input", meas_path),

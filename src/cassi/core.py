@@ -13,6 +13,7 @@ from this layout and is defined there; nothing else depends on it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -84,6 +85,19 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         part = flat[lo : lo + block]
         if not np.isfinite(part, finite[: part.size]).all():
             raise NonFiniteValue(f"{what} contains NaN or Inf")
+
+
+def _l2_norm(arr: np.ndarray) -> float:
+    """``np.linalg.norm(arr)`` where that is finite; else the norm of
+    ``arr`` scaled by its largest magnitude, or Inf if that is not finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+        if math.isfinite(norm):
+            return norm
+        peak = float(np.max(np.abs(arr)))
+        if not math.isfinite(peak):
+            return math.inf
+        return peak * float(np.linalg.norm(arr / peak))
 
 
 def _checked_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -10,14 +10,14 @@ outer product of a normalised 1-D Gaussian and is applied separably, one
 1-D pass per axis.
 
 Every score comes from one pass over blocks of whole bands
-(:func:`_band_pass`).  Spans of blocks run on the kernel thread pool, each
+(:func:`_band_pass`).  Spans of blocks run on threads of their own, each
 clamping its block into its own workspace; small stacks are scored inline.
 A window pass is a few flat numpy calls over a whole block, adding the taps
 in the order scipy's ``correlate1d`` uses for a symmetric kernel, so the
 valid interior is bitwise what scipy gives; values whose window crosses a
 row or band edge are computed and thrown away.  Every band does the same
-arithmetic whatever the pool size or block, so the results are bitwise the
-same.  Only numpy is needed.
+arithmetic whatever the number of workers or block, so the results are
+bitwise the same.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def _band_pass(
 
     Blocks hold as many whole bands as keep the seven-array SSIM workspace
     within ``BLOCK_BYTES`` (one band at least), and the scores do not depend
-    on the blocking or the pool size.  Each block's squared error lives
-    only in a workspace row.
+    on the blocking or the number of workers.  Each block's squared error
+    lives only in a workspace row.
     """
     a, b = reference.data, test.data
     if a.shape != b.shape:

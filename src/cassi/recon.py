@@ -7,8 +7,8 @@ more data step on the output, through the same operator kernel.  Any object
 with a ``denoise(cube, strength) -> cube`` method can serve as the prior, so
 a stronger external denoiser can be plugged in unchanged; the bundled prior
 is an anisotropic per-band total-variation proximal step.  Its band blocks
-run on the kernel thread pool shared with the metrics; the output bytes do
-not depend on the pool size.
+are spread over the CPUs as the metrics' are (:mod:`cassi._pool`); the
+output bytes do not depend on the number of workers.
 
 The iterate lives in measurement-width coordinates so the denoiser can be
 fed either the full dispersed tensor or only the on-support crop; with the
@@ -30,7 +30,9 @@ from typing import Protocol
 import numpy as np
 
 from ._pool import band_block, run_band_spans
-from .core import HSICube, Measurement, SceneConfig, _as_float, _int_at_least
+from .core import (
+    HSICube, Measurement, SceneConfig, _as_float, _int_at_least, _l2_norm
+)
 from .errors import DimensionMismatch, NonFiniteValue
 from .operator import SensingOperator, _forward, _on_support, _shift
 
@@ -216,8 +218,8 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     straight into ``v``, and ``v`` is clipped to ``[-8*lam, 8*lam]``.
     Fixed iteration count, fully deterministic.  Planes are independent, so
     the stack is processed in blocks of whole bands sized by
-    :func:`cassi._pool.band_block`, and spans of blocks run on the kernel
-    pool, each in its own workspace (a stack of one block runs inline).
+    :func:`cassi._pool.band_block`, and spans of blocks run on their own
+    threads, each in its own workspace (a stack of one block runs inline).
 
     The workspace is one allocation of three line-aligned buffers, four
     block-sized arrays in all: the block's input ``f``, the field ``x``
@@ -380,7 +382,7 @@ def gap_solve_with_stats(
             )
 
         r = meas.data - _forward(op.mask, d, support)
-        residuals.append(float(np.linalg.norm(r)))
+        residuals.append(_l2_norm(r))
 
         if prev is not None:
             scale = max(float(prev.max()), -float(prev.min()), np.finfo(float).tiny)

@@ -94,7 +94,9 @@ def repair_mask(mask: CodedAperture, config: SceneConfig) -> CodedAperture:
     """
     _, w, nc, d = config.geometry
     data = mask.data.copy()
-    sigma = _gram_diagonal(data, config)
+    # An entry that overflows is Inf, not 0: build_operator rejects it.
+    with np.errstate(over="ignore"):
+        sigma = _gram_diagonal(data, config)
     u, v = np.nonzero(sigma == 0.0)
     col = v - d * np.minimum(v // d, nc - 1)
     fixable = col < w  # no band reaches the other columns (d > W)

@@ -98,16 +98,10 @@ def tiny_ones_operator(tiny_config):
 
 @pytest.fixture
 def kernel_pool(monkeypatch):
-    """``set_size(n)``: the band kernels run on a fresh pool of ``n`` workers
-    for the rest of the test.  Pools made this way are shut down after it."""
-    made = []
+    """``set_size(n)``: the band kernels run on ``n`` workers for the rest
+    of the test."""
 
     def set_size(n: int) -> None:
-        monkeypatch.setattr(_pool, "_pool_size", lambda: n)
-        monkeypatch.setattr(_pool, "_pool", None)
-        assert _pool.kernel_workers() == n
-        made.append(_pool._pool[2])
+        monkeypatch.setattr(_pool, "kernel_workers", lambda: n)
 
-    yield set_size
-    for executor in made:
-        executor.shutdown()
+    return set_size

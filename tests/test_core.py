@@ -13,7 +13,7 @@ from cassi import (
     SceneConfig,
     build_operator,
 )
-from cassi.core import _require_finite
+from cassi.core import _l2_norm, _require_finite
 from cassi.dense import cube_to_vec, meas_to_vec
 
 
@@ -175,6 +175,25 @@ def _where(vec: np.ndarray) -> int:
     """Position of the one nonzero entry of ``vec``."""
     (i,) = np.flatnonzero(vec)
     return int(i)
+
+
+class TestL2Norm:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-200, 1.0, 1e150]))
+    def test_a_finite_norm_is_numpys(self, seed, scale):
+        rng = np.random.Generator(np.random.Philox(seed))
+        arr = rng.standard_normal((5, 7)) * scale
+        assert _l2_norm(arr) == float(np.linalg.norm(arr))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_sum_of_squares_is_scaled(self):
+        arr = np.full((3, 4), -1e200)
+        assert _l2_norm(arr) == pytest.approx(1e200 * np.sqrt(12), rel=1e-15)
+        assert _l2_norm(np.array([1.5e308, 1.5e308])) == np.inf  # a true overflow
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_value_gives_inf(self, bad):
+        assert _l2_norm(np.array([1.0, bad, 2.0])) == np.inf
 
 
 class TestFlattenIndex:

@@ -96,6 +96,21 @@ def test_runs_without_scipy():
     assert proc.stdout == "ok\n"
 
 
+def test_import_leaves_out_concurrent_futures():
+    # The band kernels start plain threads; no executor module is loaded.
+    src = os.path.dirname(os.path.dirname(cassi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cassi; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_benchmark_shims_find_and_restore_their_targets():
     # The traced benchmark run swaps library attributes (such as
     # cli.evaluate and metrics.psnr_bands) for timing shims; a rename in

@@ -2,7 +2,6 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ class TestRunBandSpans:
     def test_spans_cover_the_bands_in_whole_blocks(self, n, block, workers):
         blocks = -(-n // block)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_pool, "_executor", lambda: (workers, _Inline()))
+            mp.setattr(_pool, "kernel_workers", lambda: workers)
             spans = spans_of(n, block)
         assert len(spans) == min(workers, blocks)
         assert spans[0][0] == 0 and spans[-1][1] == n
@@ -52,7 +51,7 @@ class TestRunBandSpans:
         _pool.run_band_spans(task, 4, 1)
         on = {(lo, hi): t for lo, hi, t in ran}
         assert sorted(on) == [(0, 2), (2, 4)]
-        # The caller works the first span, a pool thread the second.
+        # The caller works the first span, a helper thread the second.
         assert on[0, 2] == threading.get_ident() != on[2, 4]
 
     def test_a_failing_span_raises_in_the_caller_after_all_finish(self, kernel_pool):
@@ -90,11 +89,11 @@ class TestRowBlock:
         assert (block, -(-256 // block)) == (128, 2)
 
 
-class _Refusing:
-    """Executor stand-in whose ``submit`` raises."""
+class _Refusing(threading.Thread):
+    """Thread whose ``start`` raises."""
 
-    def submit(self, fn, *args):
-        raise AssertionError("a kernel was queued on the pool")
+    def start(self):
+        raise AssertionError("a kernel started a thread")
 
 
 def test_operator_kernels_and_finite_check_never_use_the_pool(monkeypatch):
@@ -123,7 +122,8 @@ def test_operator_kernels_and_finite_check_never_use_the_pool(monkeypatch):
         ]
 
     expected = outputs()  # each input is one block
-    monkeypatch.setattr(_pool, "_executor", lambda: (2, _Refusing()))
+    monkeypatch.setattr(_pool, "kernel_workers", lambda: 2)
+    monkeypatch.setattr(_pool.threading, "Thread", _Refusing)
     monkeypatch.setattr(_pool, "BLOCK_BYTES", 8 * 40)  # a few rows per block
     assert _pool.row_block(23, 8 * config.measurement_width()) < 23
     assert outputs() == expected
@@ -134,23 +134,28 @@ def _kernel_threads():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_the_pool_starts_one_thread_fewer_than_its_workers(workers, kernel_pool):
-    before = _kernel_threads()
+def test_the_pool_starts_one_thread_fewer_than_its_workers(
+    workers, kernel_pool, monkeypatch
+):
+    # Each helper counts the kernel threads alive, itself included, as it
+    # starts its span.
+    running = []
+
+    class Counting(threading.Thread):
+        def run(self):
+            running.append(len(_kernel_threads()))
+            super().run()
+
     kernel_pool(workers)
+    monkeypatch.setattr(_pool.threading, "Thread", Counting)
     cube = multi_block_cube(9)
     for _ in range(3):
         TvPrior(2).denoise(cube, 0.1)
+        assert not _kernel_threads()
         evaluate(cube, cube)
-    assert len(_kernel_threads() - before) <= workers - 1
-
-
-class _Inline:
-    """Executor stand-in that runs each task on submit."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+        assert not _kernel_threads()
+    assert bool(running) == (workers > 1)
+    assert max(running, default=0) <= workers - 1
 
 
 def multi_block_cube(seed):
@@ -230,9 +235,9 @@ def test_concurrent_operator_callers_get_the_serial_bytes(kernel_pool, monkeypat
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_forked_child_gets_its_own_pool(kernel_pool):
-    # The child inherits the parent's pool object but none of its threads;
-    # work queued on it would never run.
+def test_forked_child_runs_the_spans(kernel_pool):
+    # The child holds only the thread that forked; its spans start helpers
+    # of their own.
     kernel_pool(2)
     cube = multi_block_cube(7)
     prior = TvPrior(5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cassi import (
+    CodedAperture,
     HSICube,
     build_operator,
     bundled_suite,
@@ -771,6 +772,19 @@ class TestGapSolve:
         out, _ = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
         assert out.data.shape == (2, 4, 4)
         assert np.isfinite(out.data).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_of_a_huge_measurement_is_finite(self):
+        # The residual is about 1e184, so its sum of squares overflows.
+        config = SceneConfig(8, 8, 3, 2)
+        op = build_operator(CodedAperture(np.ones((8, 8))), config)
+        meas = Measurement(config, np.linspace(0, 1e200, 96).reshape(8, 12))
+        out, stats = gap_solve_with_stats(
+            op, meas, TvPrior(), SolverConfig(iterations=2)
+        )
+        assert np.isfinite(out.data).all()
+        assert len(stats.residual_l2) == 2
+        assert all(0 < r < np.inf for r in stats.residual_l2)
 
 
 class TestGapSolveWorkingCopy:

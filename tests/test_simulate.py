@@ -208,6 +208,16 @@ class TestRepairMask:
             build_operator(mask, config)
         build_operator(repair_mask(mask, config), config)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bright_mask_is_left_to_build_operator(self):
+        # Every Gram entry overflows to Inf, which is not 0: nothing flips.
+        config = SceneConfig(8, 8, 3, 2)
+        bright = CodedAperture(np.full((8, 8), 1e200))
+        repaired = repair_mask(bright, config)
+        np.testing.assert_array_equal(repaired.data, bright.data)
+        with pytest.raises(MaskDegenerate, match="overflows$"):
+            build_operator(repaired, config)
+
     def test_repair_only_adds_energy(self):
         config = SceneConfig(16, 16, 4, 2)
         mask = gen_mask(16, 16, 0.5, seed=17)
