@@ -21,8 +21,8 @@ from cassi import (
     build_operator,
     bundled_suite,
     crop_mask,
+    evaluate,
     gen_mask,
-    psnr,
     repair_mask,
     rnd_reconstruct,
 )
@@ -41,7 +41,9 @@ def crop_means(crops=3, big_size=660, density=0.5, seed=77):
         window = repair_mask(crop_mask(big, config.width, seed=100 + k), config)
         op = build_operator(window, config)
         values = [
-            psnr(scene, rnd_reconstruct(op, op.forward(scene), prior, cfg))
+            evaluate(
+                scene, rnd_reconstruct(op, op.forward(scene), prior, cfg)
+            ).psnr_db
             for scene in scenes
         ]
         means.append(float(np.mean(values)))

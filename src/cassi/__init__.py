@@ -46,9 +46,7 @@ from .simulate import (
 from .metrics import (
     MetricReport,
     evaluate,
-    psnr,
     psnr_bands,
-    ssim,
     ssim_bands,
 )
 from .cubefile import read_cube, write_cube, write_pgm

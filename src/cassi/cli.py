@@ -225,6 +225,35 @@ def _check_output(flag: str, path: str, batch: bool = False) -> None:
         raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
+def _file_key(path: str):
+    """What two paths share when they name one file: the device and inode
+    of an existing file (so hard links and symlinks match), else the
+    resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _refuse_overwrite(
+    outputs: list[tuple[str, str]], inputs: list[tuple[str, str]]
+) -> None:
+    """Refuse, before any input is read, an output (flag, path) that names
+    the same file as an input or as another output: writing it would
+    replace that file and still exit 0."""
+    seen = {}
+    for flag, path in inputs:
+        seen.setdefault(_file_key(path), (flag, path))
+    for flag, path in outputs:
+        key = _file_key(path)
+        if key in seen:
+            raise ConfigFileError(
+                f"{flag} {path} is the same file as {' '.join(seen[key])}"
+            )
+        seen[key] = (flag, path)
+
+
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -305,7 +334,8 @@ def _reconstruct_one(op, meas, method, prior, scfg):
 
 
 def cmd_reconstruct(args) -> int:
-    # The output paths are checked before any input is read.
+    # The output paths are checked before any input is read, and no output
+    # may replace an input or another output.
     multi = len(args.meas) > 1
     _check_output("--out", args.out, multi)
     if args.report:
@@ -327,6 +357,12 @@ def cmd_reconstruct(args) -> int:
         ]
     else:
         jobs = [(args.meas[0], args.out, args.report)]
+    outputs = [("--out", out) for _, out, _ in jobs]
+    outputs += [("--report", report) for _, _, report in jobs if report]
+    inputs = [("--meas", path) for path in args.meas] + [("--mask", args.mask)]
+    if args.config:
+        inputs.append(("--config", args.config))
+    _refuse_overwrite(outputs, inputs)
 
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)

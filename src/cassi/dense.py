@@ -10,15 +10,16 @@ Vectors are ordered in shifted coordinates with the columns of each band
 stacked (column-major) and the bands concatenated: detector pixel (u, v) of
 band c sits at ``c*H*W' + v*H + u``.  :func:`cube_to_vec` and
 :func:`meas_to_vec` build that order with ``ravel(order="F")``, and
-:func:`build_dense` lays its blocks out the same way.
+:func:`build_dense` lays its blocks out the same way.  The oracle only
+compares vectors, so no vector is ever mapped back to a cube or an image.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import HSICube, Measurement, SceneConfig
-from .errors import DimensionMismatch, InstanceTooLarge, NumericalFailure
+from .core import HSICube, Measurement
+from .errors import InstanceTooLarge, NumericalFailure
 from .operator import SensingOperator, _shift
 
 # 4_194_304 float64 entries = 32 MB; not configurable by design.
@@ -33,40 +34,9 @@ def cube_to_vec(cube: HSICube) -> np.ndarray:
     return np.concatenate([s[c].ravel(order="F") for c in range(s.shape[0])])
 
 
-def vec_to_cube(vec: np.ndarray, config: SceneConfig) -> HSICube:
-    """Inverse of :func:`cube_to_vec` for vectors supported on the shift bands.
-
-    Raises DimensionMismatch if the vector carries mass outside the shifted
-    support (such a vector has no scene-cube preimage).
-    """
-    h, w, nc, d = config.geometry
-    wp = config.measurement_width()
-    if vec.shape != (h * wp * nc,):
-        raise DimensionMismatch(f"vector length {vec.shape} != {(h * wp * nc,)}")
-    planes = vec.reshape(nc, wp, h).transpose(0, 2, 1)  # undo per-band F-order
-    out = np.empty((nc, h, w))
-    for c in range(nc):
-        lo = d * c
-        out[c] = planes[c, :, lo : lo + w]
-        margin = np.abs(planes[c]).sum() - np.abs(planes[c, :, lo : lo + w]).sum()
-        if margin > 1e-12 * max(1.0, np.abs(vec).max()):
-            raise DimensionMismatch(
-                f"vector has off-support mass in band {c}; not a scene cube"
-            )
-    return HSICube._adopt(config, out)
-
-
 def meas_to_vec(meas: Measurement) -> np.ndarray:
     """Column-major vectorization of the detector image."""
     return meas.data.ravel(order="F")
-
-
-def vec_to_meas(vec: np.ndarray, config: SceneConfig) -> Measurement:
-    h = config.height
-    wp = config.measurement_width()
-    if vec.shape != (h * wp,):
-        raise DimensionMismatch(f"vector length {vec.shape} != {(h * wp,)}")
-    return Measurement._adopt(config, vec.reshape(wp, h).T.copy())
 
 
 def build_dense(op: SensingOperator) -> np.ndarray:

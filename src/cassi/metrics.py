@@ -1,6 +1,8 @@
 """Reference image-quality metrics: PSNR, SSIM and MSE per band, and their
 band means.  Every band has H*W pixels, so the band mean of the MSE is the
-whole-cube MSE.
+whole-cube MSE.  :func:`evaluate` gives all three and their means as a
+:class:`MetricReport`; :func:`psnr_bands` and :func:`ssim_bands` give one
+score per band.
 
 Both cubes are clamped to [0, 1] before comparison (peak 1.0).  SSIM uses
 the classical 11x11 Gaussian window with sigma 1.5 and stabilizers
@@ -205,19 +207,9 @@ def psnr_bands(reference: HSICube, test: HSICube) -> np.ndarray:
     return _psnr_planes(_band_pass(reference, test, ssim=False)[0])
 
 
-def psnr(reference: HSICube, test: HSICube) -> float:
-    """Mean of per-band PSNR."""
-    return float(np.mean(psnr_bands(reference, test)))
-
-
 def ssim_bands(reference: HSICube, test: HSICube) -> np.ndarray:
     """Per-band structural similarity (valid-region 11x11 Gaussian window)."""
     return _band_pass(reference, test, ssim=True)[1]
-
-
-def ssim(reference: HSICube, test: HSICube) -> float:
-    """Mean of per-band SSIM."""
-    return float(np.mean(ssim_bands(reference, test)))
 
 
 def evaluate(reference: HSICube, test: HSICube) -> MetricReport:

@@ -164,13 +164,12 @@ def _line_up(n: int) -> int:
     return -(-n // _TV_LINE) * _TV_LINE
 
 
-def _aligned_rows(rows: int, n: int) -> np.ndarray:
-    """Uninitialised (rows, n) float64 rows, each starting on a
-    ``_TV_ALIGN_BYTES`` boundary (the row stride is padded to fit)."""
-    stride = _line_up(n)
-    raw = np.empty(rows * stride + _TV_LINE)
+def _aligned(n: int) -> np.ndarray:
+    """Uninitialised float64 buffer of ``n`` values starting on a
+    ``_TV_ALIGN_BYTES`` boundary."""
+    raw = np.empty(n + _TV_LINE)
     start = (-raw.ctypes.data % _TV_ALIGN_BYTES) // 8
-    return raw[start : start + rows * stride].reshape(rows, stride)[:, :n]
+    return raw[start : start + n]
 
 
 def _tv_div(
@@ -241,7 +240,7 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     finite = [True] * nc
 
     def run_span(start: int, stop: int) -> None:
-        ws = _aligned_rows(1, 4 * cap + lead)[0]
+        ws = _aligned(4 * cap + lead)
         fw, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
         for lo in range(start, stop, block):
             bands = min(block, stop - lo)

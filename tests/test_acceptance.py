@@ -22,9 +22,9 @@ from cassi import (
     add_shot_noise,
     build_operator,
     bundled_suite,
+    evaluate,
     gen_mask,
     gen_scene,
-    psnr,
     repair_mask,
     rnd_reconstruct,
 )
@@ -193,7 +193,7 @@ def test_criterion_4_exact_recovery_with_oracle_prior():
     for scene in scenes:
         y = op.forward(scene)
         out = rnd_reconstruct(op, y, _TruthPrior(scene), cfg)
-        values.append(psnr(scene, out))
+        values.append(evaluate(scene, out).psnr_db)
     worst = min(values)
     assert worst >= 90.0
     _report(4, f"10 scenes, worst oracle-prior PSNR {worst:.1f} dB")
@@ -224,8 +224,8 @@ def test_criterion_5_prior_beats_pinv_and_wrapper_fixes_residual(ablation):
         y_inf = np.abs(y.data).max()
         xp = op.pinv(y)
         xr = op.rnd_combine(y, q)
-        pinv_psnr.append(psnr(scene, xp))
-        rnd_psnr.append(psnr(scene, xr))
+        pinv_psnr.append(evaluate(scene, xp).psnr_db)
+        rnd_psnr.append(evaluate(scene, xr).psnr_db)
         raw_residual = np.abs(op.forward(q).data - y.data).max()
         rnd_residual = np.abs(op.forward(xr).data - y.data).max()
         assert rnd_residual < raw_residual  # wrapper never hurts consistency
@@ -329,7 +329,8 @@ def test_criterion_8_shot_noise_mean_and_monotonic_quality():
             noisy = add_shot_noise(
                 op.forward(scene), NoiseSpec(shot_bits=bits, seed=500 + i)
             )
-            values.append(psnr(scene, rnd_reconstruct(op, noisy, prior, cfg)))
+            x = rnd_reconstruct(op, noisy, prior, cfg)
+            values.append(evaluate(scene, x).psnr_db)
         by_bits.append(float(np.mean(values)))
     assert all(by_bits[i] > by_bits[i + 1] for i in range(len(by_bits) - 1))
     _report(

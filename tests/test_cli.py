@@ -903,6 +903,101 @@ class TestOutputCheckedFirst:
         assert not any(out_dir.iterdir()) and not any(report_dir.iterdir())
 
 
+class TestNoOutputReplacesAFile:
+    """``reconstruct`` refuses an output that names an input or the other
+    output, with exit 2 before any input is read: the write would replace
+    that file and still exit 0.  A symlink or a hard link to the file, or
+    a path through ``.``, names it too."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch, worked_example):
+        """The four existing files a run names, by flag, and the list of
+        paths that ``read_cube`` is asked for."""
+        _, mask = worked_example
+        meas = tmp_path / "meas.hsic"
+        write_cube(meas, np.ones((2, 3)))
+        config = tmp_path / "run.cfg"
+        config.write_text("shift_step = 1\n")
+        old = tmp_path / "old.hsic"
+        write_cube(old, np.zeros((2, 2)))
+        reads = []
+
+        def spy(path):
+            reads.append(path)
+            return read_cube(path)
+
+        monkeypatch.setattr(cli, "read_cube", spy)
+        return {"--meas": meas, "--mask": mask, "--config": config, "--out": old}, reads
+
+    @staticmethod
+    def spell(tmp_path, path, spelling):
+        if spelling == "same":
+            return path
+        if spelling == "dotted":
+            return os.path.join(tmp_path, ".", path.name)
+        link = tmp_path / f"{spelling}-{path.name}"
+        (os.symlink if spelling == "symlink" else os.link)(path, link)
+        return link
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+    @pytest.mark.parametrize(
+        "flag,target",
+        [("--report", "--out"), ("--out", "--meas"), ("--report", "--meas"),
+         ("--out", "--mask"), ("--report", "--mask"), ("--out", "--config"),
+         ("--report", "--config")],
+    )
+    def test_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, files, flag, target, spelling
+    ):
+        paths, reads = files
+        given = self.spell(tmp_path, paths[target], spelling)
+        out = given if flag == "--out" else paths["--out"]
+        report = given if flag == "--report" else tmp_path / "r.txt"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        code = run_cli(
+            "reconstruct", "--meas", paths["--meas"], "--mask", paths["--mask"],
+            "--config", paths["--config"], "--method", "pinv",
+            "--out", out, "--report", report,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} {given} is the same file as {target} {paths[target]}\n"
+        )
+        assert reads == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    def test_distinct_files_still_reconstruct(self, tmp_path, files):
+        paths, _ = files
+        code = run_cli(
+            "reconstruct", "--meas", paths["--meas"], "--mask", paths["--mask"],
+            "--config", paths["--config"], "--method", "pinv",
+            "--out", paths["--out"], "--report", tmp_path / "r.txt",
+        )
+        assert code == 0
+        assert read_cube(paths["--out"])[0].shape == (2, 2, 2)
+        assert (tmp_path / "r.txt").read_text().startswith("command reconstruct\n")
+
+    def test_batch_output_that_names_a_later_input(self, tmp_path, capsys, files):
+        # a.hsic's cube would be written over the second input before it
+        # is read.
+        paths, reads = files
+        first = tmp_path / "a.hsic"
+        second = tmp_path / "a.recon.hsic"
+        write_cube(first, np.ones((2, 3)))
+        write_cube(second, np.ones((2, 3)))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        code = run_cli(
+            "reconstruct", "--meas", first, second, "--mask", paths["--mask"],
+            "--shift-step", 1, "--method", "pinv", "--out", tmp_path,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {second} is the same file as --meas {second}\n"
+        )
+        assert reads == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 class TestMetrics:
     def test_identical_files(self, tmp_path, capsys):
         cube = gen_scene(SceneConfig(16, 16, 2, 1), 4, seed=1)

@@ -16,9 +16,7 @@ from cassi import (
     Measurement,
     evaluate,
     gen_scene,
-    psnr,
     psnr_bands,
-    ssim,
     ssim_bands,
 )
 
@@ -34,7 +32,7 @@ def cube_of(value):
 class TestPsnr:
     def test_identical_cubes_hit_cap(self):
         cube = gen_scene(CFG, 4, seed=1)
-        assert psnr(cube, cube) == 100.0
+        assert evaluate(cube, cube).psnr_db == 100.0
         assert all(p == 100.0 for p in psnr_bands(cube, cube))
 
     def test_uniform_offset_closed_form(self):
@@ -42,55 +40,55 @@ class TestPsnr:
         a = cube_of(0.4)
         b = cube_of(0.5)
         np.testing.assert_allclose(psnr_bands(a, b), 20.0, rtol=1e-12)
-        assert abs(psnr(a, b) - 20.0) < 1e-12
+        assert abs(evaluate(a, b).psnr_db - 20.0) < 1e-12
 
     def test_full_scale_error_is_zero_db(self):
-        assert abs(psnr(cube_of(0.0), cube_of(1.0))) < 1e-12
+        assert abs(evaluate(cube_of(0.0), cube_of(1.0)).psnr_db) < 1e-12
 
     def test_symmetry(self):
         a = gen_scene(CFG, 4, seed=2)
         b = gen_scene(CFG, 4, seed=3)
-        assert psnr(a, b) == psnr(b, a)
+        assert evaluate(a, b).psnr_db == evaluate(b, a).psnr_db
 
     def test_clamps_before_comparison(self):
         a = HSICube(CFG, np.full((3, 16, 16), 2.0))  # clamps to 1.0
         b = cube_of(1.0)
-        assert psnr(a, b) == 100.0
+        assert evaluate(a, b).psnr_db == 100.0
 
     def test_dimension_mismatch(self):
         other = HSICube(SceneConfig(16, 17, 3, 1), np.zeros((3, 16, 17)))
         with pytest.raises(DimensionMismatch):
-            psnr(cube_of(0.5), other)
+            psnr_bands(cube_of(0.5), other)
 
 
 class TestSsim:
     def test_identical_cubes_are_one(self):
         cube = gen_scene(CFG, 5, seed=4)
-        assert ssim(cube, cube) == 1.0
+        assert evaluate(cube, cube).ssim == 1.0
 
     def test_constant_pair_closed_form(self):
         # zero variance leaves only the luminance term:
         # (2*0.5*0.6 + 1e-4) / (0.25 + 0.36 + 1e-4)
         expected = (2 * 0.5 * 0.6 + 1e-4) / (0.25 + 0.36 + 1e-4)
-        value = ssim(cube_of(0.5), cube_of(0.6))
+        value = evaluate(cube_of(0.5), cube_of(0.6)).ssim
         assert abs(value - expected) < 1e-12
         assert abs(value - 0.98361) < 5e-6
 
     def test_contrast_inversion_scores_low(self):
         cube = gen_scene(CFG, 8, seed=5)
         inverted = HSICube(CFG, 1.0 - cube.data)
-        assert ssim(cube, inverted) < 0.5
+        assert evaluate(cube, inverted).ssim < 0.5
 
     def test_symmetry(self):
         a = gen_scene(CFG, 4, seed=6)
         b = gen_scene(CFG, 4, seed=7)
-        assert ssim(a, b) == ssim(b, a)
+        assert evaluate(a, b).ssim == evaluate(b, a).ssim
 
     def test_window_requires_11_pixels(self):
         small = SceneConfig(8, 8, 1, 1)
         cube = HSICube(small, np.zeros((1, 8, 8)))
         with pytest.raises(DimensionMismatch):
-            ssim(cube, cube)
+            ssim_bands(cube, cube)
 
 
 def brute_force_ssim_plane(a, b):
@@ -156,7 +154,7 @@ class TestEvaluate:
         for bits in (14, 11, 8, 5):
             noisy = add_shot_noise(meas, NoiseSpec(shot_bits=bits, seed=11))
             noisy_cube = HSICube(config, noisy.data[None])
-            values.append(psnr(scene, noisy_cube))
+            values.append(evaluate(scene, noisy_cube).psnr_db)
         assert values == sorted(values, reverse=True)
 
     def test_per_band_values_equal_the_public_functions(self):
@@ -168,8 +166,8 @@ class TestEvaluate:
         report = evaluate(a, b)
         assert report.per_band_psnr == tuple(float(x) for x in psnr_bands(a, b))
         assert report.per_band_ssim == tuple(float(x) for x in ssim_bands(a, b))
-        assert report.psnr_db == psnr(a, b)
-        assert report.ssim == ssim(a, b)
+        assert report.psnr_db == float(np.mean(psnr_bands(a, b)))
+        assert report.ssim == float(np.mean(ssim_bands(a, b)))
 
 
 def reference_scores(a, b):
@@ -277,7 +275,7 @@ class TestBandsBelowTheWindow:
             10.0 * np.log10(1.0 / m) for m in mse
         )
 
-    @pytest.mark.parametrize("fn", [ssim, ssim_bands, evaluate])
+    @pytest.mark.parametrize("fn", [ssim_bands, evaluate])
     @pytest.mark.parametrize("h,w", [(8, 8), (10, 12), (12, 10)])
     def test_ssim_rejects_them_with_the_same_message(self, fn, h, w):
         ref, test = noisy_pair((2, h, w), 81)

@@ -339,14 +339,13 @@ class TestPinv:
         config = SceneConfig(3, 3, 2, 1)
         op = make_operator(config, seed=21)
         dense = build_dense(op)
-        n = dense.shape[0]
+        h = config.height
         cols = []
-        for j in range(n):
-            basis = np.zeros(n)
-            basis[j] = 1.0
-            from cassi.dense import vec_to_meas
-
-            cols.append(cube_to_vec(op.pinv(vec_to_meas(basis, config))))
+        for j in range(dense.shape[0]):
+            # Column j of the dense matrix is detector pixel (j % H, j // H).
+            basis = np.zeros((h, config.measurement_width()))
+            basis[j % h, j // h] = 1.0
+            cols.append(cube_to_vec(op.pinv(Measurement(config, basis))))
         pinv_mat = np.stack(cols, axis=1)
         assert rel_err(dense @ pinv_mat @ dense, dense) < 1e-10
 

@@ -40,12 +40,10 @@ PUBLIC_NAMES = [
     "gap_solve_with_stats",
     "gen_mask",
     "gen_scene",
-    "psnr",
     "psnr_bands",
     "read_cube",
     "repair_mask",
     "rnd_reconstruct",
-    "ssim",
     "ssim_bands",
     "write_cube",
     "write_pgm",

@@ -433,17 +433,18 @@ class TestTvBandIndependence:
 class TestTvWorkspaceAlignment:
     @given(st.integers(1, 5), st.integers(1, 100))
     def test_rows_start_on_cache_lines(self, rows, n):
-        a = recon._aligned_rows(rows, n)
-        assert a.shape == (rows, n) and a.dtype == np.float64
-        for row in a:
+        # Each buffer is one row of its own, whatever the allocator gives.
+        a = [recon._aligned(n) for _ in range(rows)]
+        for k, row in enumerate(a):
+            assert row.shape == (n,) and row.dtype == np.float64
             assert row.flags.c_contiguous
             assert row.ctypes.data % recon._TV_ALIGN_BYTES == 0
-        a[...] = np.arange(rows)[:, None]
-        assert (a == np.arange(rows)[:, None]).all()
+            row[...] = k
+        assert all((row == k).all() for k, row in enumerate(a))
 
     @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
     def test_prox_works_in_aligned_rows(self, shape, kernel_pool):
-        # The whole dual iteration runs in one workspace from _aligned_rows
+        # The whole dual iteration runs in one workspace from _aligned
         # per pool task, laid out [f | x | lead, p, gap, q], so no block's speed
         # depends on where the allocator put it.  The kernel relies on the
         # lead and the gap staying +0.
@@ -453,7 +454,7 @@ class TestTvWorkspaceAlignment:
         blocks = -(-c // block)
         cap = recon._line_up(block * h * w)
         lead = recon._line_up(w)
-        aligned_rows = recon._aligned_rows
+        aligned = recon._aligned
         run_band_spans = recon.run_band_spans
 
         def is_plus_zero(a):
@@ -471,20 +472,19 @@ class TestTvWorkspaceAlignment:
 
                 run_band_spans(traced, *args)
 
-            def rows_spy(rows, n):
-                ws = aligned_rows(rows, n)
-                made.append((span.bounds, rows, n, ws))
+            def aligned_spy(n):
+                ws = aligned(n)
+                made.append((span.bounds, n, ws))
                 return ws
 
             with mock.patch.object(recon, "run_band_spans", spans_spy):
-                with mock.patch.object(recon, "_aligned_rows", rows_spy):
+                with mock.patch.object(recon, "_aligned", aligned_spy):
                     cube = HSICube(SceneConfig(h, w, c, 1), data)
                     out = TvPrior(3).denoise(cube, 0.1)
             assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
             assert len(made) == min(workers, blocks)
-            for (lo, hi), rows, n, ws in made:
-                assert (rows, n) == (1, 4 * cap + lead)
-                ws = ws[0]
+            for (lo, hi), n, ws in made:
+                assert n == 4 * cap + lead and ws.shape == (n,)
                 assert ws.ctypes.data % recon._TV_ALIGN_BYTES == 0
                 f, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
                 # The buffers hold the span's last block.
