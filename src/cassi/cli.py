@@ -28,6 +28,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import time
 
@@ -264,6 +265,10 @@ def _stem(path: str) -> str:
 
 def cmd_simulate(args) -> int:
     _check_output("--out", args.out)
+    inputs = [("--cube", args.cube), ("--mask", args.mask)]
+    if args.config:
+        inputs.append(("--config", args.config))
+    _refuse_overwrite([("--out", args.out)], inputs)
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)
     cube_arr, _ = read_cube(args.cube)
@@ -655,6 +660,7 @@ def cmd_mask_gen(args) -> int:
 
 def cmd_mask_crop(args) -> int:
     _check_output("--out", args.out)
+    _refuse_overwrite([("--out", args.out)], [("--mask", args.mask)])
     cropped = crop_mask(_load_mask(args.mask), args.size, args.seed)
     write_cube(args.out, cropped.data, dtype=args.dtype)
     return 0
@@ -665,6 +671,17 @@ def cmd_mask_crop(args) -> int:
 
 
 def cmd_export(args) -> int:
+    # Only a planned image that exists can be the cube, and the band count
+    # is not known before the cube is read: every existing file named like
+    # one of the images (just --band's, if given) counts as planned.
+    image = re.compile(re.escape(args.prefix) + r"band_(\d{3}|[1-9]\d{3,})\.pgm")
+    planned = []
+    if os.path.isdir(args.out_dir):
+        for name in os.listdir(args.out_dir):
+            match = image.fullmatch(name)
+            if match and args.band in (None, int(match[1])):
+                planned.append(("--out-dir", os.path.join(args.out_dir, name)))
+    _refuse_overwrite(planned, [("--cube", args.cube)])
     arr, _ = read_cube(args.cube)
     # The band and the values are checked before anything is created.
     if args.band is not None:

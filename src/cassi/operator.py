@@ -26,12 +26,14 @@ Rows are independent, so the split changes no value.  In the detector
 image, band c's window over rows [lo, hi) is one flat run of
 ``y.reshape(-1)``: it starts at ``lo*W' + d*c`` and is ``(hi-lo-1)*W' +
 W`` values long, the window's rows joined by the ``W' - W`` values
-between them.  So :func:`_forward` and :func:`_gram_diagonal` write the
-band's product (or the squared mask) into the first W columns of a
-zero-padded (rows, W') scratch, and add the scratch to that run in one
-contiguous add instead of one strided add per row.  The pad adds +0 to the values between the window's rows.  That
-changes none of them: ``y`` starts at +0, a sum that starts at +0 is
-never -0, and ``v + (+0)`` is ``v`` for every ``v`` but -0.
+between them.  So :func:`_forward` writes the band's product into the
+first W columns of a zero-padded (rows, W') scratch, and adds the scratch
+to that run in one contiguous add instead of one strided add per row.  The
+pad adds +0 to the values between the window's rows.  That changes none of
+them: ``y`` starts at +0, a sum that starts at +0 is never -0, and
+``v + (+0)`` is ``v`` for every ``v`` but -0.  This one kernel builds
+every detector image, ``sigma`` too: that is the forward image of the mask
+broadcast to every band, whose product is then the squared mask.
 :meth:`SensingOperator._add_pinv` adds into a (C, H, W) view, often the
 on-support view of an iterate whose margins may hold -0, so it stays a
 strided add over the window alone: a flat add would also touch the
@@ -76,12 +78,14 @@ def _forward(mask: np.ndarray, d: int, bands: np.ndarray) -> np.ndarray:
     flat = y.reshape(-1)
     block = row_block(h, wp * y.itemsize)
     pad = np.zeros((block, wp))
+    broadcast = bands.strides[0] == 0  # one band for all: modulate it once
     for lo in range(0, h, block):
         hi = min(lo + block, h)
         n, at = (hi - lo - 1) * wp + w, lo * wp
         product, run, m = pad[: hi - lo, :w], pad.reshape(-1)[:n], mask[lo:hi]
         for c, band in enumerate(bands[:, lo:hi]):
-            np.multiply(band, m, product)
+            if c == 0 or not broadcast:
+                np.multiply(band, m, product)
             window = flat[at + d * c : at + d * c + n]
             np.add(window, run, window)
     return y
@@ -107,23 +111,6 @@ def _backproject(
             else:
                 np.multiply(m, window, band)
     return out
-
-
-def _gram_diagonal(mask: np.ndarray, config: SceneConfig) -> np.ndarray:
-    """Gram diagonal ``sigma``: the forward image of the mask in every band,
-    so the squared mask shifted d*c columns, added in band order."""
-    h, w, nc, d = config.geometry
-    wp = config.measurement_width()
-    sigma = np.zeros((h, wp))
-    flat = sigma.reshape(-1)
-    pad = np.zeros((h, wp))
-    np.multiply(mask, mask, out=pad[:, :w])
-    n = (h - 1) * wp + w
-    run = pad.reshape(-1)[:n]
-    for c in range(nc):
-        window = flat[d * c : d * c + n]
-        np.add(window, run, out=window)
-    return sigma
 
 
 def _shift(bands: np.ndarray, d: int) -> np.ndarray:
@@ -157,14 +144,14 @@ class SensingOperator:
     def __post_init__(self):
         # A diagonal entry of 0, or below about 5.6e-309, has no finite
         # reciprocal, and one that overflows to Inf has a reciprocal of 0.
+        h, w, nc, d = self.config.geometry
         with np.errstate(divide="ignore", over="ignore"):
-            sigma = _gram_diagonal(self.mask, self.config)
-            inv_sigma = np.divide(1.0, sigma, out=sigma)
+            sigma = _forward(self.mask, d, np.broadcast_to(self.mask, (nc, h, w)))
+            inv_sigma = np.divide(1.0, sigma)
             if not (np.isfinite(inv_sigma).all() and inv_sigma.all()):
                 bad = ~np.isfinite(inv_sigma) | (inv_sigma == 0.0)
                 u, v = (int(i) for i in np.argwhere(bad)[0])
-                energy = float(_gram_diagonal(self.mask, self.config)[u, v])
-                raise MaskDegenerate(u, v, energy)
+                raise MaskDegenerate(u, v, float(sigma[u, v]))
         inv_sigma.setflags(write=False)
         object.__setattr__(self, "inv_sigma", inv_sigma)
 

@@ -23,7 +23,7 @@ from .core import (
     _int_at_least,
 )
 from .errors import CropTooLarge, NegativeMeasurement
-from .operator import _gram_diagonal
+from .operator import _forward
 
 
 def _seed(seed: int) -> int:
@@ -92,11 +92,11 @@ def repair_mask(mask: CodedAperture, config: SceneConfig) -> CodedAperture:
     the entry of the highest contributing band to one; flips only add
     energy, so one pass suffices.  Deterministic, no seed.
     """
-    _, w, nc, d = config.geometry
+    h, w, nc, d = config.geometry
     data = mask.data.copy()
     # An entry that overflows is Inf, not 0: build_operator rejects it.
     with np.errstate(over="ignore"):
-        sigma = _gram_diagonal(data, config)
+        sigma = _forward(data, d, np.broadcast_to(data, (nc, h, w)))
     u, v = np.nonzero(sigma == 0.0)
     col = v - d * np.minimum(v // d, nc - 1)
     fixable = col < w  # no band reaches the other columns (d > W)

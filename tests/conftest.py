@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cassi import _pool
+from cassi.operator import _forward
 from cassi import (
     CodedAperture,
     HSICube,
@@ -59,6 +60,13 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def gram_diagonal(mask: np.ndarray, config: SceneConfig) -> np.ndarray:
+    """The Gram diagonal ``sigma`` as the library builds it: the forward
+    image of ``mask`` broadcast to every band."""
+    h, w, nc, d = config.geometry
+    return _forward(mask, d, np.broadcast_to(mask, (nc, h, w)))
 
 
 def full_rank_mask(config: SceneConfig, density: float, seed: int) -> CodedAperture:

@@ -904,22 +904,28 @@ class TestOutputCheckedFirst:
 
 
 class TestNoOutputReplacesAFile:
-    """``reconstruct`` refuses an output that names an input or the other
-    output, with exit 2 before any input is read: the write would replace
-    that file and still exit 0.  A symlink or a hard link to the file, or
-    a path through ``.``, names it too."""
+    """``reconstruct``, ``simulate``, ``mask crop`` and ``export`` refuse an
+    output that names an input or another output, with exit 2 before any
+    input is read: the write would replace that file and still exit 0.  A
+    symlink or a hard link to the file, or a path through ``.``, names it
+    too."""
+
+    # (command, output flag, input flag); reconstruct's cases are named by
+    # the two flags alone.
+    CASES = [
+        ("reconstruct", "--report", "--out"), ("reconstruct", "--out", "--meas"),
+        ("reconstruct", "--report", "--meas"), ("reconstruct", "--out", "--mask"),
+        ("reconstruct", "--report", "--mask"), ("reconstruct", "--out", "--config"),
+        ("reconstruct", "--report", "--config"), ("simulate", "--out", "--cube"),
+        ("simulate", "--out", "--mask"), ("simulate", "--out", "--config"),
+        ("mask crop", "--out", "--mask"),
+    ]
+    SPELLINGS = ["same", "dotted", "symlink", "hardlink"]
 
     @pytest.fixture
-    def files(self, tmp_path, monkeypatch, worked_example):
-        """The four existing files a run names, by flag, and the list of
-        paths that ``read_cube`` is asked for."""
-        _, mask = worked_example
-        meas = tmp_path / "meas.hsic"
-        write_cube(meas, np.ones((2, 3)))
-        config = tmp_path / "run.cfg"
-        config.write_text("shift_step = 1\n")
-        old = tmp_path / "old.hsic"
-        write_cube(old, np.zeros((2, 2)))
+    def files(self, tmp_path, monkeypatch):
+        """The existing files a run names, by flag, and the list of paths
+        that ``read_cube`` is asked for."""
         reads = []
 
         def spy(path):
@@ -927,7 +933,22 @@ class TestNoOutputReplacesAFile:
             return read_cube(path)
 
         monkeypatch.setattr(cli, "read_cube", spy)
-        return {"--meas": meas, "--mask": mask, "--config": config, "--out": old}, reads
+        return self.write_files(tmp_path), reads
+
+    @staticmethod
+    def write_files(root):
+        """The 2x2x2 all-ones worked example's cube and mask, a measurement
+        of it, a config file and an old output, by flag."""
+        paths = {flag: root / name for flag, name in [
+            ("--cube", "cube.hsic"), ("--mask", "mask.hsic"),
+            ("--meas", "meas.hsic"), ("--config", "run.cfg"), ("--out", "old.hsic"),
+        ]}
+        write_cube(paths["--cube"], np.array([[[1.0, 2], [3, 4]], [[5.0, 6], [7, 8]]]))
+        write_cube(paths["--mask"], np.ones((2, 2)))
+        write_cube(paths["--meas"], np.ones((2, 3)))
+        paths["--config"].write_text("shift_step = 1\n")
+        write_cube(paths["--out"], np.zeros((2, 2)))
+        return paths
 
     @staticmethod
     def spell(tmp_path, path, spelling):
@@ -939,32 +960,112 @@ class TestNoOutputReplacesAFile:
         (os.symlink if spelling == "symlink" else os.link)(path, link)
         return link
 
-    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+    @staticmethod
+    def argv(command, paths, out, report):
+        if command == "reconstruct":
+            return [
+                "reconstruct", "--meas", paths["--meas"], "--mask", paths["--mask"],
+                "--config", paths["--config"], "--method", "pinv",
+                "--out", out, "--report", report,
+            ]
+        if command == "simulate":
+            return [
+                "simulate", "--cube", paths["--cube"], "--mask", paths["--mask"],
+                "--config", paths["--config"], "--out", out,
+            ]
+        return ["mask", "crop", "--mask", paths["--mask"], "--size", 1, "--seed", 0,
+                "--out", out]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
     @pytest.mark.parametrize(
-        "flag,target",
-        [("--report", "--out"), ("--out", "--meas"), ("--report", "--meas"),
-         ("--out", "--mask"), ("--report", "--mask"), ("--out", "--config"),
-         ("--report", "--config")],
+        "command,flag,target",
+        CASES,
+        ids=[f"{flag}-{target}" if command == "reconstruct"
+             else f"{command.replace(' ', '-')}-{flag}-{target}"
+             for command, flag, target in CASES],
     )
     def test_exits_2_and_writes_nothing(
-        self, tmp_path, capsys, files, flag, target, spelling
+        self, tmp_path, capsys, files, command, flag, target, spelling
     ):
         paths, reads = files
         given = self.spell(tmp_path, paths[target], spelling)
         out = given if flag == "--out" else paths["--out"]
         report = given if flag == "--report" else tmp_path / "r.txt"
         before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
-        code = run_cli(
-            "reconstruct", "--meas", paths["--meas"], "--mask", paths["--mask"],
-            "--config", paths["--config"], "--method", "pinv",
-            "--out", out, "--report", report,
-        )
+        code = run_cli(*self.argv(command, paths, out, report))
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {flag} {given} is the same file as {target} {paths[target]}\n"
         )
         assert reads == []
         assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("band", [None, 0])
+    def test_export_refuses_an_image_that_is_the_cube(
+        self, tmp_path, capsys, files, band, spelling
+    ):
+        paths, reads = files
+        image = tmp_path / "band_000.pgm"
+        os.replace(paths["--cube"], image)
+        given = self.spell(tmp_path, image, spelling)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        extra = [] if band is None else ["--band", band]
+        code = run_cli("export", "--cube", given, "--out-dir", tmp_path, *extra)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out-dir {image} is the same file as --cube {given}\n"
+        )
+        assert reads == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    def test_export_of_another_band_still_runs(self, tmp_path, files):
+        paths, _ = files
+        image = tmp_path / "band_000.pgm"
+        os.replace(paths["--cube"], image)
+        before = image.read_bytes()
+        code = run_cli("export", "--cube", image, "--out-dir", tmp_path, "--band", 1)
+        assert code == 0
+        assert image.read_bytes() == before
+        assert (tmp_path / "band_001.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
+
+    @given(
+        command=st.sampled_from(["reconstruct", "simulate", "mask crop", "export"]),
+        pick=st.integers(0, 2),
+        spelling=st.sampled_from(SPELLINGS + ["distinct"]),
+    )
+    def test_no_command_exits_0_after_replacing_an_input(
+        self, tmp_path_factory, command, pick, spelling
+    ):
+        # The output names input ``pick`` (or, with "distinct", a new file);
+        # export's output is the image of band 0, so there the cube is moved
+        # to that image's path.
+        root = tmp_path_factory.mktemp("aliases")
+        paths = self.write_files(root)
+        inputs = {
+            "reconstruct": ["--meas", "--mask", "--config"],
+            "simulate": ["--cube", "--mask", "--config"],
+            "mask crop": ["--mask"],
+            "export": ["--cube"],
+        }[command]
+        target = inputs[pick % len(inputs)]
+        aliased = spelling != "distinct"
+        if command == "export":
+            if aliased:
+                os.replace(paths["--cube"], root / "band_000.pgm")
+                paths["--cube"] = self.spell(root, root / "band_000.pgm", spelling)
+            argv = ["export", "--cube", paths["--cube"], "--out-dir", root]
+        else:
+            out = self.spell(root, paths[target], spelling) if aliased else root / "new"
+            argv = self.argv(command, paths, out, root / "r.txt")
+        before = {p: p.read_bytes() for p in root.rglob("*")}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*argv)
+        assert code == (2 if aliased else 0), err.getvalue()
+        assert {p: p.read_bytes() for p in before} == before
+        if aliased:
+            assert set(root.rglob("*")) == set(before)
 
     def test_distinct_files_still_reconstruct(self, tmp_path, files):
         paths, _ = files

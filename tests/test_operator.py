@@ -17,7 +17,6 @@ from cassi.dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
 from cassi.operator import (
     _backproject,
     _forward,
-    _gram_diagonal,
     _on_support,
     _shift,
 )
@@ -25,6 +24,7 @@ from cassi.simulate import repair_mask
 
 from conftest import (
     full_rank_mask,
+    gram_diagonal,
     make_operator,
     random_cube,
     random_meas,
@@ -151,14 +151,14 @@ class TestBuildOperator:
     def test_sigma_all_ones_mask(self, tiny_ones_operator):
         op = tiny_ones_operator
         np.testing.assert_array_equal(
-            _gram_diagonal(op.mask, op.config), [[1, 2, 1], [1, 2, 1]]
+            gram_diagonal(op.mask, op.config), [[1, 2, 1], [1, 2, 1]]
         )
         np.testing.assert_array_equal(op.inv_sigma, [[1, 0.5, 1], [1, 0.5, 1]])
 
     def test_sigma_single_band(self):
         config = SceneConfig(2, 2, 1, 1)
         op = build_operator(CodedAperture(np.ones((2, 2))), config)
-        sigma = _gram_diagonal(op.mask, config)
+        sigma = gram_diagonal(op.mask, config)
         np.testing.assert_array_equal(sigma, np.ones((2, 2)))
         np.testing.assert_array_equal(op.inv_sigma, np.ones((2, 2)))
 
@@ -213,7 +213,7 @@ class TestBuildOperator:
         op = make_operator(config, seed=seed)
         dense = build_dense(op)
         gram = dense @ dense.T
-        sigma = _gram_diagonal(op.mask, config)
+        sigma = gram_diagonal(op.mask, config)
         diag = meas_to_vec(Measurement._adopt(config, sigma))
         assert np.array_equal(gram, np.diag(diag))
 
@@ -226,7 +226,7 @@ class TestBuildOperator:
         gram = dense @ dense.T
         off_diag = gram - np.diag(np.diag(gram))
         assert np.abs(off_diag).max() == 0.0
-        sigma = _gram_diagonal(op.mask, config)
+        sigma = gram_diagonal(op.mask, config)
         diag = meas_to_vec(Measurement._adopt(config, sigma))
         np.testing.assert_allclose(np.diag(gram), diag, rtol=1e-14)
 
@@ -524,7 +524,7 @@ def loop_backproject(mask, d, y, out, accumulate=False):
 
 
 def loop_gram_diagonal(mask, config):
-    """Reference for :func:`_gram_diagonal`: one strided add per band."""
+    """Reference for the Gram diagonal: one strided add per band."""
     h, w, nc, d = config.geometry
     square = mask * mask
     sigma = np.zeros((h, w + d * (nc - 1)))
@@ -542,43 +542,55 @@ def signed_values(rng, shape):
     return values
 
 
+# Mask scales: 1e160 squares to Inf, 1e-160 to a subnormal or 0, and -0.0
+# turns every mask entry into -0.0, whose square is +0.
+MASK_SCALES = [1.0, 1e160, 1e-160, -0.0]
+
+
 @st.composite
 def kernel_cases(draw):
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     nc, d = draw(st.integers(1, 9)), draw(st.integers(1, 5))
     budget = draw(st.sampled_from([1, 8 * w, 8 * 5 * (w + 5 * 8), _pool.BLOCK_BYTES]))
     on_support, seed = draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
-    return SceneConfig(h, w, nc, d), budget, on_support, seed
+    scale = draw(st.sampled_from(MASK_SCALES))
+    return SceneConfig(h, w, nc, d), budget, on_support, seed, scale
 
 
 class TestKernelsMatchPerBandLoops:
     """The flat-span kernels against the per-band loops they replaced,
     byte for byte: any block budget (one row per block up to one block),
     any pool size, contiguous bands or the on-support view of a dispersed
-    tensor, and values that hold negatives, -0.0 and +0.0."""
+    tensor, values that hold negatives, -0.0 and +0.0, and masks whose
+    Gram diagonal overflows, underflows or is built from -0.0."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bytes_equal_the_loops(self, workers, kernel_pool):
         kernel_pool(workers)
 
         @given(kernel_cases())
-        @example((SceneConfig(3, 2, 4, 5), 1, True, 0))  # d > W
-        @example((SceneConfig(5, 7, 1, 3), 1, True, 1))  # one band
-        @example((SceneConfig(40, 40, 9, 5), 8, False, 2))  # one row per block
+        @example((SceneConfig(3, 2, 4, 5), 1, True, 0, 1.0))  # d > W
+        @example((SceneConfig(5, 7, 1, 3), 1, True, 1, 1.0))  # one band
+        @example((SceneConfig(40, 40, 9, 5), 8, False, 2, 1.0))  # one row per block
+        # 1024 rows of 12 detector columns in 8 blocks of 128 rows.
+        @example((SceneConfig(1024, 8, 3, 2), 1024 * 12, False, 3, 1.0))
+        @example((SceneConfig(6, 5, 3, 1), _pool.BLOCK_BYTES, True, 4, 1e160))
+        @example((SceneConfig(6, 5, 3, 1), _pool.BLOCK_BYTES, True, 5, 1e-160))
+        @example((SceneConfig(6, 5, 3, 1), _pool.BLOCK_BYTES, False, 6, -0.0))
         def check(case):
-            config, budget, on_support, seed = case
+            config, budget, on_support, seed, scale = case
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_pool, "BLOCK_BYTES", budget)
-                self.check_kernels(config, on_support, seed)
+                self.check_kernels(config, on_support, seed, scale)
 
         check()
 
     @staticmethod
-    def check_kernels(config, on_support, seed):
+    def check_kernels(config, on_support, seed, scale):
         rng = np.random.Generator(np.random.Philox(seed))
         h, w, nc, d = config.geometry
         wp = config.measurement_width()
-        mask = np.abs(signed_values(rng, (h, w)))
+        mask = np.abs(signed_values(rng, (h, w))) * scale
         mask[rng.random((h, w)) < 0.1] = -0.0  # -0.0 >= 0 is a legal mask value
 
         def band_input():
@@ -589,9 +601,10 @@ class TestKernelsMatchPerBandLoops:
         t, bands = band_input()
         got = _forward(mask, d, bands)
         assert got.tobytes() == loop_forward(mask, d, bands).tobytes()
-        assert _gram_diagonal(mask, config).tobytes() == (
-            loop_gram_diagonal(mask, config).tobytes()
-        )
+        with np.errstate(over="ignore"):
+            assert gram_diagonal(mask, config).tobytes() == (
+                loop_gram_diagonal(mask, config).tobytes()
+            )
 
         def twin_inputs():
             t, bands = band_input()
@@ -607,7 +620,9 @@ class TestKernelsMatchPerBandLoops:
             assert bands.tobytes() == bands_ref.tobytes()
             assert t.tobytes() == t_ref.tobytes()  # margins untouched
 
-        if d > w:  # no operator: some detector columns see no band
+        # No operator: some detector columns see no band, or sigma has no
+        # finite reciprocal.
+        if d > w or abs(scale) not in (0.0, 1.0):
             return
         op = build_operator(repair_mask(CodedAperture(mask), config), config)
         t, bands, t_ref, bands_ref = twin_inputs()
@@ -718,7 +733,7 @@ class TestOperatorBytesPinned:
         y = random_meas(config, 33)
         q = random_cube(config, 34)
         got = {
-            "sigma": sha256_of(_gram_diagonal(op.mask, op.config)),
+            "sigma": sha256_of(gram_diagonal(op.mask, op.config)),
             "inv_sigma": sha256_of(op.inv_sigma),
             "forward": sha256_of(op.forward(x).data),
             "adjoint": sha256_of(op.adjoint(y).data),

@@ -20,8 +20,7 @@ from cassi import (
     repair_mask,
 )
 
-from cassi.operator import _gram_diagonal
-from conftest import sha256_of, traced_peak
+from conftest import gram_diagonal, sha256_of, traced_peak
 
 
 class TestGenMask:
@@ -108,7 +107,7 @@ def _repaired_one_by_one(mask, config):
     """Reference: flip the starved pixels in a loop, one at a time."""
     _, w, nc, d = config.geometry
     data = mask.data.copy()
-    for u, v in np.argwhere(_gram_diagonal(mask.data, config) == 0.0):
+    for u, v in np.argwhere(gram_diagonal(mask.data, config) == 0.0):
         c_hi = min(int(v) // d, nc - 1)
         if v - d * c_hi < w:
             data[u, v - d * c_hi] = 1.0
