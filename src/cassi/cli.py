@@ -46,7 +46,9 @@ from .core import (
     _require_finite,
 )
 from .cubefile import _atomic_write, read_cube, write_cube, write_pgm
-from .dense import build_dense, cube_to_vec, dense_pinv, meas_to_vec
+from .dense import (
+    _check_dense_size, build_dense, cube_to_vec, dense_pinv, meas_to_vec
+)
 from .errors import (
     CassiError,
     ConfigFileError,
@@ -532,6 +534,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def cmd_oracle_check(args) -> int:
     config = SceneConfig(args.height, args.width, args.bands, args.shift_step)
     rng = _rng(args.seed)
+    # Refused from the geometry alone, before any array is built.
+    _check_dense_size(config)
     mask = repair_mask(
         gen_mask(args.height, args.width, 0.7, seed=args.seed), config
     )
@@ -671,6 +675,12 @@ def cmd_mask_crop(args) -> int:
 
 
 def cmd_export(args) -> int:
+    # A separator in the prefix would put the images outside --out-dir,
+    # where the scan below does not look.
+    if any(sep and sep in args.prefix for sep in (os.sep, os.altsep)):
+        raise ConfigFileError(
+            f"--prefix {args.prefix!r} must not contain a path separator"
+        )
     # Only a planned image that exists can be the cube, and the band count
     # is not known before the cube is read: every existing file named like
     # one of the images (just --band's, if given) counts as planned.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HSICube, Measurement
+from .core import HSICube, Measurement, SceneConfig
 from .errors import InstanceTooLarge, NumericalFailure
 from .operator import SensingOperator, _shift
 
@@ -39,20 +39,26 @@ def meas_to_vec(meas: Measurement) -> np.ndarray:
     return meas.data.ravel(order="F")
 
 
+def _check_dense_size(config: SceneConfig) -> None:
+    """Raise InstanceTooLarge if the n x (n*C) matrix of ``config`` would
+    exceed the cap; the geometry alone decides, so nothing need be built."""
+    n = config.height * config.measurement_width()
+    entries = n * n * config.bands
+    if entries > MAX_DENSE_ENTRIES:
+        raise InstanceTooLarge(
+            f"dense matrix would hold {entries} entries (cap {MAX_DENSE_ENTRIES})"
+        )
+
+
 def build_dense(op: SensingOperator) -> np.ndarray:
     """Materialize the n x (n*C) sensing matrix, n = H * W'.
 
     Block c is the diagonal of the mask shifted d*c columns, built with
     :func:`_shift` rather than the operator's own kernels.
     """
+    _check_dense_size(op.config)
     h, w, nc, d = op.config.geometry
-    wp = op.config.measurement_width()
-    n = h * wp
-    if n * n * nc > MAX_DENSE_ENTRIES:
-        raise InstanceTooLarge(
-            f"dense matrix would hold {n * n * nc} entries "
-            f"(cap {MAX_DENSE_ENTRIES})"
-        )
+    n = h * op.config.measurement_width()
     shifted = _shift(np.broadcast_to(op.mask, (nc, h, w)), d)
     mat = np.zeros((n, n * nc))
     idx = np.arange(n)

@@ -15,9 +15,9 @@ fed either the full dispersed tensor or only the on-support crop; with the
 crop enabled, margin values pass through the denoising step untouched.  It
 starts from a caller's scene cube ``x0``, dispersed with zero margins, or
 else from the measurement expanded per band by an :class:`InitStrategy`.  In
-both settings the bundled TV prior runs in place on what it sees; any
-other prior receives a private copy, and its output is written back into
-the iterate.
+both settings a prior whose class ``denoise`` is :meth:`TvPrior.denoise`
+runs in place on what it sees; any other prior (an override included)
+receives a private copy, and its output is written back into the iterate.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class Prior(Protocol):
     Implementations must preserve dimensions, return finite values, and act
     as the identity at strength 0.  The solver hands every call a private
     copy of what the prior sees, so a prior may return or keep its input;
-    only the bundled :class:`TvPrior` is run in place on the iterate.
+    only a prior whose class ``denoise`` is :meth:`TvPrior.denoise` is run
+    in place on the iterate, without a call to ``denoise``.
     """
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube: ...
@@ -275,12 +276,26 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     return all(finite)
 
 
+def _tv_prox(
+    planes: np.ndarray, strength: float, iterations: int, out: np.ndarray
+) -> bool:
+    """:class:`TvPrior`'s prox of the (C, H, W) ``planes`` written into
+    ``out``, which may be ``planes``; returns whether every output value is
+    finite.  Checks ``strength`` and copies the input at strength 0."""
+    strength = _as_float(strength, "strength")
+    _check_tv_strength(strength, "strength")
+    if strength == 0.0:
+        np.copyto(out, planes)  # a no-op when out is planes
+        return bool(np.isfinite(out).all())
+    return _tv_prox_planes(planes, strength, iterations, out)
+
+
 @dataclass(frozen=True)
 class TvPrior:
     """Total-variation prior; ``strength`` is the TV weight at call time.
 
     ``inner_iterations`` is the number of dual steps per prox call.  The
-    prior is its only owner: the solver never reads or overrides it.
+    prior is its only owner: the solver never overrides it.
     """
 
     inner_iterations: int = 20
@@ -290,27 +305,9 @@ class TvPrior:
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube:
         """Approximate prox of strength * anisotropic TV, per band independently."""
-        strength = self._checked_strength(strength)
-        if strength == 0.0:
-            return HSICube._adopt(cube.config, cube.data.copy())
         out = np.empty(cube.data.shape)
-        _tv_prox_planes(cube.data, strength, self.inner_iterations, out)
+        _tv_prox(cube.data, strength, self.inner_iterations, out)
         return HSICube._adopt(cube.config, out)
-
-    def _denoise_in_place(self, planes: np.ndarray, strength: float) -> bool:
-        """:meth:`denoise` of the (C, H, W) ``planes`` (a view is fine),
-        written back into them; returns whether every value is finite.
-        The solver runs the prior this way, with no copy of the iterate."""
-        strength = self._checked_strength(strength)
-        if strength == 0.0:
-            return bool(np.isfinite(planes).all())
-        return _tv_prox_planes(planes, strength, self.inner_iterations, planes)
-
-    @staticmethod
-    def _checked_strength(strength: float) -> float:
-        strength = _as_float(strength, "strength")
-        _check_tv_strength(strength, "strength")
-        return strength
 
 
 def gap_solve_with_stats(
@@ -327,12 +324,13 @@ def gap_solve_with_stats(
     ``x0`` is never written to.  Each iteration runs the data step
     ``z += pinv(y - A z)``, then applies the prior.  With ``crop_denoiser_input`` the prior sees only the
     on-support crop and the dispersed margin keeps its post-data-step
-    values; otherwise the prior sees the full-width tensor.  The bundled
-    :class:`TvPrior` runs in place on the iterate.  Any other prior
-    receives a private copy, so it may return or keep its input, and its
-    output is written back into the iterate.  Raises DimensionMismatch if
-    ``meas`` or ``x0`` disagrees with the operator's geometry, and
-    NonFiniteValue if the prior's output is not finite.
+    values; otherwise the prior sees the full-width tensor.  A prior whose
+    class ``denoise`` is :meth:`TvPrior.denoise` runs in place on the
+    iterate.  Any other prior receives a private copy, so it may return or
+    keep its input, and its output is written back into the iterate.
+    Raises DimensionMismatch if ``meas`` or ``x0`` disagrees with the
+    operator's geometry, and NonFiniteValue if the prior's output is not
+    finite.
     """
     if meas.config.geometry != op.config.geometry:
         raise DimensionMismatch("measurement geometry disagrees with operator")
@@ -358,7 +356,8 @@ def gap_solve_with_stats(
         seen, seen_config = z, SceneConfig(h, wp, nc, d)
     # The margins outside a crop only ever hold the finite start, so a
     # finite prior output means a finite iterate.
-    in_place = getattr(prior, "_denoise_in_place", None)
+    # Asked of the class: a prior may carry ``denoise`` on the instance.
+    in_place = getattr(type(prior), "denoise", None) is TvPrior.denoise
     r = meas.data - _forward(op.mask, d, support)
     residuals = []
     # The stopping test reuses one buffer: ``max|x|`` is exactly
@@ -368,8 +367,8 @@ def gap_solve_with_stats(
         if prev is not None:
             np.copyto(prev, z)
         op._add_pinv(support, r)
-        if in_place is not None:
-            finite = in_place(seen, cfg.tv_weight)
+        if in_place:
+            finite = _tv_prox(seen, cfg.tv_weight, prior.inner_iterations, seen)
         else:
             seen[...] = prior.denoise(
                 HSICube._adopt(seen_config, seen.copy()), cfg.tv_weight

@@ -1029,6 +1029,28 @@ class TestNoOutputReplacesAFile:
         assert image.read_bytes() == before
         assert (tmp_path / "band_001.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
 
+    @pytest.mark.parametrize("prefix", ["../", "absolute"])
+    def test_export_refuses_a_prefix_that_leaves_the_out_dir(
+        self, tmp_path, capsys, monkeypatch, files, prefix
+    ):
+        # The image scan looks only inside --out-dir, so a prefix with a
+        # separator would write band_000.pgm over the cube itself.
+        paths, reads = files
+        os.replace(paths["--cube"], tmp_path / "band_000.pgm")
+        monkeypatch.chdir(tmp_path)
+        if prefix == "absolute":
+            prefix = f"{tmp_path}{os.sep}"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        code = run_cli(
+            "export", "--cube", "band_000.pgm", "--out-dir", "out", "--prefix", prefix
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --prefix {prefix!r} must not contain a path separator\n"
+        )
+        assert reads == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
     @given(
         command=st.sampled_from(["reconstruct", "simulate", "mask crop", "export"]),
         pick=st.integers(0, 2),
@@ -1224,6 +1246,25 @@ class TestOracleCheck:
             "--shift-step", 2, "--seed", 0,
         )
         assert code == 2
+
+    def test_over_cap_geometry_is_refused_before_any_array_is_built(
+        self, capsys, monkeypatch
+    ):
+        # 2000x2000 would build a 4M-pixel mask and its operator before the
+        # dense matrix's size was checked.
+        def unexpected(*args, **kwargs):
+            raise AssertionError("oracle-check built part of the instance")
+
+        for name in ("gen_mask", "repair_mask", "build_operator"):
+            monkeypatch.setattr(cli, name, unexpected)
+        code = run_cli(
+            "oracle-check", "--height", 2000, "--width", 2000, "--bands", 2,
+            "--shift-step", 1, "--seed", 1,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dense matrix would hold 32032008000000 entries (cap 4194304)\n"
+        )
 
     @pytest.mark.parametrize("seed", [-1, -7])
     def test_negative_seed_exits_2(self, capsys, seed):

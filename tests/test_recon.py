@@ -1,5 +1,6 @@
 import gc
 import threading
+import types
 import weakref
 from unittest import mock
 
@@ -876,6 +877,65 @@ class TestGapSolveInPlacePrior:
         inner, _ = gap_solve_with_stats(op, meas, TvPrior(5), cfg)
         outer, _ = gap_solve_with_stats(op, meas, _DelegatingPrior(TvPrior(5)), cfg)
         assert inner.data.tobytes() == outer.data.tobytes()
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_subclass_that_overrides_denoise_is_called(self, crop):
+        # Each iteration calls the override, and the solver keeps what it
+        # returns: here every value is clamped to [0, 1].
+        returned = []
+
+        class ClampingTvPrior(TvPrior):
+            def denoise(self, cube, strength):
+                out = super().denoise(cube, strength)
+                returned.append(np.clip(out.data, 0.0, 1.0))
+                return HSICube._adopt(cube.config, returned[-1])
+
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = Measurement(config, 4.0 * op.forward(random_cube(config, 46)).data)
+        cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
+        out, _ = gap_solve_with_stats(op, meas, ClampingTvPrior(3), cfg)
+        plain, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+        assert len(returned) == 3
+        last = returned[-1] if crop else _on_support(returned[-1], config.shift_step)
+        assert out.data.tobytes() == last.tobytes()
+        assert out.data.max() <= 1.0 < plain.data.max()
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_subclass_that_keeps_denoise_runs_in_place(self, crop, monkeypatch):
+        # The prox writes each block back into the planes it reads, which
+        # are the iterate's own; a copy path would hand it a fresh output.
+        class NamedTvPrior(TvPrior):
+            name = "tv"
+
+        calls = []
+        prox = recon._tv_prox_planes
+
+        def spy(f, lam, iters, out):
+            calls.append(f is out)
+            return prox(f, lam, iters, out)
+
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = op.forward(random_cube(config, 46))
+        cfg = SolverConfig(iterations=3, crop_denoiser_input=crop)
+        plain, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+        monkeypatch.setattr(recon, "_tv_prox_planes", spy)
+        sub, _ = gap_solve_with_stats(op, meas, NamedTvPrior(3), cfg)
+        assert calls == [True] * 3
+        assert sub.data.tobytes() == plain.data.tobytes()
+
+    def test_prior_whose_denoise_is_an_instance_attribute(self):
+        # Only the class is asked for ``denoise``; an object that carries it
+        # as an attribute is an external prior.
+        config = SceneConfig(6, 5, 3, 2)
+        op = make_operator(config, seed=45)
+        meas = op.forward(random_cube(config, 46))
+        cfg = SolverConfig(iterations=3)
+        prior = types.SimpleNamespace(denoise=TvPrior(3).denoise)
+        out, _ = gap_solve_with_stats(op, meas, prior, cfg)
+        plain, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+        assert out.data.tobytes() == plain.data.tobytes()
 
     @pytest.mark.parametrize("crop", [True, False])
     @pytest.mark.parametrize("prior", [TvPrior(3), _DelegatingPrior(TvPrior(3))])
