@@ -34,8 +34,9 @@ them: ``y`` starts at +0, a sum that starts at +0 is never -0, and
 ``v + (+0)`` is ``v`` for every ``v`` but -0.  This one kernel builds
 every detector image, ``sigma`` too: that is the forward image of the mask
 broadcast to every band, whose product is then the squared mask.
-:meth:`SensingOperator._add_pinv` adds into a (C, H, W) view, often the
-on-support view of an iterate whose margins may hold -0, so it stays a
+:meth:`SensingOperator._add_pinv` adds into (C, H, W) bands, which may be
+a view.  With the crop off, the GAP solver passes the on-support view of
+its full-width iterate, whose margins may hold -0, so the add stays a
 strided add over the window alone: a flat add would also touch the
 margins and turn a -0 there into +0.
 

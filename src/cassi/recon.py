@@ -10,12 +10,15 @@ is an anisotropic per-band total-variation proximal step.  Its band blocks
 are spread over the CPUs as the metrics' are (:mod:`cassi._pool`); the
 output bytes do not depend on the number of workers.
 
-The iterate lives in measurement-width coordinates so the denoiser can be
-fed either the full dispersed tensor or only the on-support crop; with the
-crop enabled, margin values pass through the denoising step untouched.  It
-starts from a caller's scene cube ``x0``, dispersed with zero margins, or
-else from the measurement expanded per band by an :class:`InitStrategy`.  In
-both settings a prior whose class ``denoise`` is :meth:`TvPrior.denoise`
+With the crop off the denoiser is fed the full dispersed tensor, so the
+iterate lives in measurement-width coordinates, (C, H, W').  With the crop
+on it is fed only the on-support crop, and the iterate is that (C, H, W)
+cube: the margins of a dispersed iterate would only ever hold the start, so
+they are not stored, and the stopping test counts them as one constant.  The
+iterate starts from a caller's scene cube ``x0`` (dispersed with zero
+margins when the crop is off), or else from the measurement expanded per
+band by an :class:`InitStrategy` (and, with the crop, cut to its support).
+In both settings a prior whose class ``denoise`` is :meth:`TvPrior.denoise`
 runs in place on what it sees; any other prior (an override included)
 receives a private copy, and its output is written back into the iterate.
 """
@@ -40,9 +43,11 @@ from .operator import SensingOperator, _forward, _on_support, _shift
 class InitStrategy(enum.Enum):
     """How a measurement is expanded into a per-band starting tensor.
 
-    ROLL and SHIFT differ only in the margins, which the solver never reads
-    with ``crop_denoiser_input`` on and ``convergence_tol`` 0: there the
-    two give the same bytes.
+    ROLL and SHIFT differ only in the margins.  With ``crop_denoiser_input``
+    on the solver does not store the margins: only a positive
+    ``convergence_tol`` counts them, through their largest magnitude in the
+    stopping test's scale, so with ``convergence_tol`` 0 the two give the
+    same bytes.
     """
 
     SHIFT = "shift"
@@ -319,45 +324,59 @@ def gap_solve_with_stats(
 ) -> tuple[HSICube, SolveStats]:
     """GAP iteration returning the reconstruction and per-run stats.
 
-    The iterate starts from ``x0`` shifted into measurement width with zero
-    margins, or without ``x0`` from ``cfg.init`` (see :func:`_start`);
-    ``x0`` is never written to.  Each iteration runs the data step
-    ``z += pinv(y - A z)``, then applies the prior.  With ``crop_denoiser_input`` the prior sees only the
-    on-support crop and the dispersed margin keeps its post-data-step
-    values; otherwise the prior sees the full-width tensor.  A prior whose
-    class ``denoise`` is :meth:`TvPrior.denoise` runs in place on the
-    iterate.  Any other prior receives a private copy, so it may return or
-    keep its input, and its output is written back into the iterate.
+    Each iteration runs the data step ``z += pinv(y - A z)``, then applies
+    the prior.  With ``crop_denoiser_input`` the prior sees only the
+    on-support crop, and the iterate is that (C, H, W) cube: it starts as a
+    copy of ``x0``, or without ``x0`` as the support of the ``cfg.init``
+    start (see :func:`_start`), and it is the returned cube.  The margins of
+    that start are not kept; a positive ``convergence_tol`` counts their
+    largest magnitude in its scale.  Otherwise the prior sees the full-width
+    tensor, and the iterate starts from ``x0`` shifted into measurement
+    width with zero margins, or from the ``cfg.init`` start.  ``x0`` is
+    never written to.  A prior whose class ``denoise`` is
+    :meth:`TvPrior.denoise` runs in place on the iterate.  Any other prior
+    receives a private copy, so it may return or keep its input, and its
+    output is written back into the iterate.
     Raises DimensionMismatch if ``meas`` or ``x0`` disagrees with the
     operator's geometry, and NonFiniteValue if the prior's output is not
     finite.
     """
     if meas.config.geometry != op.config.geometry:
         raise DimensionMismatch("measurement geometry disagrees with operator")
+    if x0 is not None and x0.config.geometry != op.config.geometry:
+        raise DimensionMismatch("x0 geometry disagrees with operator")
     h, _, nc, d = op.config.geometry
     wp = op.config.measurement_width()
+    crop = cfg.crop_denoiser_input
 
-    # The iterate is a fresh private array, updated in place.
+    # The iterate is a fresh private array, updated in place.  With the crop
+    # it is the on-support cube alone: the margins of a dispersed iterate
+    # would only ever hold the finite start, so a finite prior output means
+    # a finite iterate, and the stopping test needs only their largest
+    # magnitude, ``margin`` (0 for the zero margins of an ``x0`` start).
+    margin = 0.0
     if x0 is None:
         z = _start(meas, cfg.init)
-    elif x0.config.geometry == op.config.geometry:
-        z = _shift(x0.data, d)
+        if crop:
+            start, z = z, _on_support(z, d).copy()
+            if cfg.convergence_tol > 0.0:
+                _on_support(start, d)[...] = 0.0
+                margin = max(float(start.max()), -float(start.min()))
+            del start  # no measurement-width array lives through the loop
     else:
-        raise DimensionMismatch("x0 geometry disagrees with operator")
+        z = x0.data.copy() if crop else _shift(x0.data, d)
 
-    # The detector residual of each iterate serves both its norm and the
-    # next data step.
-    support = _on_support(z, d)
-    if cfg.crop_denoiser_input:
-        seen, seen_config = support, op.config
+    if crop:
+        support, seen, seen_config = z, z, op.config
     else:
+        support = _on_support(z, d)
         # The full dispersed tensor goes through the cube-typed prior
         # interface as a scene of measurement width.
         seen, seen_config = z, SceneConfig(h, wp, nc, d)
-    # The margins outside a crop only ever hold the finite start, so a
-    # finite prior output means a finite iterate.
     # Asked of the class: a prior may carry ``denoise`` on the instance.
     in_place = getattr(type(prior), "denoise", None) is TvPrior.denoise
+    # The detector residual of each iterate serves both its norm and the
+    # next data step.
     r = meas.data - _forward(op.mask, d, support)
     residuals = []
     # The stopping test reuses one buffer: ``max|x|`` is exactly
@@ -383,7 +402,9 @@ def gap_solve_with_stats(
         residuals.append(_l2_norm(r))
 
         if prev is not None:
-            scale = max(float(prev.max()), -float(prev.min()), np.finfo(float).tiny)
+            scale = max(
+                float(prev.max()), -float(prev.min()), margin, np.finfo(float).tiny
+            )
             np.subtract(z, prev, out=prev)
             delta = max(float(prev.max()), -float(prev.min()))
             if delta <= cfg.convergence_tol * scale:
@@ -392,7 +413,8 @@ def gap_solve_with_stats(
     stats = SolveStats(
         residual_l2=tuple(residuals), denoised_pixels_per_iteration=seen.size
     )
-    return HSICube._adopt(op.config, _on_support(z, d).copy()), stats
+    out = z if crop else _on_support(z, d).copy()
+    return HSICube._adopt(op.config, out), stats
 
 
 def rnd_reconstruct(

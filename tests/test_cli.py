@@ -191,6 +191,30 @@ class TestSimulate:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shot-noise-bits", 0], "shot_bits must be in [1, 16], got 0"),
+            (["--shot-noise-bits", 8, "--seed", -1], "seed must be >= 0, got -1"),
+        ],
+        ids=["bits", "seed"],
+    )
+    def test_bad_noise_settings_exit_2_before_any_input_is_read(
+        self, tmp_path, worked_example, capsys, monkeypatch, flags, message
+    ):
+        cube_path, mask_path = worked_example
+        read = []
+        monkeypatch.setattr(cli, "read_cube", lambda path: read.append(path))
+        out = tmp_path / "meas.hsic"
+        code = run_cli(
+            "simulate", "--cube", cube_path, "--mask", mask_path,
+            "--shift-step", 1, *flags, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read == []
+        assert not out.exists()
+
 
 class TestReconstruct:
     def make_measurement(self, tmp_path):
@@ -1340,7 +1364,7 @@ class TestBench:
         out = capsys.readouterr().out
         for target in (
             "build_operator", "phi_apply", "adjoint_apply", "pinv_apply",
-            "rnd_combine", "tv_denoise",
+            "rnd_combine", "tv_denoise", "gap_solve",
         ):
             assert f"{target}_median_ms" in out
             assert f"{target}_p95_ms" in out
@@ -1465,6 +1489,32 @@ class TestMask:
         assert capsys.readouterr().err == (
             "error: --full-rank-bands and --full-rank-step must be given together\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--full-rank-bands", 3],
+                "--full-rank-bands and --full-rank-step must be given together",
+            ),
+            (["--full-rank-bands", 0, "--full-rank-step", 1], "bands must be >= 1, got 0"),
+        ],
+        ids=["unpaired", "zero-bands"],
+    )
+    def test_gen_refuses_its_flags_before_drawing_the_mask(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        drawn = []
+        monkeypatch.setattr(cli, "gen_mask", lambda *args: drawn.append(args))
+        out = tmp_path / "mask.hsic"
+        code = run_cli(
+            "mask", "gen", "--height", 4000, "--width", 4000, "--density", 0.5,
+            "--seed", 1, *flags, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert drawn == []
         assert not out.exists()
 
     def test_full_rank_repair_flags(self, tmp_path):

@@ -1047,6 +1047,83 @@ class TestGapSolveMemory:
         iterate = 8 * 16 * 96 * config.measurement_width()
         assert peaks[1] <= peaks[0] + iterate + 64 * 1024
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_cropped_iterate_is_one_cube_and_the_output(
+        self, tol, workers, kernel_pool, monkeypatch
+    ):
+        # With the crop the iterate is the on-support cube, started as a
+        # copy of x0 and returned as it is: no measurement-width array and
+        # no output copy.  A tolerance adds one cube, its copy of the last
+        # iterate.  One band per block keeps the TV workspaces small.
+        kernel_pool(workers)
+        config = SceneConfig(96, 96, 16, 1)
+        h, w, nc, _ = config.geometry
+        wp = config.measurement_width()
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", h * w * 8)
+        assert _pool.band_block(nc, h, w) == 1
+        op = make_operator(config, seed=5)
+        meas = op.forward(random_cube(config, 6))
+        x0 = op.pinv(meas)
+        cfg = SolverConfig(iterations=3, convergence_tol=tol)
+        (out, stats), peak = traced_peak(
+            lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg, x0=x0)
+        )
+        assert stats.iterations_run == 3
+        cube = 8 * nc * h * w
+        # As in test_no_second_cube_beyond_the_iterate: per span four block
+        # arrays, the finiteness mask and 64 KiB; four detector images.
+        workspaces = workers * (4 * 8 * h * w + h * w + 64 * 1024)
+        detector = 4 * 8 * h * wp
+        stop = cube if tol > 0.0 else 0
+        assert peak <= cube + stop + workspaces + detector + 64 * 1024
+
+
+def dispersed_gap_solve(op, meas, prior, cfg, x0=None):
+    """The GAP-TV loop with the crop on, run on a dispersed (C, H, W')
+    iterate: the margins keep the start, the prior sees the on-support
+    view, and the stopping test reads the whole iterate."""
+    d = op.config.shift_step
+    z = recon._start(meas, cfg.init) if x0 is None else _shift(x0.data, d)
+    support = _on_support(z, d)
+    r = meas.data - recon._forward(op.mask, d, support)
+    residuals = []
+    for _ in range(cfg.iterations):
+        prev = z.copy()
+        op._add_pinv(support, r)
+        assert recon._tv_prox(support, cfg.tv_weight, prior.inner_iterations, support)
+        r = meas.data - recon._forward(op.mask, d, support)
+        residuals.append(recon._l2_norm(r))
+        if cfg.convergence_tol > 0.0:
+            scale = max(np.abs(prev).max(), np.finfo(float).tiny)
+            if np.abs(z - prev).max() <= cfg.convergence_tol * scale:
+                break
+    return support.copy(), tuple(residuals)
+
+
+class TestCroppedIterateMatchesTheDispersedOne:
+    # Tolerances of 1e-2 to 0.1 stop some of these solves early, and for a
+    # few the margins' magnitude in the scale decides the stop.
+    @settings(max_examples=100)
+    @given(
+        operator_configs(),
+        st.sampled_from(list(InitStrategy)),
+        st.booleans(),
+        st.sampled_from([0.0, 1e-2, 3e-2, 0.1]),
+        st.integers(1, 12),
+    )
+    def test_same_bytes_residuals_and_stop(self, case, init, with_x0, tol, iterations):
+        config, seed = case
+        op = make_operator(config, seed=seed)
+        meas = op.forward(random_cube(config, seed + 1))
+        x0 = op.pinv(meas) if with_x0 else None
+        cfg = SolverConfig(iterations=iterations, init=init, convergence_tol=tol)
+        prior = TvPrior(3)
+        out, stats = gap_solve_with_stats(op, meas, prior, cfg, x0=x0)
+        want, residuals = dispersed_gap_solve(op, meas, prior, cfg, x0)
+        assert out.data.tobytes() == want.tobytes()
+        assert stats.residual_l2 == residuals  # so iterations_run agrees too
+
 
 class TestGapSolveBytesPinned:
     """SHA-256 of the solver output and of its residual trace, fixed again
