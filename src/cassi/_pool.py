@@ -6,6 +6,11 @@ span per CPU this process may run on (``taskset`` limits it).  The calling
 thread works the first span, and each other span runs on a helper thread
 started for it and joined before the call returns, so a call starts one
 thread fewer than there are CPUs and a stack of one block starts none.
+
+The calling thread also allocates every span's scratch, as one block cut
+into line-aligned slices, before it starts a helper.  A helper allocates
+nothing block-sized: glibc serves a thread's allocations from an arena of
+its own, and the helpers' arenas kept megabytes resident after each call.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import os
 import threading
 from typing import Callable
 
+import numpy as np
+
 # Bytes per working array of one band block, so the TV prox's workspace
 # (the block's input, the field and the duals p and q: 4 such arrays, about
 # 2 MiB per span at 256x256) stays in cache instead of streaming the whole
@@ -21,6 +28,27 @@ from typing import Callable
 # keeps their per-call overhead low.  The metrics' 7-array SSIM blocks and
 # the operator kernels' row blocks (see row_block) keep to the same budget.
 BLOCK_BYTES = 512 * 1024
+
+
+# Scratch starts on cache-line boundaries.  numpy guarantees only 16-byte
+# alignment, and the TV prox's flat dual steps ran up to a quarter slower on
+# a block 16 or 48 bytes past a line than on an aligned one, so the cost of
+# a call changed with the heap's state from one process to the next.
+ALIGN_BYTES = 64
+_LINE = ALIGN_BYTES // 8  # float64 values per line
+
+
+def line_up(n: int) -> int:
+    """``n`` float64 values rounded up to whole ``ALIGN_BYTES`` lines."""
+    return -(-n // _LINE) * _LINE
+
+
+def aligned(n: int) -> np.ndarray:
+    """Uninitialised float64 buffer of ``n`` values starting on an
+    ``ALIGN_BYTES`` boundary: one allocation."""
+    raw = np.empty(n + _LINE)
+    start = (-raw.ctypes.data % ALIGN_BYTES) // 8
+    return raw[start : start + n]
 
 
 def kernel_workers() -> int:
@@ -51,27 +79,38 @@ def row_block(rows: int, row_bytes: int) -> int:
     return -(-rows // -(-size // BLOCK_BYTES))
 
 
-def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None:
-    """Call ``task(lo, hi)`` on spans of whole ``block``-band blocks that
-    together cover bands ``[0, n)``, and return when every call has.
+def run_band_spans(
+    task: Callable[[int, int, np.ndarray], None], n: int, block: int
+) -> None:
+    """Call ``task(lo, hi, ws)`` on spans of whole ``block``-band blocks
+    that together cover bands ``[0, n)``, and return when every call has.
 
-    There is at most one span per worker.  The calling thread runs the
-    first span and a ``cassi-kernel`` helper thread each of the others, so
-    a single span runs on the caller alone.  Spans must be independent of
+    ``ws`` is the span's own scratch: ``task.scratch`` uninitialised
+    float64 values starting on an ``ALIGN_BYTES`` line.  The slices of all
+    spans are cut, disjoint, from one :func:`aligned` block that the
+    calling thread allocates before it starts any helper (see the module
+    docstring).  There is at most one span per worker.  The calling thread
+    runs the first span and a ``cassi-kernel`` helper thread each of the
+    others, so a single span runs on the caller alone, and a single block
+    does not ask for :func:`kernel_workers`.  Spans must be independent of
     each other.  The first exception a span raises, in band order, is
     raised here once every span is done.
     """
     blocks = -(-n // block)
     spans = 1 if blocks <= 1 else min(kernel_workers(), blocks)
+    size = task.scratch
+    stride = line_up(size)
+    scratch = aligned(spans * stride)
+    ws = [scratch[i * stride : i * stride + size] for i in range(spans)]
     if spans <= 1:
-        task(0, n)
+        task(0, n, ws[0])
         return
     bounds = [min(n, i * blocks // spans * block) for i in range(spans + 1)]
     errors: list[BaseException | None] = [None] * spans
 
     def work(i: int) -> None:
         try:
-            task(bounds[i], bounds[i + 1])
+            task(bounds[i], bounds[i + 1], ws[i])
         except BaseException as exc:  # raised in the caller, in band order
             errors[i] = exc
 
@@ -81,7 +120,7 @@ def run_band_spans(task: Callable[[int, int], None], n: int, block: int) -> None
             helper = threading.Thread(target=work, args=(i,), name="cassi-kernel")
             helper.start()
             helpers.append(helper)
-        task(0, bounds[1])
+        task(0, bounds[1], ws[0])
     finally:
         for helper in helpers:
             helper.join()

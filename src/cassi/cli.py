@@ -66,6 +66,7 @@ from .recon import (
 from .simulate import (
     NoiseSpec,
     _rng,
+    _seed,
     add_shot_noise,
     crop_mask,
     gen_mask,
@@ -273,11 +274,12 @@ def cmd_simulate(args) -> int:
     _refuse_overwrite([("--out", args.out)], inputs)
     file_cfg = parse_run_config(args.config) if args.config else {}
     d = _shift_step(args, file_cfg)
-    # The noise settings are checked before any input is read.
+    # The noise settings, the seed included whether or not noise is asked
+    # for, are checked before any input is read.
     bits = _resolve("shot_bits", args.shot_noise_bits, file_cfg)
+    seed = _seed(_resolve("seed", args.seed, file_cfg, default=0))
     spec = None
     if bits is not None:
-        seed = _resolve("seed", args.seed, file_cfg, default=0)
         spec = NoiseSpec(
             shot_bits=bits, seed=seed, full_scale=file_cfg.get("full_scale")
         )

@@ -14,6 +14,9 @@ outer product of a normalised 1-D Gaussian and is applied separably, one
 Every score comes from one pass over blocks of whole bands
 (:func:`_band_pass`).  Spans of blocks run on threads of their own, each
 clamping its block into its own workspace; small stacks are scored inline.
+The workspaces are slices of one block that the calling thread allocates
+(:func:`cassi._pool.run_band_spans`), and each workspace row starts on a
+64-byte cache line.
 A window pass is a few flat numpy calls over a whole block, adding the taps
 in the order scipy's ``correlate1d`` uses for a symmetric kernel, so the
 valid interior is bitwise what scipy gives; values whose window crosses a
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import band_block, run_band_spans
+from ._pool import band_block, line_up, run_band_spans
 from .core import HSICube
 from .errors import DimensionMismatch
 
@@ -102,8 +105,8 @@ def _window_pass(out: np.ndarray, x: np.ndarray, step: int, tmp: np.ndarray) -> 
 def _ssim_block(ws: np.ndarray, bands: int, h: int, w: int, out: np.ndarray) -> None:
     """Write the SSIM of each band of a block into ``out``.
 
-    ``ws`` is the (7, n) workspace of the block's n values, its first two
-    rows the clamped pair.  Each of the five window quantities is filtered
+    ``ws`` is the (7, m) workspace of a block of n <= m values, its first
+    two rows the clamped pair.  Each of the five window quantities is filtered
     along the rows (stride ``w``) into a scratch row and back along the
     columns, so that its index i holds the window mean at block index
     ``i + 5*w + 5``; the SSIM tail then runs in place over those flat
@@ -159,8 +162,8 @@ def _band_pass(
 
     Blocks hold as many whole bands as keep the seven-array SSIM workspace
     within ``BLOCK_BYTES`` (one band at least), and the scores do not depend
-    on the blocking or the number of workers.  Each block's squared error
-    lives only in a workspace row.
+    on the blocking or the number of workers.  Every workspace row starts
+    on a cache line, and each block's squared error lives only in a row.
     """
     a, b = reference.data, test.data
     if a.shape != b.shape:
@@ -173,9 +176,10 @@ def _band_pass(
     band_mse = [0.0] * nc
     band_ssim = np.empty(nc) if ssim else None
     block = band_block(nc, _SSIM_ARRAYS * h, w)
+    rows, row = (_SSIM_ARRAYS if ssim else 3), line_up(block * h * w)
 
-    def run_span(start: int, stop: int) -> None:
-        ws = np.empty((_SSIM_ARRAYS if ssim else 3, block * h * w))
+    def run_span(start: int, stop: int, scratch: np.ndarray) -> None:
+        ws = scratch.reshape(rows, row)
         for lo in range(start, stop, block):
             hi = min(lo + block, stop)
             shape = (hi - lo, h, w)
@@ -190,6 +194,7 @@ def _band_pass(
             if band_ssim is not None:
                 _ssim_block(ws, hi - lo, h, w, band_ssim[lo:hi])
 
+    run_span.scratch = rows * row  # type: ignore[attr-defined]
     run_band_spans(run_span, nc, block)
     return band_mse, band_ssim
 

@@ -7,8 +7,10 @@ more data step on the output, through the same operator kernel.  Any object
 with a ``denoise(cube, strength) -> cube`` method can serve as the prior, so
 a stronger external denoiser can be plugged in unchanged; the bundled prior
 is an anisotropic per-band total-variation proximal step.  Its band blocks
-are spread over the CPUs as the metrics' are (:mod:`cassi._pool`); the
-output bytes do not depend on the number of workers.
+are spread over the CPUs as the metrics' are (:mod:`cassi._pool`), each
+span working in its own line-aligned slice of one scratch block that the
+calling thread allocates; the output bytes do not depend on the number of
+workers.
 
 With the crop off the denoiser is fed the full dispersed tensor, so the
 iterate lives in measurement-width coordinates, (C, H, W').  With the crop
@@ -17,7 +19,7 @@ cube: the margins of a dispersed iterate would only ever hold the start, so
 they are not stored, and the stopping test counts them as one constant.  The
 iterate starts from a caller's scene cube ``x0`` (dispersed with zero
 margins when the crop is off), or else from the measurement expanded per
-band by an :class:`InitStrategy` (and, with the crop, cut to its support).
+band by an :class:`InitStrategy` (with the crop, only its support is built).
 In both settings a prior whose class ``denoise`` is :meth:`TvPrior.denoise`
 runs in place on what it sees; any other prior (an override included)
 receives a private copy, and its output is written back into the iterate.
@@ -32,7 +34,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ._pool import band_block, run_band_spans
+from ._pool import band_block, line_up, run_band_spans
 from .core import (
     HSICube, Measurement, SceneConfig, _as_float, _int_at_least, _l2_norm
 )
@@ -157,25 +159,27 @@ def _start(meas: Measurement, init: InitStrategy) -> np.ndarray:
     return z
 
 
-# The TV working arrays start on cache-line boundaries.  numpy guarantees
-# only 16-byte alignment, and the flat dual steps ran up to a quarter slower
-# on a block 16 or 48 bytes past a line than on an aligned one, so the cost
-# of a call changed with the heap's state from one process to the next.
-_TV_ALIGN_BYTES = 64
-_TV_LINE = _TV_ALIGN_BYTES // 8  # float64 values per line
+def _cropped_start(
+    meas: Measurement, init: InitStrategy
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The on-support cube of :func:`_start` as a fresh (C, H, W) array,
+    built without the (C, H, W') start, and the measurement columns that
+    the start's margins hold.
 
-
-def _line_up(n: int) -> int:
-    """``n`` float64 values rounded up to whole ``_TV_ALIGN_BYTES`` lines."""
-    return -(-n // _TV_LINE) * _TV_LINE
-
-
-def _aligned(n: int) -> np.ndarray:
-    """Uninitialised float64 buffer of ``n`` values starting on a
-    ``_TV_ALIGN_BYTES`` boundary."""
-    raw = np.empty(n + _TV_LINE)
-    start = (-raw.ctypes.data % _TV_ALIGN_BYTES) // 8
-    return raw[start : start + n]
+    For ROLL and SHIFT every band's support is ``y[:, :W]`` and the margins
+    hold ``y[:, W:]`` (SHIFT's zeros besides); for REPEAT band c's support
+    is ``y[:, d*c : d*c + W]`` and the margins hold ``y[:, :W' - W]`` and
+    ``y[:, W:]``.
+    """
+    h, w, nc, d = meas.config.geometry
+    y = meas.data
+    wp = y.shape[1]
+    z = np.empty((nc, h, w))
+    if init is InitStrategy.REPEAT:
+        z[...] = _on_support(np.broadcast_to(y, (nc, h, wp)), d)
+        return z, (y[:, : wp - w], y[:, w:])
+    z[...] = y[:, :w]
+    return z, (y[:, w:],)
 
 
 def _tv_div(
@@ -225,10 +229,15 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     the stack is processed in blocks of whole bands sized by
     :func:`cassi._pool.band_block`, and spans of blocks run on their own
     threads, each in its own workspace (a stack of one block runs inline).
+    The workspaces are slices of one line-aligned block that the calling
+    thread allocates (:func:`cassi._pool.run_band_spans`), so no span
+    allocates a block-sized array: a block's finiteness is read from its
+    largest and smallest value, which are NaN or infinite exactly when a
+    value is.
 
-    The workspace is one allocation of three line-aligned buffers, four
-    block-sized arrays in all: the block's input ``f``, the field ``x``
-    and the dual ``[lead | p | gap | q]``.  The lead is at least one row
+    A workspace is three line-aligned buffers, four block-sized arrays in
+    all: the block's input ``f``, the field ``x`` and the dual
+    ``[lead | p | gap | q]``.  The lead is at least one row
     of +0 ahead of ``p``, and ``q`` starts on the first line after ``p``,
     behind a gap of up to 7 values (or behind ``p``'s last pad row); the
     lead and the gap stay +0.  The duals are stored padded to full planes
@@ -241,17 +250,16 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     nc, h, w = f.shape
     block = band_block(nc, h, w)
     bound = np.float64(8.0 * lam)
-    lead = _line_up(w)
-    cap = _line_up(block * h * w)
+    lead = line_up(w)
+    cap = line_up(block * h * w)
     finite = [True] * nc
 
-    def run_span(start: int, stop: int) -> None:
-        ws = _aligned(4 * cap + lead)
+    def run_span(start: int, stop: int, ws: np.ndarray) -> None:
         fw, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
         for lo in range(start, stop, block):
             bands = min(block, stop - lo)
             n = bands * h * w
-            qo = lead + _line_up(n)
+            qo = lead + line_up(n)
             fb, xb = fw[:n], x[:n]
             fb.reshape(bands, h, w)[...] = f[lo : lo + bands]
             p, p_prev = dual[lead : lead + n], dual[lead - w : lead - w + n]
@@ -275,8 +283,9 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
             _tv_div(xb, p, p_prev, q, q_prev)
             done = out[lo : lo + bands]
             np.subtract(fb.reshape(bands, h, w), xb.reshape(bands, h, w), done)
-            finite[lo] = bool(np.isfinite(done).all())
+            finite[lo] = bool(np.isfinite(done.max()) and np.isfinite(done.min()))
 
+    run_span.scratch = 4 * cap + lead  # type: ignore[attr-defined]
     run_band_spans(run_span, nc, block)
     return all(finite)
 
@@ -328,7 +337,8 @@ def gap_solve_with_stats(
     the prior.  With ``crop_denoiser_input`` the prior sees only the
     on-support crop, and the iterate is that (C, H, W) cube: it starts as a
     copy of ``x0``, or without ``x0`` as the support of the ``cfg.init``
-    start (see :func:`_start`), and it is the returned cube.  The margins of
+    start (see :func:`_start`), built without the measurement-width start
+    (:func:`_cropped_start`), and it is the returned cube.  The margins of
     that start are not kept; a positive ``convergence_tol`` counts their
     largest magnitude in its scale.  Otherwise the prior sees the full-width
     tensor, and the iterate starts from ``x0`` shifted into measurement
@@ -353,18 +363,19 @@ def gap_solve_with_stats(
     # it is the on-support cube alone: the margins of a dispersed iterate
     # would only ever hold the finite start, so a finite prior output means
     # a finite iterate, and the stopping test needs only their largest
-    # magnitude, ``margin`` (0 for the zero margins of an ``x0`` start).
+    # magnitude, ``margin`` (0 for the zero margins of an ``x0`` start, or
+    # when there are no margins).
     margin = 0.0
-    if x0 is None:
-        z = _start(meas, cfg.init)
-        if crop:
-            start, z = z, _on_support(z, d).copy()
-            if cfg.convergence_tol > 0.0:
-                _on_support(start, d)[...] = 0.0
-                margin = max(float(start.max()), -float(start.min()))
-            del start  # no measurement-width array lives through the loop
-    else:
+    if x0 is not None:
         z = x0.data.copy() if crop else _shift(x0.data, d)
+    elif not crop:
+        z = _start(meas, cfg.init)
+    else:
+        z, margins = _cropped_start(meas, cfg.init)
+        if cfg.convergence_tol > 0.0:
+            for m in margins:
+                if m.size:
+                    margin = max(margin, float(m.max()), -float(m.min()))
 
     if crop:
         support, seen, seen_config = z, z, op.config

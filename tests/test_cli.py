@@ -216,6 +216,31 @@ class TestSimulate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_seed_without_noise_exits_2_before_any_input_is_read(
+        self, tmp_path, worked_example, capsys, monkeypatch, source
+    ):
+        # The seed is checked by the same rule whether or not noise is
+        # asked for.
+        cube_path, mask_path = worked_example
+        read = []
+        monkeypatch.setattr(cli, "read_cube", lambda path: read.append(path))
+        if source == "flag":
+            flags = ["--seed", -1]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            flags = ["--config", cfg]
+        out = tmp_path / "meas.hsic"
+        code = run_cli(
+            "simulate", "--cube", cube_path, "--mask", mask_path,
+            "--shift-step", 1, *flags, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert read == []
+        assert not out.exists()
+
 class TestReconstruct:
     def make_measurement(self, tmp_path):
         config, mask, scenes = bundled_suite(n_scenes=1)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import re
 import weakref
 
@@ -231,6 +232,49 @@ class TestScoresOnKernelPool:
         assert report.mse == mse
         assert tuple(ssim_bands(ref, test)) == tuple(ssim_values)
         assert tuple(psnr_bands(ref, test)) == tuple(psnr_db)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(5, 13, 11), (3, 181, 181), (8, 32, 32)])
+    def test_workspace_rows_start_on_cache_lines(
+        self, shape, workers, kernel_pool, monkeypatch
+    ):
+        # Each span scores its blocks in its own slice of one scratch block,
+        # and each of the slice's seven rows starts on a 64-byte line, so no
+        # window pass's speed depends on where the allocator put it.  Two
+        # bands a block make rows whose values are no whole number of lines.
+        kernel_pool(workers)
+        c, h, w = shape
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", 2 * 7 * h * w * 8)
+        blocks = -(-c // 2)
+        spans, rows = [], []
+        run_band_spans, ssim_block = metrics.run_band_spans, metrics._ssim_block
+
+        def spans_spy(task, n, block):
+            def traced(lo, hi, ws):
+                spans.append(ws)
+                task(lo, hi, ws)
+
+            traced.scratch = task.scratch
+            run_band_spans(traced, n, block)
+
+        def block_spy(ws, *args):
+            rows.extend(ws)
+            ssim_block(ws, *args)
+
+        monkeypatch.setattr(metrics, "run_band_spans", spans_spy)
+        monkeypatch.setattr(metrics, "_ssim_block", block_spy)
+        ref, test = noisy_pair(shape, 90 + sum(shape))
+        _, ssim_values, band_mse, _ = reference_scores(ref.data, test.data)
+        report = evaluate(ref, test)
+        assert report.per_band_ssim == tuple(ssim_values)
+        assert report.per_band_mse == tuple(band_mse)
+        assert len(spans) == min(workers, blocks)
+        for a, b in itertools.combinations(spans, 2):
+            assert not np.shares_memory(a, b)
+        assert len(rows) == 7 * blocks
+        for row in rows:
+            assert row.size >= 2 * h * w
+            assert row.ctypes.data % _pool.ALIGN_BYTES == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 8])

@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import threading
@@ -10,12 +11,19 @@ from hypothesis import strategies as st
 
 from cassi import HSICube, Measurement, SceneConfig, TvPrior, _pool, evaluate
 
-from conftest import make_operator, random_meas
+from conftest import make_operator, random_meas, traced_peak
+
+
+def span_task(fn, scratch=0):
+    """``fn(lo, hi, ws)`` as a span task that asks for ``scratch`` values."""
+    fn.scratch = scratch
+    return fn
 
 
 def spans_of(n, block):
     spans = []
-    _pool.run_band_spans(lambda lo, hi: spans.append((lo, hi)), n, block)
+    task = span_task(lambda lo, hi, ws: spans.append((lo, hi)))
+    _pool.run_band_spans(task, n, block)
     return sorted(spans)
 
 
@@ -36,7 +44,8 @@ class TestRunBandSpans:
     def test_one_span_runs_in_the_calling_thread(self, kernel_pool):
         kernel_pool(3)
         ran_in = []
-        _pool.run_band_spans(lambda lo, hi: ran_in.append(threading.get_ident()), 5, 8)
+        task = span_task(lambda lo, hi, ws: ran_in.append(threading.get_ident()))
+        _pool.run_band_spans(task, 5, 8)
         assert ran_in == [threading.get_ident()]
 
     def test_spans_run_on_the_pool_at_once(self, kernel_pool):
@@ -44,11 +53,11 @@ class TestRunBandSpans:
         started = threading.Barrier(2, timeout=30)
         ran = []
 
-        def task(lo, hi):
+        def task(lo, hi, ws):
             started.wait()  # both spans at once, or the barrier times out
             ran.append((lo, hi, threading.get_ident()))
 
-        _pool.run_band_spans(task, 4, 1)
+        _pool.run_band_spans(span_task(task), 4, 1)
         on = {(lo, hi): t for lo, hi, t in ran}
         assert sorted(on) == [(0, 2), (2, 4)]
         # The caller works the first span, a helper thread the second.
@@ -58,15 +67,97 @@ class TestRunBandSpans:
         kernel_pool(2)
         finished = []
 
-        def task(lo, hi):
+        def task(lo, hi, ws):
             if lo == 0:
                 raise MemoryError("span")
             time.sleep(0.2)
             finished.append(lo)
 
         with pytest.raises(MemoryError, match="span"):
-            _pool.run_band_spans(task, 4, 1)
+            _pool.run_band_spans(span_task(task), 4, 1)
         assert finished == [2]
+
+
+class TestSpanScratch:
+    @staticmethod
+    def spy_on_aligned(mp):
+        """The sizes and threads of ``_pool.aligned``'s allocations."""
+        made = []
+        aligned = _pool.aligned
+
+        def spy(n):
+            made.append((n, threading.get_ident()))
+            return aligned(n)
+
+        mp.setattr(_pool, "aligned", spy)
+        return made
+
+    @given(
+        st.integers(1, 40), st.integers(1, 12), st.integers(1, 4), st.integers(1, 300)
+    )
+    def test_one_caller_allocation_cut_into_disjoint_aligned_slices(
+        self, n, block, workers, scratch
+    ):
+        got = []
+
+        def task(lo, hi, ws):
+            ws[...] = lo  # each span fills its own slice
+            got.append((lo, ws))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_pool, "kernel_workers", lambda: workers)
+            made = self.spy_on_aligned(mp)
+            _pool.run_band_spans(span_task(task, scratch), n, block)
+        assert [t for _, t in made] == [threading.get_ident()]
+        assert len(got) == min(workers, -(-n // block))
+        for lo, ws in got:
+            assert ws.shape == (scratch,) and ws.dtype == np.float64
+            assert ws.flags.c_contiguous
+            assert ws.ctypes.data % _pool.ALIGN_BYTES == 0
+            assert (ws == lo).all()  # no other span wrote into it
+        for (_, a), (_, b) in itertools.combinations(got, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_one_block_allocates_once_and_reads_no_worker_count(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a one-block call read the worker count")
+
+        monkeypatch.setattr(_pool, "kernel_workers", refuse)
+        monkeypatch.setattr(_pool.threading, "Thread", _Refusing)
+        made = self.spy_on_aligned(monkeypatch)
+        got = []
+        _pool.run_band_spans(span_task(lambda lo, hi, ws: got.append(ws), 10), 5, 8)
+        assert [n for n, _ in made] == [_pool.line_up(10)] and got[0].shape == (10,)
+
+    @pytest.mark.parametrize("kernel", ["tv", "evaluate"])
+    def test_kernels_allocate_on_the_calling_thread_alone(
+        self, kernel, kernel_pool, monkeypatch
+    ):
+        # With two spans, each call makes one scratch allocation, on the
+        # calling thread, and no thread allocates another block-sized array
+        # (not even a TV block's finiteness mask, a byte a value, nor one
+        # SSIM row): the traced peak is the output cube and the scratch,
+        # plus 32 KiB for the threads and Python objects.
+        kernel_pool(2)
+        c, h, w = 20, 64, 64
+        config = SceneConfig(h, w, c, 1)
+        rng = np.random.Generator(np.random.Philox(11))
+        cube = HSICube(config, rng.random((c, h, w)))
+        other = HSICube(config, rng.random((c, h, w)))
+        if kernel == "tv":
+            call, out = lambda: TvPrior(3).denoise(cube, 0.1), cube.data.nbytes
+            block = _pool.band_block(c, h, w)
+            smallest = block * h * w
+        else:
+            call, out = lambda: evaluate(cube, other), 0
+            block = _pool.band_block(c, 7 * h, w)
+            smallest = 8 * block * h * w
+        assert -(-c // block) >= 2 and smallest > 32 * 1024
+        call()  # warm up outside the trace
+        made = self.spy_on_aligned(monkeypatch)
+        _, peak = traced_peak(call)
+        assert [t for _, t in made] == [threading.get_ident()]
+        assert peak <= out + 8 * (made[0][0] + 8) + 32 * 1024
 
 
 class TestRowBlock:

@@ -1,5 +1,5 @@
 import gc
-import threading
+import itertools
 import types
 import weakref
 from unittest import mock
@@ -435,27 +435,26 @@ class TestTvWorkspaceAlignment:
     @given(st.integers(1, 5), st.integers(1, 100))
     def test_rows_start_on_cache_lines(self, rows, n):
         # Each buffer is one row of its own, whatever the allocator gives.
-        a = [recon._aligned(n) for _ in range(rows)]
+        a = [_pool.aligned(n) for _ in range(rows)]
         for k, row in enumerate(a):
             assert row.shape == (n,) and row.dtype == np.float64
             assert row.flags.c_contiguous
-            assert row.ctypes.data % recon._TV_ALIGN_BYTES == 0
+            assert row.ctypes.data % _pool.ALIGN_BYTES == 0
             row[...] = k
         assert all((row == k).all() for k, row in enumerate(a))
 
     @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 181, 181), (5, 7, 9)])
     def test_prox_works_in_aligned_rows(self, shape, kernel_pool):
-        # The whole dual iteration runs in one workspace from _aligned
-        # per pool task, laid out [f | x | lead, p, gap, q], so no block's speed
-        # depends on where the allocator put it.  The kernel relies on the
-        # lead and the gap staying +0.
+        # Each span's dual iteration runs in its own slice of the one
+        # scratch block, laid out [f | x | lead, p, gap, q], so no block's
+        # speed depends on where the allocator put it.  The kernel relies on
+        # the lead and the gap staying +0.
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(4)).random(shape)
         block = _pool.band_block(c, h, w)
         blocks = -(-c // block)
-        cap = recon._line_up(block * h * w)
-        lead = recon._line_up(w)
-        aligned = recon._aligned
+        cap = _pool.line_up(block * h * w)
+        lead = _pool.line_up(w)
         run_band_spans = recon.run_band_spans
 
         def is_plus_zero(a):
@@ -464,36 +463,32 @@ class TestTvWorkspaceAlignment:
         for workers in (1, 2, 3):
             kernel_pool(workers)
             made = []
-            span = threading.local()
 
             def spans_spy(task, *args):
-                def traced(lo, hi):
-                    span.bounds = (lo, hi)
-                    task(lo, hi)
+                def traced(lo, hi, ws):
+                    made.append(((lo, hi), ws))
+                    task(lo, hi, ws)
 
+                traced.scratch = task.scratch
                 run_band_spans(traced, *args)
 
-            def aligned_spy(n):
-                ws = aligned(n)
-                made.append((span.bounds, n, ws))
-                return ws
-
             with mock.patch.object(recon, "run_band_spans", spans_spy):
-                with mock.patch.object(recon, "_aligned", aligned_spy):
-                    cube = HSICube(SceneConfig(h, w, c, 1), data)
-                    out = TvPrior(3).denoise(cube, 0.1)
+                cube = HSICube(SceneConfig(h, w, c, 1), data)
+                out = TvPrior(3).denoise(cube, 0.1)
             assert out.data.tobytes() == reference_tv_prox(data, 0.1, 3).tobytes()
             assert len(made) == min(workers, blocks)
-            for (lo, hi), n, ws in made:
-                assert n == 4 * cap + lead and ws.shape == (n,)
-                assert ws.ctypes.data % recon._TV_ALIGN_BYTES == 0
+            for (_, a), (_, b) in itertools.combinations(made, 2):
+                assert not np.shares_memory(a, b)
+            for (lo, hi), ws in made:
+                assert ws.shape == (4 * cap + lead,)
+                assert ws.ctypes.data % _pool.ALIGN_BYTES == 0
                 f, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
                 # The buffers hold the span's last block.
                 bands = hi - lo - (hi - lo - 1) // block * block
                 size = bands * h * w
-                qo = lead + recon._line_up(size)
+                qo = lead + _pool.line_up(size)
                 for a in (f, x, dual[lead:], dual[qo:]):
-                    assert a.ctypes.data % recon._TV_ALIGN_BYTES == 0
+                    assert a.ctypes.data % _pool.ALIGN_BYTES == 0
                 assert is_plus_zero(dual[:lead])
                 assert is_plus_zero(dual[lead + size : qo])
                 assert is_plus_zero(
@@ -965,15 +960,24 @@ class TestGapSolveInPlacePrior:
         self, crop, monkeypatch
     ):
         # With the cyclic collector off, a reference cycle through the
-        # iterate (such as a recursive closure) would keep it alive.
+        # iterate (such as a recursive closure) would keep it alive.  The
+        # iterate is the start: dispersed without the crop, else the
+        # on-support cube, which is also the output.
         made = []
-        on_support = recon._on_support
+        start, cropped_start = recon._start, recon._cropped_start
 
-        def spy(t, d):
-            made.append(weakref.ref(t))
-            return on_support(t, d)
+        def start_spy(meas, init):
+            z = start(meas, init)
+            made.append(weakref.ref(z))
+            return z
 
-        monkeypatch.setattr(recon, "_on_support", spy)
+        def cropped_start_spy(meas, init):
+            z, margins = cropped_start(meas, init)
+            made.append(weakref.ref(z))
+            return z, margins
+
+        monkeypatch.setattr(recon, "_start", start_spy)
+        monkeypatch.setattr(recon, "_cropped_start", cropped_start_spy)
         config = SceneConfig(10, 8, 5, 2)
         op = make_operator(config, seed=41)
         meas = op.forward(random_cube(config, 42))
@@ -982,9 +986,10 @@ class TestGapSolveInPlacePrior:
         gc.disable()
         try:
             out, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
-            assert made and all(ref() is None for ref in made)
+            assert (made[0]() is out.data) == crop
             output = weakref.ref(out.data)
             del out
+            assert made and all(ref() is None for ref in made)
             assert output() is None
         finally:
             if enabled:
@@ -1047,15 +1052,26 @@ class TestGapSolveMemory:
         iterate = 8 * 16 * 96 * config.measurement_width()
         assert peaks[1] <= peaks[0] + iterate + 64 * 1024
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    # The x0 cases keep their "tol-workers" ids; the others add the start.
+    CROPPED_CASES = [
+        pytest.param(
+            tol, workers, start,
+            id=f"{tol}-{workers}" + ("" if start == "x0" else f"-{start.value}"),
+        )
+        for start in ["x0", *InitStrategy]
+        for tol in (0.0, 1e-9)
+        for workers in (1, 2)
+    ]
+
+    @pytest.mark.parametrize("tol, workers, start", CROPPED_CASES)
     def test_cropped_iterate_is_one_cube_and_the_output(
-        self, tol, workers, kernel_pool, monkeypatch
+        self, tol, workers, start, kernel_pool, monkeypatch
     ):
         # With the crop the iterate is the on-support cube, started as a
-        # copy of x0 and returned as it is: no measurement-width array and
-        # no output copy.  A tolerance adds one cube, its copy of the last
-        # iterate.  One band per block keeps the TV workspaces small.
+        # copy of x0 or as the support of an InitStrategy start, and
+        # returned as it is: no measurement-width array and no output copy.
+        # A tolerance adds one cube, its copy of the last iterate.  One band
+        # per block keeps the TV workspaces small.
         kernel_pool(workers)
         config = SceneConfig(96, 96, 16, 1)
         h, w, nc, _ = config.geometry
@@ -1064,8 +1080,15 @@ class TestGapSolveMemory:
         assert _pool.band_block(nc, h, w) == 1
         op = make_operator(config, seed=5)
         meas = op.forward(random_cube(config, 6))
-        x0 = op.pinv(meas)
-        cfg = SolverConfig(iterations=3, convergence_tol=tol)
+        if start == "x0":
+            x0, cfg = op.pinv(meas), SolverConfig(iterations=3, convergence_tol=tol)
+        else:
+            x0, cfg = None, SolverConfig(iterations=3, init=start, convergence_tol=tol)
+
+        def refuse(meas, init):
+            raise AssertionError("the solver built the measurement-width start")
+
+        monkeypatch.setattr(recon, "_start", refuse)
         (out, stats), peak = traced_peak(
             lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg, x0=x0)
         )
