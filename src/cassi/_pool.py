@@ -80,15 +80,15 @@ def row_block(rows: int, row_bytes: int) -> int:
 
 
 def run_band_spans(
-    task: Callable[[int, int, np.ndarray], None], n: int, block: int
+    task: Callable[[int, int, np.ndarray], None], n: int, block: int, scratch: int
 ) -> None:
     """Call ``task(lo, hi, ws)`` on spans of whole ``block``-band blocks
     that together cover bands ``[0, n)``, and return when every call has.
 
-    ``ws`` is the span's own scratch: ``task.scratch`` uninitialised
-    float64 values starting on an ``ALIGN_BYTES`` line.  The slices of all
-    spans are cut, disjoint, from one :func:`aligned` block that the
-    calling thread allocates before it starts any helper (see the module
+    ``ws`` is the span's own scratch: ``scratch`` uninitialised float64
+    values starting on an ``ALIGN_BYTES`` line.  The slices of all spans
+    are cut, disjoint, from one :func:`aligned` block that the calling
+    thread allocates before it starts any helper (see the module
     docstring).  There is at most one span per worker.  The calling thread
     runs the first span and a ``cassi-kernel`` helper thread each of the
     others, so a single span runs on the caller alone, and a single block
@@ -98,10 +98,9 @@ def run_band_spans(
     """
     blocks = -(-n // block)
     spans = 1 if blocks <= 1 else min(kernel_workers(), blocks)
-    size = task.scratch
-    stride = line_up(size)
-    scratch = aligned(spans * stride)
-    ws = [scratch[i * stride : i * stride + size] for i in range(spans)]
+    stride = line_up(scratch)
+    whole = aligned(spans * stride)
+    ws = [whole[i * stride : i * stride + scratch] for i in range(spans)]
     if spans <= 1:
         task(0, n, ws[0])
         return

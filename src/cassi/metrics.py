@@ -194,8 +194,7 @@ def _band_pass(
             if band_ssim is not None:
                 _ssim_block(ws, hi - lo, h, w, band_ssim[lo:hi])
 
-    run_span.scratch = rows * row  # type: ignore[attr-defined]
-    run_band_spans(run_span, nc, block)
+    run_band_spans(run_span, nc, block, rows * row)
     return band_mse, band_ssim
 
 

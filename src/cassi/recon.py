@@ -285,8 +285,7 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
             np.subtract(fb.reshape(bands, h, w), xb.reshape(bands, h, w), done)
             finite[lo] = bool(np.isfinite(done.max()) and np.isfinite(done.min()))
 
-    run_span.scratch = 4 * cap + lead  # type: ignore[attr-defined]
-    run_band_spans(run_span, nc, block)
+    run_band_spans(run_span, nc, block, 4 * cap + lead)
     return all(finite)
 
 

@@ -241,6 +241,7 @@ class TestSimulate:
         assert read == []
         assert not out.exists()
 
+
 class TestReconstruct:
     def make_measurement(self, tmp_path):
         config, mask, scenes = bundled_suite(n_scenes=1)

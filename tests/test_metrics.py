@@ -249,13 +249,12 @@ class TestScoresOnKernelPool:
         spans, rows = [], []
         run_band_spans, ssim_block = metrics.run_band_spans, metrics._ssim_block
 
-        def spans_spy(task, n, block):
+        def spans_spy(task, *args):
             def traced(lo, hi, ws):
                 spans.append(ws)
                 task(lo, hi, ws)
 
-            traced.scratch = task.scratch
-            run_band_spans(traced, n, block)
+            run_band_spans(traced, *args)
 
         def block_spy(ws, *args):
             rows.extend(ws)
@@ -289,9 +288,9 @@ class TestScoresOnKernelPool:
         blocks = []
         run_band_spans = metrics.run_band_spans
 
-        def recording(task, n, size):
+        def recording(task, n, size, scratch):
             blocks.append(size)
-            run_band_spans(task, n, size)
+            run_band_spans(task, n, size, scratch)
 
         monkeypatch.setattr(metrics, "run_band_spans", recording)
         self.assert_reference_bytes(*noisy_pair((c, h, w), 60 + block))

@@ -14,16 +14,9 @@ from cassi import HSICube, Measurement, SceneConfig, TvPrior, _pool, evaluate
 from conftest import make_operator, random_meas, traced_peak
 
 
-def span_task(fn, scratch=0):
-    """``fn(lo, hi, ws)`` as a span task that asks for ``scratch`` values."""
-    fn.scratch = scratch
-    return fn
-
-
 def spans_of(n, block):
     spans = []
-    task = span_task(lambda lo, hi, ws: spans.append((lo, hi)))
-    _pool.run_band_spans(task, n, block)
+    _pool.run_band_spans(lambda lo, hi, ws: spans.append((lo, hi)), n, block, 0)
     return sorted(spans)
 
 
@@ -44,8 +37,11 @@ class TestRunBandSpans:
     def test_one_span_runs_in_the_calling_thread(self, kernel_pool):
         kernel_pool(3)
         ran_in = []
-        task = span_task(lambda lo, hi, ws: ran_in.append(threading.get_ident()))
-        _pool.run_band_spans(task, 5, 8)
+
+        def task(lo, hi, ws):
+            ran_in.append(threading.get_ident())
+
+        _pool.run_band_spans(task, 5, 8, 0)
         assert ran_in == [threading.get_ident()]
 
     def test_spans_run_on_the_pool_at_once(self, kernel_pool):
@@ -57,7 +53,7 @@ class TestRunBandSpans:
             started.wait()  # both spans at once, or the barrier times out
             ran.append((lo, hi, threading.get_ident()))
 
-        _pool.run_band_spans(span_task(task), 4, 1)
+        _pool.run_band_spans(task, 4, 1, 0)
         on = {(lo, hi): t for lo, hi, t in ran}
         assert sorted(on) == [(0, 2), (2, 4)]
         # The caller works the first span, a helper thread the second.
@@ -74,7 +70,7 @@ class TestRunBandSpans:
             finished.append(lo)
 
         with pytest.raises(MemoryError, match="span"):
-            _pool.run_band_spans(span_task(task), 4, 1)
+            _pool.run_band_spans(task, 4, 1, 0)
         assert finished == [2]
 
 
@@ -107,7 +103,7 @@ class TestSpanScratch:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_pool, "kernel_workers", lambda: workers)
             made = self.spy_on_aligned(mp)
-            _pool.run_band_spans(span_task(task, scratch), n, block)
+            _pool.run_band_spans(task, n, block, scratch)
         assert [t for _, t in made] == [threading.get_ident()]
         assert len(got) == min(workers, -(-n // block))
         for lo, ws in got:
@@ -126,7 +122,7 @@ class TestSpanScratch:
         monkeypatch.setattr(_pool.threading, "Thread", _Refusing)
         made = self.spy_on_aligned(monkeypatch)
         got = []
-        _pool.run_band_spans(span_task(lambda lo, hi, ws: got.append(ws), 10), 5, 8)
+        _pool.run_band_spans(lambda lo, hi, ws: got.append(ws), 5, 8, 10)
         assert [n for n, _ in made] == [_pool.line_up(10)] and got[0].shape == (10,)
 
     @pytest.mark.parametrize("kernel", ["tv", "evaluate"])

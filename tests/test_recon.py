@@ -469,7 +469,6 @@ class TestTvWorkspaceAlignment:
                     made.append(((lo, hi), ws))
                     task(lo, hi, ws)
 
-                traced.scratch = task.scratch
                 run_band_spans(traced, *args)
 
             with mock.patch.object(recon, "run_band_spans", spans_spy):
@@ -986,6 +985,7 @@ class TestGapSolveInPlacePrior:
         gc.disable()
         try:
             out, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+            assert made and all(ref() is None or ref() is out.data for ref in made)
             assert (made[0]() is out.data) == crop
             output = weakref.ref(out.data)
             del out
