@@ -88,16 +88,19 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def _l2_norm(arr: np.ndarray) -> float:
-    """``np.linalg.norm(arr)`` where that is finite; else the norm of
-    ``arr`` scaled by its largest magnitude, or Inf if that is not finite."""
+    """The square root of numpy's pairwise sum of the squares of ``arr``
+    where that is finite; else the norm of ``arr`` scaled by its largest
+    magnitude, or Inf if that is not finite.  No BLAS call, so the bits do
+    not depend on a BLAS library's thread count."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(float(np.add.reduce(np.square(arr), axis=None)))
         if math.isfinite(norm):
             return norm
         peak = float(np.max(np.abs(arr)))
         if not math.isfinite(peak):
             return math.inf
-        return peak * float(np.linalg.norm(arr / peak))
+        scaled = np.square(arr / peak)
+        return peak * math.sqrt(float(np.add.reduce(scaled, axis=None)))
 
 
 def _checked_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -15,11 +15,13 @@ workers.
 With the crop off the denoiser is fed the full dispersed tensor, so the
 iterate lives in measurement-width coordinates, (C, H, W').  With the crop
 on it is fed only the on-support crop, and the iterate is that (C, H, W)
-cube: the margins of a dispersed iterate would only ever hold the start, so
-they are not stored, and the stopping test counts them as one constant.  The
-iterate starts from a caller's scene cube ``x0`` (dispersed with zero
-margins when the crop is off), or else from the measurement expanded per
-band by an :class:`InitStrategy` (with the crop, only its support is built).
+cube; the off-support columns of a dispersed iterate would only ever hold
+the start, so they are neither stored nor read.  The iterate starts from a
+caller's scene cube ``x0`` (dispersed with zero off-support columns when the
+crop is off), or else from the measurement expanded per band by an
+:class:`InitStrategy` (with the crop, only its support is built).  The
+stopping test and the residual trace read only the iterate and the detector
+residual, and no BLAS call runs in the loop.
 In both settings a prior whose class ``denoise`` is :meth:`TvPrior.denoise`
 runs in place on what it sees; any other prior (an override included)
 receives a private copy, and its output is written back into the iterate.
@@ -45,11 +47,10 @@ from .operator import SensingOperator, _forward, _on_support, _shift
 class InitStrategy(enum.Enum):
     """How a measurement is expanded into a per-band starting tensor.
 
-    ROLL and SHIFT differ only in the margins.  With ``crop_denoiser_input``
-    on the solver does not store the margins: only a positive
-    ``convergence_tol`` counts them, through their largest magnitude in the
-    stopping test's scale, so with ``convergence_tol`` 0 the two give the
-    same bytes.
+    ROLL and SHIFT differ only off the support.  With
+    ``crop_denoiser_input`` on the solver neither stores nor reads those
+    columns, so the two give the same bytes, whatever the
+    ``convergence_tol``.
     """
 
     SHIFT = "shift"
@@ -104,7 +105,8 @@ class SolverConfig:
 
     ``convergence_tol`` of 0 runs all iterations; a positive value stops
     early once the max-norm iterate change falls below ``tol`` relative to
-    the iterate magnitude.
+    the largest magnitude of the iterate before the step (the on-support
+    cube with the crop, the measurement-width tensor without it).
     """
 
     iterations: int = 60
@@ -159,27 +161,15 @@ def _start(meas: Measurement, init: InitStrategy) -> np.ndarray:
     return z
 
 
-def _cropped_start(
-    meas: Measurement, init: InitStrategy
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _cropped_start(meas: Measurement, init: InitStrategy) -> np.ndarray:
     """The on-support cube of :func:`_start` as a fresh (C, H, W) array,
-    built without the (C, H, W') start, and the measurement columns that
-    the start's margins hold.
-
-    For ROLL and SHIFT every band's support is ``y[:, :W]`` and the margins
-    hold ``y[:, W:]`` (SHIFT's zeros besides); for REPEAT band c's support
-    is ``y[:, d*c : d*c + W]`` and the margins hold ``y[:, :W' - W]`` and
-    ``y[:, W:]``.
+    built without the (C, H, W') start: every band's support is ``y[:, :W]``
+    for ROLL and SHIFT, and band c's is ``y[:, d*c : d*c + W]`` for REPEAT.
     """
     h, w, nc, d = meas.config.geometry
-    y = meas.data
-    wp = y.shape[1]
-    z = np.empty((nc, h, w))
-    if init is InitStrategy.REPEAT:
-        z[...] = _on_support(np.broadcast_to(y, (nc, h, wp)), d)
-        return z, (y[:, : wp - w], y[:, w:])
-    z[...] = y[:, :w]
-    return z, (y[:, w:],)
+    bands = np.broadcast_to(meas.data, (nc, h, meas.data.shape[1]))
+    support = _on_support(bands, d) if init is InitStrategy.REPEAT else bands[..., :w]
+    return support.copy()
 
 
 def _tv_div(
@@ -249,7 +239,8 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     """
     nc, h, w = f.shape
     block = band_block(nc, h, w)
-    bound = np.float64(8.0 * lam)
+    high = np.float64(8.0 * lam)
+    low = -high
     lead = line_up(w)
     cap = line_up(block * h * w)
     finite = [True] * nc
@@ -279,7 +270,7 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
                 q_head += x_left
                 q_head -= x_right
                 pad_col.fill(0.0)
-                np.clip(pq, -bound, bound, out=pq)
+                pq.clip(low, high, out=pq)
             _tv_div(xb, p, p_prev, q, q_prev)
             done = out[lo : lo + bands]
             np.subtract(fb.reshape(bands, h, w), xb.reshape(bands, h, w), done)
@@ -337,11 +328,12 @@ def gap_solve_with_stats(
     on-support crop, and the iterate is that (C, H, W) cube: it starts as a
     copy of ``x0``, or without ``x0`` as the support of the ``cfg.init``
     start (see :func:`_start`), built without the measurement-width start
-    (:func:`_cropped_start`), and it is the returned cube.  The margins of
-    that start are not kept; a positive ``convergence_tol`` counts their
-    largest magnitude in its scale.  Otherwise the prior sees the full-width
-    tensor, and the iterate starts from ``x0`` shifted into measurement
-    width with zero margins, or from the ``cfg.init`` start.  ``x0`` is
+    (:func:`_cropped_start`), and it is the returned cube.  Otherwise the
+    prior sees the full-width tensor, and the iterate starts from ``x0``
+    shifted into measurement width with zero off-support columns, or from
+    the ``cfg.init`` start.  Either way the stopping test reads only the
+    iterate, and ``residual_l2`` holds each residual's norm
+    (:func:`cassi.core._l2_norm`, no BLAS call).  ``x0`` is
     never written to.  A prior whose class ``denoise`` is
     :meth:`TvPrior.denoise` runs in place on the iterate.  Any other prior
     receives a private copy, so it may return or keep its input, and its
@@ -358,23 +350,12 @@ def gap_solve_with_stats(
     wp = op.config.measurement_width()
     crop = cfg.crop_denoiser_input
 
-    # The iterate is a fresh private array, updated in place.  With the crop
-    # it is the on-support cube alone: the margins of a dispersed iterate
-    # would only ever hold the finite start, so a finite prior output means
-    # a finite iterate, and the stopping test needs only their largest
-    # magnitude, ``margin`` (0 for the zero margins of an ``x0`` start, or
-    # when there are no margins).
-    margin = 0.0
+    # The iterate is a fresh private array, updated in place; with the crop
+    # it is the on-support cube alone.
     if x0 is not None:
         z = x0.data.copy() if crop else _shift(x0.data, d)
-    elif not crop:
-        z = _start(meas, cfg.init)
     else:
-        z, margins = _cropped_start(meas, cfg.init)
-        if cfg.convergence_tol > 0.0:
-            for m in margins:
-                if m.size:
-                    margin = max(margin, float(m.max()), -float(m.min()))
+        z = (_cropped_start if crop else _start)(meas, cfg.init)
 
     if crop:
         support, seen, seen_config = z, z, op.config
@@ -412,9 +393,7 @@ def gap_solve_with_stats(
         residuals.append(_l2_norm(r))
 
         if prev is not None:
-            scale = max(
-                float(prev.max()), -float(prev.min()), margin, np.finfo(float).tiny
-            )
+            scale = max(float(prev.max()), -float(prev.min()), np.finfo(float).tiny)
             np.subtract(z, prev, out=prev)
             delta = max(float(prev.max()), -float(prev.min()))
             if delta <= cfg.convergence_tol * scale:

@@ -1,8 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cassi
 from cassi import (
     CodedAperture,
     _pool,
@@ -182,7 +188,32 @@ class TestL2Norm:
     def test_a_finite_norm_is_numpys(self, seed, scale):
         rng = np.random.Generator(np.random.Philox(seed))
         arr = rng.standard_normal((5, 7)) * scale
-        assert _l2_norm(arr) == float(np.linalg.norm(arr))
+        norm = _l2_norm(arr)
+        assert norm == math.sqrt(float(np.add.reduce(np.square(arr), axis=None)))
+        exact = math.sqrt(math.fsum(np.square(arr).ravel()))
+        assert math.isclose(norm, exact, rel_tol=1e-15)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS's ddot, behind np.linalg.norm, sums this array in an
+        # order set by its thread count; the last bit differed at 1 and 2.
+        src = os.path.dirname(os.path.dirname(cassi.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import numpy as np; from cassi.core import _l2_norm; "
+            "arr = np.random.default_rng(5).standard_normal((512, 566)) * 1e-3; "
+            "print(_l2_norm(arr).hex())"
+        )
+        bits = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            bits.append(proc.stdout)
+        assert bits[0] == bits[1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_overflowing_sum_of_squares_is_scaled(self):
