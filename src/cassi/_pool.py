@@ -1,11 +1,14 @@
-"""The spans of the band kernels: the TV prox and the metrics.
+"""The one block rule of every kernel, and the spans of the band kernels.
 
-Both treat every band on its own and spend their time in numpy loops that
-release the interpreter lock, so their blocks of bands are spread over one
-span per CPU this process may run on (``taskset`` limits it).  The calling
-thread works the first span, and each other span runs on a helper thread
-started for it and joined before the call returns, so a call starts one
-thread fewer than there are CPUs and a stack of one block starts none.
+Every kernel blocks its rows by :func:`row_block`: detector rows in the
+operator kernels, whole bands in the TV prox and the metrics, and values in
+the finite check.  No result depends on the blocking.  The TV prox and the
+metrics treat every band on its own and spend their time in numpy loops
+that release the interpreter lock, so their blocks of bands are spread over
+one span per CPU this process may run on (``taskset`` limits it).  The
+calling thread works the first span, and each other span runs on a helper
+thread started for it and joined before the call returns, so a call starts
+one thread fewer than there are CPUs and a stack of one block starts none.
 
 The calling thread also allocates every span's scratch, as one block cut
 into line-aligned slices, before it starts a helper.  A helper allocates
@@ -21,12 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-# Bytes per working array of one band block, so the TV prox's workspace
-# (the block's input, the field and the duals p and q: 4 such arrays, about
-# 2 MiB per span at 256x256) stays in cache instead of streaming the whole
-# stack through DRAM on every step.  Small stacks get a single block, which
-# keeps their per-call overhead low.  The metrics' 7-array SSIM blocks and
-# the operator kernels' row blocks (see row_block) keep to the same budget.
+# Bytes per working array of one block, for every kernel (see row_block),
+# so that the TV prox's workspace (the block's input, the field and the
+# duals p and q: 4 such arrays, about 2 MiB per span at 256x256) stays in
+# cache instead of streaming the whole stack through DRAM on every step.
+# The metrics' 7-array SSIM blocks, the operator kernels' blocks of detector
+# rows and the finite check's chunks keep to the same budget.  Small arrays
+# get a single block, which keeps their per-call overhead low.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -57,12 +61,6 @@ def kernel_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
-
-
-def band_block(bands: int, height: int, width: int) -> int:
-    """Whole float64 bands per block: as many as fit in ``BLOCK_BYTES``,
-    at least one and at most ``bands``."""
-    return min(bands, max(1, BLOCK_BYTES // (height * width * 8)))
 
 
 def row_block(rows: int, row_bytes: int) -> int:

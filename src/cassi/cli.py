@@ -530,10 +530,10 @@ def cmd_metrics(args) -> int:
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    scale = float(np.linalg.norm(b))
-    if scale == 0.0:
-        return float(np.linalg.norm(a - b))
-    return float(np.linalg.norm(a - b)) / scale
+    """``|a - b| / |b|`` in the package's one norm, absolute when
+    ``|b|`` is 0."""
+    scale, err = _l2_norm(b), _l2_norm(a - b)
+    return err if scale == 0.0 else err / scale
 
 
 def cmd_oracle_check(args) -> int:

@@ -72,19 +72,24 @@ class SceneConfig:
         return (self.height, self.width, self.bands, self.shift_step)
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise NonFiniteValue if ``arr`` holds a NaN or an infinity.
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN and no infinity, checked on the calling
+    thread in cache-sized chunks (:func:`cassi._pool.row_block`) of each run
+    of values one stride apart: no array-sized mask or copy of a view."""
+    chunk = row_block(arr.size, arr.itemsize)
+    finite = np.empty(min(chunk, arr.size), dtype=bool)
+    for run in np.nditer(arr, ["external_loop", "zerosize_ok"], order="K"):
+        for lo in range(0, run.size, chunk):
+            part = run[lo : lo + chunk]
+            if not np.isfinite(part, finite[: part.size]).all():
+                return False
+    return True
 
-    The values are checked on the calling thread in cache-sized chunks
-    (:func:`cassi._pool.row_block`), so no array-sized mask is built.
-    """
-    flat = arr.reshape(-1)
-    block = row_block(flat.size, flat.itemsize)
-    finite = np.empty(min(block, flat.size), dtype=bool)
-    for lo in range(0, flat.size, block):
-        part = flat[lo : lo + block]
-        if not np.isfinite(part, finite[: part.size]).all():
-            raise NonFiniteValue(f"{what} contains NaN or Inf")
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NonFiniteValue unless :func:`_all_finite` holds for ``arr``."""
+    if not _all_finite(arr):
+        raise NonFiniteValue(f"{what} contains NaN or Inf")
 
 
 def _l2_norm(arr: np.ndarray) -> float:

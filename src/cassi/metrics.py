@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import band_block, line_up, run_band_spans
+from ._pool import line_up, row_block, run_band_spans
 from .core import HSICube
 from .errors import DimensionMismatch
 
@@ -175,7 +175,7 @@ def _band_pass(
         )
     band_mse = [0.0] * nc
     band_ssim = np.empty(nc) if ssim else None
-    block = band_block(nc, _SSIM_ARRAYS * h, w)
+    block = row_block(nc, 8 * _SSIM_ARRAYS * h * w)
     rows, row = (_SSIM_ARRAYS if ssim else 3), line_up(block * h * w)
 
     def run_span(start: int, stop: int, scratch: np.ndarray) -> None:

@@ -33,7 +33,8 @@ pad adds +0 to the values between the window's rows.  That changes none of
 them: ``y`` starts at +0, a sum that starts at +0 is never -0, and
 ``v + (+0)`` is ``v`` for every ``v`` but -0.  This one kernel builds
 every detector image, ``sigma`` too: that is the forward image of the mask
-broadcast to every band, whose product is then the squared mask.
+broadcast to every band, whose product is then the squared mask; its
+reciprocal is checked in chunks (:func:`cassi.core._all_finite`).
 :meth:`SensingOperator._add_pinv` adds into (C, H, W) bands, which may be
 a view.  With the crop off, the GAP solver passes the on-support view of
 its full-width iterate, whose margins may hold -0, so the add stays a
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._pool import row_block
-from .core import CodedAperture, HSICube, Measurement, SceneConfig
+from .core import CodedAperture, HSICube, Measurement, SceneConfig, _all_finite
 from .errors import DimensionMismatch, MaskDegenerate
 
 
@@ -149,7 +150,7 @@ class SensingOperator:
         with np.errstate(divide="ignore", over="ignore"):
             sigma = _forward(self.mask, d, np.broadcast_to(self.mask, (nc, h, w)))
             inv_sigma = np.divide(1.0, sigma)
-            if not (np.isfinite(inv_sigma).all() and inv_sigma.all()):
+            if not (_all_finite(inv_sigma) and inv_sigma.all()):
                 bad = ~np.isfinite(inv_sigma) | (inv_sigma == 0.0)
                 u, v = (int(i) for i in np.argwhere(bad)[0])
                 raise MaskDegenerate(u, v, float(sigma[u, v]))

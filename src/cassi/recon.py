@@ -7,10 +7,10 @@ more data step on the output, through the same operator kernel.  Any object
 with a ``denoise(cube, strength) -> cube`` method can serve as the prior, so
 a stronger external denoiser can be plugged in unchanged; the bundled prior
 is an anisotropic per-band total-variation proximal step.  Its band blocks
-are spread over the CPUs as the metrics' are (:mod:`cassi._pool`), each
-span working in its own line-aligned slice of one scratch block that the
-calling thread allocates; the output bytes do not depend on the number of
-workers.
+are sized and spread over the CPUs as the metrics' are (:mod:`cassi._pool`),
+each span working in its own line-aligned slice of one scratch block that
+the calling thread allocates; the output bytes do not depend on the number
+of workers.
 
 With the crop off the denoiser is fed the full dispersed tensor, so the
 iterate lives in measurement-width coordinates, (C, H, W').  With the crop
@@ -18,8 +18,8 @@ on it is fed only the on-support crop, and the iterate is that (C, H, W)
 cube; the off-support columns of a dispersed iterate would only ever hold
 the start, so they are neither stored nor read.  The iterate starts from a
 caller's scene cube ``x0`` (dispersed with zero off-support columns when the
-crop is off), or else from the measurement expanded per band by an
-:class:`InitStrategy` (with the crop, only its support is built).  The
+crop is off), or else from one copy of a strided view of the measurement,
+or with the crop of that view's support (see :class:`InitStrategy`).  The
 stopping test and the residual trace read only the iterate and the detector
 residual, and no BLAS call runs in the loop.
 In both settings a prior whose class ``denoise`` is :meth:`TvPrior.denoise`
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ._pool import band_block, line_up, run_band_spans
+from ._pool import line_up, row_block, run_band_spans
 from .core import (
-    HSICube, Measurement, SceneConfig, _as_float, _int_at_least, _l2_norm
+    HSICube, Measurement, SceneConfig, _all_finite, _as_float, _int_at_least, _l2_norm
 )
 from .errors import DimensionMismatch, NonFiniteValue
 from .operator import SensingOperator, _forward, _on_support, _shift
@@ -47,7 +48,8 @@ from .operator import SensingOperator, _forward, _on_support, _shift
 class InitStrategy(enum.Enum):
     """How a measurement is expanded into a per-band starting tensor.
 
-    ROLL and SHIFT differ only off the support.  With
+    Each is one strided view of the measurement (:func:`_start`).  ROLL
+    and SHIFT differ only off the support.  With
     ``crop_denoiser_input`` on the solver neither stores nor reads those
     columns, so the two give the same bytes, whatever the
     ``convergence_tol``.
@@ -140,36 +142,31 @@ class SolveStats:
         return len(self.residual_l2)
 
 
-def _start(meas: Measurement, init: InitStrategy) -> np.ndarray:
-    """A fresh, writeable (C, H, W') start: band c is the measurement
-    translated right by ``k`` columns over the full measurement width.
+def _start(meas: Measurement, init: InitStrategy, crop: bool = False) -> np.ndarray:
+    """A fresh, writeable start: band c is the measurement translated right
+    by ``k`` columns over the full measurement width, (C, H, W'), or with
+    ``crop`` only its on-support cube, (C, H, W).
 
     ``k`` is 0 for REPEAT (every band is the measurement verbatim) and d*c
     otherwise.  The k columns shifted past the right edge wrap round to the
     left for ROLL, so every band is a permutation of the measurement; for
     SHIFT they are dropped and the k left columns are zero.  Both put
     ``y[:, :W]`` on band c's on-support columns (see :class:`InitStrategy`).
+    The bands are one view, of ``y`` broadcast (REPEAT), or with band c
+    d*c columns back into ``[y | y]`` (ROLL) or ``[0 | y]`` (SHIFT).
     """
-    h, _, nc, d = meas.config.geometry
-    y = meas.data
-    wp = y.shape[1]
-    z = np.empty((nc, h, wp))
-    for c in range(nc):
-        k = 0 if init is InitStrategy.REPEAT else d * c
-        z[c, :, k:] = y[:, : wp - k]
-        z[c, :, :k] = y[:, wp - k :] if init is InitStrategy.ROLL else 0.0
-    return z
-
-
-def _cropped_start(meas: Measurement, init: InitStrategy) -> np.ndarray:
-    """The on-support cube of :func:`_start` as a fresh (C, H, W) array,
-    built without the (C, H, W') start: every band's support is ``y[:, :W]``
-    for ROLL and SHIFT, and band c's is ``y[:, d*c : d*c + W]`` for REPEAT.
-    """
-    h, w, nc, d = meas.config.geometry
-    bands = np.broadcast_to(meas.data, (nc, h, meas.data.shape[1]))
-    support = _on_support(bands, d) if init is InitStrategy.REPEAT else bands[..., :w]
-    return support.copy()
+    y, (_, _, nc, d) = meas.data, meas.config.geometry
+    h, wp = y.shape
+    if init is InitStrategy.REPEAT:
+        bands = np.broadcast_to(y, (nc, h, wp))
+    else:
+        both = np.zeros((h, 2 * wp))
+        both[:, wp:] = y
+        if init is InitStrategy.ROLL:
+            both[:, :wp] = y
+        s_row, s_col = both.strides
+        bands = as_strided(both[:, wp:], (nc, h, wp), (-d * s_col, s_row, s_col))
+    return (_on_support(bands, d) if crop else bands).copy()
 
 
 def _tv_div(
@@ -217,7 +214,7 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     straight into ``v``, and ``v`` is clipped to ``[-8*lam, 8*lam]``.
     Fixed iteration count, fully deterministic.  Planes are independent, so
     the stack is processed in blocks of whole bands sized by
-    :func:`cassi._pool.band_block`, and spans of blocks run on their own
+    :func:`cassi._pool.row_block`, and spans of blocks run on their own
     threads, each in its own workspace (a stack of one block runs inline).
     The workspaces are slices of one line-aligned block that the calling
     thread allocates (:func:`cassi._pool.run_band_spans`), so no span
@@ -238,7 +235,7 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     the clip.
     """
     nc, h, w = f.shape
-    block = band_block(nc, h, w)
+    block = row_block(nc, 8 * h * w)
     high = np.float64(8.0 * lam)
     low = -high
     lead = line_up(w)
@@ -290,7 +287,7 @@ def _tv_prox(
     _check_tv_strength(strength, "strength")
     if strength == 0.0:
         np.copyto(out, planes)  # a no-op when out is planes
-        return bool(np.isfinite(out).all())
+        return _all_finite(out)
     return _tv_prox_planes(planes, strength, iterations, out)
 
 
@@ -327,8 +324,8 @@ def gap_solve_with_stats(
     the prior.  With ``crop_denoiser_input`` the prior sees only the
     on-support crop, and the iterate is that (C, H, W) cube: it starts as a
     copy of ``x0``, or without ``x0`` as the support of the ``cfg.init``
-    start (see :func:`_start`), built without the measurement-width start
-    (:func:`_cropped_start`), and it is the returned cube.  Otherwise the
+    start, built without the measurement-width start (:func:`_start` with
+    ``crop``), and it is the returned cube.  Otherwise the
     prior sees the full-width tensor, and the iterate starts from ``x0``
     shifted into measurement width with zero off-support columns, or from
     the ``cfg.init`` start.  Either way the stopping test reads only the
@@ -347,7 +344,6 @@ def gap_solve_with_stats(
     if x0 is not None and x0.config.geometry != op.config.geometry:
         raise DimensionMismatch("x0 geometry disagrees with operator")
     h, _, nc, d = op.config.geometry
-    wp = op.config.measurement_width()
     crop = cfg.crop_denoiser_input
 
     # The iterate is a fresh private array, updated in place; with the crop
@@ -355,15 +351,13 @@ def gap_solve_with_stats(
     if x0 is not None:
         z = x0.data.copy() if crop else _shift(x0.data, d)
     else:
-        z = (_cropped_start if crop else _start)(meas, cfg.init)
+        z = _start(meas, cfg.init, crop)
 
-    if crop:
-        support, seen, seen_config = z, z, op.config
-    else:
-        support = _on_support(z, d)
-        # The full dispersed tensor goes through the cube-typed prior
-        # interface as a scene of measurement width.
-        seen, seen_config = z, SceneConfig(h, wp, nc, d)
+    # The prior sees the whole iterate: without the crop the dispersed
+    # tensor goes through the cube-typed prior interface as a scene of
+    # measurement width.
+    support = z if crop else _on_support(z, d)
+    seen_config = op.config if crop else SceneConfig(h, z.shape[2], nc, d)
     # Asked of the class: a prior may carry ``denoise`` on the instance.
     in_place = getattr(type(prior), "denoise", None) is TvPrior.denoise
     # The detector residual of each iterate serves both its norm and the
@@ -378,12 +372,12 @@ def gap_solve_with_stats(
             np.copyto(prev, z)
         op._add_pinv(support, r)
         if in_place:
-            finite = _tv_prox(seen, cfg.tv_weight, prior.inner_iterations, seen)
+            finite = _tv_prox(z, cfg.tv_weight, prior.inner_iterations, z)
         else:
-            seen[...] = prior.denoise(
-                HSICube._adopt(seen_config, seen.copy()), cfg.tv_weight
+            z[...] = prior.denoise(
+                HSICube._adopt(seen_config, z.copy()), cfg.tv_weight
             ).data
-            finite = np.isfinite(seen).all()
+            finite = _all_finite(z)
         if not finite:
             raise NonFiniteValue(
                 f"solver iterate diverged at iteration {len(residuals)}"
@@ -400,7 +394,7 @@ def gap_solve_with_stats(
                 break
 
     stats = SolveStats(
-        residual_l2=tuple(residuals), denoised_pixels_per_iteration=seen.size
+        residual_l2=tuple(residuals), denoised_pixels_per_iteration=z.size
     )
     out = z if crop else _on_support(z, d).copy()
     return HSICube._adopt(op.config, out), stats

@@ -1290,6 +1290,20 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "pinv_apply_rel_err" in out
 
+    def test_errors_are_taken_in_the_packages_norm(self, capsys, monkeypatch):
+        # The relative errors go through core._l2_norm, which makes no BLAS
+        # call, so their bits do not depend on a BLAS library's threads.
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle-check called np.linalg.norm")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        code = run_cli(
+            "oracle-check", "--height", 4, "--width", 4, "--bands", 3,
+            "--shift-step", 1, "--seed", 7,
+        )
+        assert code == 0
+        assert "rnd_combine_rel_err" in capsys.readouterr().out
+
     def test_paper_scale_exits_2(self, capsys):
         code = run_cli(
             "oracle-check", "--height", 256, "--width", 256, "--bands", 28,

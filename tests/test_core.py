@@ -19,8 +19,11 @@ from cassi import (
     SceneConfig,
     build_operator,
 )
-from cassi.core import _l2_norm, _require_finite
+from cassi.core import _all_finite, _l2_norm, _require_finite
 from cassi.dense import cube_to_vec, meas_to_vec
+from cassi.operator import _on_support
+
+from conftest import traced_peak
 
 
 class TestSceneConfig:
@@ -163,6 +166,38 @@ class TestChunkedFiniteCheck:
         meas[0, 0] = -np.inf
         with pytest.raises(NonFiniteValue, match="^Measurement contains NaN or Inf$"):
             Measurement(config, meas)
+
+
+    VIEWS = {
+        "support": lambda a: _on_support(a, 3),
+        "stepped": lambda a: a[:, ::2, 1::3],
+        "transposed": lambda a: a.transpose(2, 0, 1),
+        "reversed": lambda a: a[::-1, :, ::-1],
+    }
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("budget", [8 * 100, _pool.BLOCK_BYTES])
+    def test_a_view_is_read_where_it_lies(self, view, budget, monkeypatch):
+        # A bad value counts exactly when the view sees it, and the check
+        # allocates one chunk's mask at most: no copy of the view.
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", budget)
+        base = np.random.Generator(np.random.Philox(9)).random((4, 37, 50))
+        seen = self.VIEWS[view](base)
+        assert not seen.flags.c_contiguous
+        ok, peak = traced_peak(lambda: _all_finite(seen))
+        assert ok is True
+        assert peak <= min(budget // 8, seen.size) + 4 * 1024
+        for at in [(0, 0, 0), (3, 36, 49), (1, 5, 2), (2, 18, 47), (0, 1, 10)]:
+            bad = base.copy()
+            bad[at] = np.nan
+            assert _all_finite(self.VIEWS[view](bad)) == bool(
+                np.isfinite(self.VIEWS[view](bad)).all()
+            )
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0, 3), ()])
+    def test_empty_and_zero_dimensional_arrays(self, shape):
+        assert _all_finite(np.zeros(shape)) is True
+        assert _all_finite(np.array(np.inf)) is False
 
 
 def _one_hot_cube(config: SceneConfig, c: int, u: int, x: int) -> HSICube:

@@ -350,7 +350,7 @@ class TestEvaluateMemory:
         # the per-band lists and Python objects.
         kernel_pool(workers)
         c, h, w = 16, 96, 96
-        block = _pool.band_block(c, 7 * h, w)
+        block = _pool.row_block(c, 8 * 7 * h * w)
         spans = min(workers, -(-c // block))
         assert spans == workers
         ref, test = noisy_pair((c, h, w), 82)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cassi
 from cassi import HSICube, Measurement, SceneConfig, TvPrior, _pool, evaluate
 
 from conftest import make_operator, random_meas, traced_peak
@@ -142,11 +144,11 @@ class TestSpanScratch:
         other = HSICube(config, rng.random((c, h, w)))
         if kernel == "tv":
             call, out = lambda: TvPrior(3).denoise(cube, 0.1), cube.data.nbytes
-            block = _pool.band_block(c, h, w)
+            block = _pool.row_block(c, 8 * h * w)
             smallest = block * h * w
         else:
             call, out = lambda: evaluate(cube, other), 0
-            block = _pool.band_block(c, 7 * h, w)
+            block = _pool.row_block(c, 8 * 7 * h * w)
             smallest = 8 * block * h * w
         assert -(-c // block) >= 2 and smallest > 32 * 1024
         call()  # warm up outside the trace
@@ -243,6 +245,60 @@ def test_the_pool_starts_one_thread_fewer_than_its_workers(
         assert not _kernel_threads()
     assert bool(running) == (workers > 1)
     assert max(running, default=0) <= workers - 1
+
+
+ONE_CPU_RUN = """
+import os, threading
+import numpy as np
+from cassi import HSICube, SceneConfig, TvPrior, _pool, evaluate
+
+started = []
+start = threading.Thread.start
+
+def spy(self):
+    started.append(self.name)
+    start(self)
+
+threading.Thread.start = spy
+rng = np.random.Generator(np.random.Philox(3))
+cube = HSICube(SceneConfig(181, 181, 5, 1), rng.random((5, 181, 181)))
+assert _pool.row_block(5, 8 * 181 * 181) < 5  # several TV blocks
+assert _pool.row_block(5, 8 * 7 * 181 * 181) < 5  # several SSIM blocks
+
+def kernel_threads():
+    started.clear()
+    TvPrior(2).denoise(cube, 0.1)
+    evaluate(cube, cube)
+    return started.count("cassi-kernel")
+
+allowed = os.sched_getaffinity(0)
+if len(allowed) > 1:
+    assert kernel_threads() == 2 * (min(len(allowed), 5) - 1)
+os.sched_setaffinity(0, {min(allowed)})  # this process alone
+assert _pool.kernel_workers() == 1
+assert kernel_threads() == 0
+print("ok")
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+)
+def test_kernel_workers_follow_the_cpu_affinity_mask():
+    # Run where the process may use one CPU: one worker, and multi-block
+    # calls of both band kernels start no helper thread.  Before the mask
+    # is narrowed, the same calls start the helpers the spy counts.
+    src = os.path.dirname(os.path.dirname(cassi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_RUN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def multi_block_cube(seed):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import types
 import weakref
 from unittest import mock
@@ -134,6 +135,68 @@ class TestInitRoll:
         for c in range(config.bands):
             np.testing.assert_array_equal(np.sort(z[c], axis=None), reference)
             assert np.isclose(z[c].sum(), meas.data.sum())
+
+
+def per_band_start(meas, init):
+    """The full-width start built band by band, as a loop of slices."""
+    h, _, nc, d = meas.config.geometry
+    y = meas.data
+    wp = y.shape[1]
+    z = np.empty((nc, h, wp))
+    for c in range(nc):
+        k = 0 if init is InitStrategy.REPEAT else d * c
+        z[c, :, k:] = y[:, : wp - k]
+        z[c, :, :k] = y[:, wp - k :] if init is InitStrategy.ROLL else 0.0
+    return z
+
+
+def support_start(meas, init):
+    """The on-support cube of that start, read from the broadcast
+    measurement: ``y[:, :W]`` in every band, or for REPEAT band c's own
+    window ``y[:, d*c : d*c + W]``."""
+    h, w, nc, d = meas.config.geometry
+    bands = np.broadcast_to(meas.data, (nc, h, meas.data.shape[1]))
+    support = _on_support(bands, d) if init is InitStrategy.REPEAT else bands[..., :w]
+    return support.copy()
+
+
+@st.composite
+def start_cases(draw):
+    """A measurement of H, W <= 9, C <= 6 and d <= 12 (so d > W occurs),
+    whose values include -0.0, with every init and the crop on and off."""
+    h, w, nc, d = (draw(st.integers(1, n)) for n in (9, 9, 6, 12))
+    config = SceneConfig(h, w, nc, d)
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False)
+    )
+    data = draw(
+        st.lists(values, min_size=h * config.measurement_width(),
+                 max_size=h * config.measurement_width())
+    )
+    meas = Measurement(config, np.reshape(data, (h, config.measurement_width())))
+    return meas, draw(st.sampled_from(list(InitStrategy))), draw(st.booleans())
+
+
+class TestOneStart:
+    @settings(max_examples=300)
+    @given(start_cases())
+    def test_equals_the_per_band_and_support_builders(self, case):
+        # Bytes (signed zeros included) and shape, as a fresh array the
+        # solver may update in place.
+        meas, init, crop = case
+        z = recon._start(meas, init, crop)
+        want = support_start(meas, init) if crop else per_band_start(meas, init)
+        assert z.shape == want.shape and z.tobytes() == want.tobytes()
+        if crop:
+            full = per_band_start(meas, init)
+            assert z.tobytes() == _on_support(full, meas.config.shift_step).tobytes()
+        assert z.flags.c_contiguous and z.flags.writeable
+        assert not np.shares_memory(z, meas.data)
+
+    def test_the_crop_is_off_by_default(self, tiny_config):
+        meas = random_meas(tiny_config, 8)
+        for init in InitStrategy:
+            assert recon._start(meas, init).shape == (2, 2, 3)
 
 
 class TestRollAndShiftUnderTheCrop:
@@ -304,7 +367,7 @@ class TestTvMatchesClassicalStep:
     def test_within_rounding_of_the_classical_step(self, shape, strength, iterations):
         # The scaled dual changes only the rounding, never the iteration.
         c, h, w = shape
-        assert _pool.band_block(c, h, w) < c  # really multi-block
+        assert _pool.row_block(c, 8 * h * w) < c  # really multi-block
         data = np.random.Generator(np.random.Philox(c * h)).random(shape)
         cube = HSICube(SceneConfig(h, w, c, 1), data)
         out = TvPrior(iterations).denoise(cube, strength)
@@ -324,7 +387,7 @@ class TestTvOutputBytesPinned:
         (1, False): "6de21f20be04123fe930677eacbb57394fdf55345a44b37ebf3ffefc70229d08",
     }
     TV_DIGESTS = {
-        # blocks of 16 + 4 bands: several blocks, ragged last block
+        # blocks of 10 + 10 bands: several blocks
         (20, 64, 64): (
             "87954d0a501f3b8e852046377486cdf51680b7ca924de5300973db26cc4a6fb4"
         ),
@@ -349,7 +412,7 @@ class TestTvOutputBytesPinned:
     @pytest.mark.parametrize("shape", sorted(TV_DIGESTS))
     def test_multi_block_tv_denoise(self, shape):
         c, h, w = shape
-        assert _pool.band_block(c, h, w) < c  # really multi-block
+        assert _pool.row_block(c, 8 * h * w) < c  # really multi-block
         rng = np.random.Generator(np.random.Philox(2024))
         cube = HSICube(SceneConfig(h, w, c, 1), rng.random(shape))
         out = TvPrior(20).denoise(cube, 0.1)
@@ -455,7 +518,7 @@ class TestTvWorkspaceAlignment:
         # the lead and the gap staying +0.
         c, h, w = shape
         data = np.random.Generator(np.random.Philox(4)).random(shape)
-        block = _pool.band_block(c, h, w)
+        block = _pool.row_block(c, 8 * h * w)
         blocks = -(-c // block)
         cap = _pool.line_up(block * h * w)
         lead = _pool.line_up(w)
@@ -506,7 +569,7 @@ class TestTvWorkspaceAlignment:
         # block's finiteness mask (one byte a value), would add to that.
         kernel_pool(workers)
         c, h, w = 20, 64, 64
-        block = _pool.band_block(c, h, w)
+        block = _pool.row_block(c, 8 * h * w)
         assert block < c  # really multi-block
         spans = min(workers, -(-c // block))
         data = np.random.Generator(np.random.Philox(3)).random((c, h, w))
@@ -987,17 +1050,14 @@ class TestGapSolveInPlacePrior:
         # iterate is the start: dispersed without the crop, else the
         # on-support cube, which is also the output.
         made = []
+        start = recon._start
 
-        def spy(start):
-            def record(meas, init):
-                z = start(meas, init)
-                made.append(weakref.ref(z))
-                return z
+        def record(*args):
+            z = start(*args)
+            made.append(weakref.ref(z))
+            return z
 
-            return record
-
-        for name in ("_start", "_cropped_start"):
-            monkeypatch.setattr(recon, name, spy(getattr(recon, name)))
+        monkeypatch.setattr(recon, "_start", record)
         config = SceneConfig(10, 8, 5, 2)
         op = make_operator(config, seed=41)
         meas = op.forward(random_cube(config, 42))
@@ -1006,7 +1066,8 @@ class TestGapSolveInPlacePrior:
         gc.disable()
         try:
             out, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
-            assert made and all(ref() is None or ref() is out.data for ref in made)
+            assert len(made) == 1  # one start per solve
+            assert all(ref() is None or ref() is out.data for ref in made)
             assert (made[0]() is out.data) == crop
             output = weakref.ref(out.data)
             del out
@@ -1017,6 +1078,83 @@ class TestGapSolveInPlacePrior:
                 gc.enable()
 
 
+class TestFiniteChecksInChunks:
+    """The zero-strength prox, the external-prior step and the operator's
+    Gram check test finiteness through ``core._all_finite``, so no
+    ``np.isfinite`` call sees more than one chunk of values."""
+
+    CHUNK = 64  # values
+
+    def chunked(self, monkeypatch):
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", 8 * self.CHUNK)
+        isfinite = np.isfinite
+
+        def one_chunk(x, *args, **kwargs):
+            assert np.size(x) <= self.CHUNK, "an array-sized finiteness mask"
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", one_chunk)
+
+    @pytest.mark.parametrize("crop", [True, False])
+    def test_no_check_builds_an_array_sized_mask(self, crop, monkeypatch):
+        config = SceneConfig(9, 8, 3, 2)
+        h, w, nc, _ = config.geometry
+        assert nc * h * w > self.CHUNK
+        op = make_operator(config, seed=45)
+        mask = CodedAperture(op.mask)
+        meas = op.forward(random_cube(config, 46))
+        cube = random_cube(config, 47)
+        cfg = SolverConfig(iterations=2, crop_denoiser_input=crop)
+        want, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
+        bad = cube.data.copy()
+        bad[-1, -1, -1] = np.inf
+        with monkeypatch.context() as mp:
+            self.chunked(mp)
+            assert TvPrior(3).denoise(cube, 0.0).data.tobytes() == cube.data.tobytes()
+            assert recon._tv_prox(bad, 0.0, 3, np.empty_like(bad)) is False
+            got, _ = gap_solve_with_stats(op, meas, _DelegatingPrior(TvPrior(3)), cfg)
+            rebuilt = build_operator(mask, config)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert rebuilt.inv_sigma.tobytes() == op.inv_sigma.tobytes()
+
+
+class CallPeaks:
+    """Under tracemalloc, the traced peak of each call of the functions
+    wrapped with :meth:`wrap`, from the call's entry: all that is live then
+    plus what the call adds.  A call resets tracemalloc's peak, so
+    :meth:`whole` puts back what the run traced before each reset."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch, self.before = monkeypatch, []
+
+    def wrap(self, module, name):
+        """``[(result, peak)]`` of each call of ``module.name``."""
+        calls = []
+        fn = getattr(module, name)
+
+        def traced(*args):
+            self.before.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            result = fn(*args)
+            calls.append((result, tracemalloc.get_traced_memory()[1]))
+            return result
+
+        self.monkeypatch.setattr(module, name, traced)
+        return calls
+
+    def whole(self, peak):
+        """The run's peak, given the one traced after the last reset."""
+        return max([peak, *self.before])
+
+
+def tv_workspaces(spans, block, h, w):
+    """Bytes of ``spans`` TV workspaces of ``block`` (h, w) bands: four
+    block arrays (f, x, p, q) each, and 12 KiB for the lead, line padding
+    and Python objects (about 7 KiB a span is used).  A block's finiteness
+    mask, a byte a value, is 18 KiB at two 96x96 bands."""
+    return spans * (4 * 8 * block * h * w + 12 * 1024)
+
+
 class TestGapSolveMemory:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("crop", [True, False])
@@ -1024,34 +1162,38 @@ class TestGapSolveMemory:
         self, crop, workers, kernel_pool, monkeypatch
     ):
         # TvPrior runs in place: no copy of what it sees and no output cube
-        # (either one is a full cube).  A budget of one band per block keeps
-        # the TV workspaces small next to a cube.
+        # (either one is a full cube).  A budget of two bands per block
+        # keeps the TV workspaces small next to a cube.
         kernel_pool(workers)
         config = SceneConfig(96, 96, 16, 1)
         h, w, nc, _ = config.geometry
         wp = config.measurement_width()
         seen_w = w if crop else wp
-        monkeypatch.setattr(_pool, "BLOCK_BYTES", h * seen_w * 8)
-        block = _pool.band_block(nc, h, seen_w)
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", 2 * 8 * h * seen_w)
+        block = _pool.row_block(nc, 8 * h * seen_w)
         spans = min(workers, -(-nc // block))
-        assert block < nc and spans == workers
+        assert block == 2 and spans == workers
         op = make_operator(config, seed=5)
         meas = op.forward(random_cube(config, 6))
         cfg = SolverConfig(iterations=2, crop_denoiser_input=crop)
+        peaks = CallPeaks(monkeypatch)
+        prox = peaks.wrap(recon, "_tv_prox_planes")
         (out, _), peak = traced_peak(
             lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg)
         )
-        iterate = 8 * nc * h * wp
-        # Per span: four block arrays (f, x, p, q) and 64 KiB for the lead,
-        # line padding and Python objects.
-        values = block * h * seen_w
-        workspaces = spans * (4 * 8 * values + 64 * 1024)
-        # The residual, the next residual, a forward image and the residual
-        # scaled by the Gram diagonal.
-        detector = 4 * 8 * h * wp
-        # The returned crop is made after the last prox call has freed its
-        # workspaces.
-        assert peak <= iterate + max(out.data.nbytes, workspaces) + detector
+        iterate = 8 * nc * h * seen_w
+        workspaces = tv_workspaces(spans, block, h, seen_w)
+        # During each prox call the iterate and the residual of the last
+        # data step are all that is live beside the workspaces.
+        residual = 8 * h * wp
+        assert len(prox) == 2
+        assert max(p for _, p in prox) <= iterate + residual + workspaces
+        # Over the run: the residual, the next residual, a forward image
+        # and the residual scaled by the Gram diagonal.  The returned crop
+        # is made after the last prox call has freed its workspaces.
+        detector = 4 * residual
+        bound = iterate + max(out.data.nbytes, workspaces) + detector
+        assert peaks.whole(peak) <= bound
 
     def test_stopping_test_costs_one_iterate(self, kernel_pool):
         # With a tolerance the loop keeps one copy of the last iterate and
@@ -1090,36 +1232,46 @@ class TestGapSolveMemory:
         # With the crop the iterate is the on-support cube, started as a
         # copy of x0 or as the support of an InitStrategy start, and
         # returned as it is: no measurement-width array and no output copy.
-        # A tolerance adds one cube, its copy of the last iterate.  One band
-        # per block keeps the TV workspaces small.
+        # A tolerance adds one cube, its copy of the last iterate.  Two
+        # bands per block keep the TV workspaces small.
         kernel_pool(workers)
         config = SceneConfig(96, 96, 16, 1)
         h, w, nc, _ = config.geometry
         wp = config.measurement_width()
-        monkeypatch.setattr(_pool, "BLOCK_BYTES", h * w * 8)
-        assert _pool.band_block(nc, h, w) == 1
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", 2 * 8 * h * w)
+        assert _pool.row_block(nc, 8 * h * w) == 2
         op = make_operator(config, seed=5)
         meas = op.forward(random_cube(config, 6))
         if start == "x0":
             x0, cfg = op.pinv(meas), SolverConfig(iterations=3, convergence_tol=tol)
         else:
             x0, cfg = None, SolverConfig(iterations=3, init=start, convergence_tol=tol)
-
-        def refuse(meas, init):
-            raise AssertionError("the solver built the measurement-width start")
-
-        monkeypatch.setattr(recon, "_start", refuse)
+        peaks = CallPeaks(monkeypatch)
+        starts = peaks.wrap(recon, "_start")
+        prox = peaks.wrap(recon, "_tv_prox_planes")
         (out, stats), peak = traced_peak(
             lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg, x0=x0)
         )
         assert stats.iterations_run == 3
         cube = 8 * nc * h * w
-        # As in test_no_second_cube_beyond_the_iterate: per span four block
-        # arrays and 64 KiB; four detector images.
-        workspaces = workers * (4 * 8 * h * w + 64 * 1024)
-        detector = 4 * 8 * h * wp
+        residual = 8 * h * wp
+        # The start is the output itself, built beside no array larger than
+        # the two detector images of [y | y]: never a (C, H, W') start,
+        # which a tolerance's extra cube would hide from the peaks below.
+        # x0's copy is not an InitStrategy start.
+        assert len(starts) == (start != "x0")
+        for z, start_peak in starts:
+            assert z is out.data and z.shape == (nc, h, w)
+            assert start_peak <= cube + 2 * residual + 4 * 1024
         stop = cube if tol > 0.0 else 0
-        assert peak <= cube + stop + workspaces + detector + 64 * 1024
+        workspaces = tv_workspaces(workers, 2, h, w)
+        # During each prox call: the iterate, its copy under a tolerance
+        # and the residual of the last data step beside the workspaces.
+        assert len(prox) == 3
+        assert max(p for _, p in prox) <= cube + stop + residual + workspaces
+        # Over the run, four detector images (see the test above).
+        bound = cube + stop + workspaces + 4 * residual + 64 * 1024
+        assert peaks.whole(peak) <= bound
 
 
 def dispersed_gap_solve(op, meas, prior, cfg, x0=None):
