@@ -1,14 +1,11 @@
 """The one block rule of every kernel, and the spans of the band kernels.
 
-Every kernel blocks its rows by :func:`row_block`: detector rows in the
-operator kernels, whole bands in the TV prox and the metrics, and values in
-the finite check.  No result depends on the blocking.  The TV prox and the
-metrics treat every band on its own and spend their time in numpy loops
-that release the interpreter lock, so their blocks of bands are spread over
-one span per CPU this process may run on (``taskset`` limits it).  The
-calling thread works the first span, and each other span runs on a helper
-thread started for it and joined before the call returns, so a call starts
-one thread fewer than there are CPUs and a stack of one block starts none.
+Every kernel cuts its rows (detector rows, bands or values) by
+:func:`row_block`, and no result depends on the blocking.  The TV prox and
+the metrics treat each band on its own in numpy loops that release the
+interpreter lock, so their band blocks are spread over one span per CPU this
+process may run on (``taskset`` limits it).  The caller works the first
+span; each other span runs on a helper thread joined before the return.
 
 The calling thread also allocates every span's scratch, as one block cut
 into line-aligned slices, before it starts a helper.  A helper allocates
@@ -28,9 +25,8 @@ import numpy as np
 # so that the TV prox's workspace (the block's input, the field and the
 # duals p and q: 4 such arrays, about 2 MiB per span at 256x256) stays in
 # cache instead of streaming the whole stack through DRAM on every step.
-# The metrics' 7-array SSIM blocks, the operator kernels' blocks of detector
-# rows and the finite check's chunks keep to the same budget.  Small arrays
-# get a single block, which keeps their per-call overhead low.
+# The SSIM blocks, the detector-row blocks and the finite check's chunks
+# keep to it too.  A small array is one block: low per-call overhead.
 BLOCK_BYTES = 512 * 1024
 
 

@@ -530,8 +530,7 @@ def cmd_metrics(args) -> int:
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    """``|a - b| / |b|`` in the package's one norm, absolute when
-    ``|b|`` is 0."""
+    """``|a - b| / |b|`` in the package's one norm; ``|a - b|`` if ``|b|`` is 0."""
     scale, err = _l2_norm(b), _l2_norm(a - b)
     return err if scale == 0.0 else err / scale
 

@@ -74,15 +74,18 @@ class SceneConfig:
 
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether ``arr`` holds no NaN and no infinity, checked on the calling
-    thread in cache-sized chunks (:func:`cassi._pool.row_block`) of each run
-    of values one stride apart: no array-sized mask or copy of a view."""
-    chunk = row_block(arr.size, arr.itemsize)
-    finite = np.empty(min(chunk, arr.size), dtype=bool)
-    for run in np.nditer(arr, ["external_loop", "zerosize_ok"], order="K"):
-        for lo in range(0, run.size, chunk):
-            part = run[lo : lo + chunk]
-            if not np.isfinite(part, finite[: part.size]).all():
-                return False
+    thread in cache-sized chunks (:func:`cassi._pool.row_block`) of its
+    flat values, so no array-sized mask is built.  A non-contiguous view
+    is read one sub-array of its first axis at a time, never copied."""
+    if arr.ndim > 1 and not arr.flags.c_contiguous:
+        return all(_all_finite(part) for part in arr)
+    flat = arr.reshape(-1)
+    block = row_block(flat.size, flat.itemsize)
+    finite = np.empty(min(block, flat.size), dtype=bool)
+    for lo in range(0, flat.size, block):
+        part = flat[lo : lo + block]
+        if not np.isfinite(part, finite[: part.size]).all():
+            return False
     return True
 
 

@@ -152,21 +152,23 @@ def _start(meas: Measurement, init: InitStrategy, crop: bool = False) -> np.ndar
     left for ROLL, so every band is a permutation of the measurement; for
     SHIFT they are dropped and the k left columns are zero.  Both put
     ``y[:, :W]`` on band c's on-support columns (see :class:`InitStrategy`).
-    The bands are one view, of ``y`` broadcast (REPEAT), or with band c
+    The bands are one view, of ``y`` broadcast (REPEAT, and the cropped
+    ROLL and SHIFT starts, which read ``y[:, :W]`` alone), or with band c
     d*c columns back into ``[y | y]`` (ROLL) or ``[0 | y]`` (SHIFT).
     """
-    y, (_, _, nc, d) = meas.data, meas.config.geometry
+    y, (_, w, nc, d) = meas.data, meas.config.geometry
     h, wp = y.shape
-    if init is InitStrategy.REPEAT:
-        bands = np.broadcast_to(y, (nc, h, wp))
-    else:
+    repeat, bands = init is InitStrategy.REPEAT, np.broadcast_to(y, (nc, h, wp))
+    if crop:
+        return (_on_support(bands, d) if repeat else bands[..., :w]).copy()
+    if not repeat:
         both = np.zeros((h, 2 * wp))
         both[:, wp:] = y
         if init is InitStrategy.ROLL:
             both[:, :wp] = y
         s_row, s_col = both.strides
         bands = as_strided(both[:, wp:], (nc, h, wp), (-d * s_col, s_row, s_col))
-    return (_on_support(bands, d) if crop else bands).copy()
+    return bands.copy()
 
 
 def _tv_div(

@@ -167,7 +167,6 @@ class TestChunkedFiniteCheck:
         with pytest.raises(NonFiniteValue, match="^Measurement contains NaN or Inf$"):
             Measurement(config, meas)
 
-
     VIEWS = {
         "support": lambda a: _on_support(a, 3),
         "stepped": lambda a: a[:, ::2, 1::3],

@@ -1121,11 +1121,11 @@ class TestFiniteChecksInChunks:
 class CallPeaks:
     """Under tracemalloc, the traced peak of each call of the functions
     wrapped with :meth:`wrap`, from the call's entry: all that is live then
-    plus what the call adds.  A call resets tracemalloc's peak, so
-    :meth:`whole` puts back what the run traced before each reset."""
+    plus what the call adds.  A call resets tracemalloc's peak on entry and
+    on exit, so :meth:`outside` is the peak of the run outside those calls."""
 
     def __init__(self, monkeypatch):
-        self.monkeypatch, self.before = monkeypatch, []
+        self.monkeypatch, self.between = monkeypatch, []
 
     def wrap(self, module, name):
         """``[(result, peak)]`` of each call of ``module.name``."""
@@ -1133,25 +1133,28 @@ class CallPeaks:
         fn = getattr(module, name)
 
         def traced(*args):
-            self.before.append(tracemalloc.get_traced_memory()[1])
+            self.between.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             result = fn(*args)
             calls.append((result, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.reset_peak()
             return result
 
         self.monkeypatch.setattr(module, name, traced)
         return calls
 
-    def whole(self, peak):
-        """The run's peak, given the one traced after the last reset."""
-        return max([peak, *self.before])
+    def outside(self, peak):
+        """The run's peak outside the wrapped calls, given the one traced
+        after the last call."""
+        return max([peak, *self.between])
 
 
 def tv_workspaces(spans, block, h, w):
     """Bytes of ``spans`` TV workspaces of ``block`` (h, w) bands: four
     block arrays (f, x, p, q) each, and 12 KiB for the lead, line padding
-    and Python objects (about 7 KiB a span is used).  A block's finiteness
-    mask, a byte a value, is 18 KiB at two 96x96 bands."""
+    and Python objects (7 to 8.5 KiB a span is used).  A block's finiteness
+    mask, a byte a value, is 18 KiB at two 96x96 bands; at one band, 9 KiB,
+    two spans' masks need not be live at once and would fit in the slack."""
     return spans * (4 * 8 * block * h * w + 12 * 1024)
 
 
@@ -1182,18 +1185,18 @@ class TestGapSolveMemory:
             lambda: gap_solve_with_stats(op, meas, TvPrior(3), cfg)
         )
         iterate = 8 * nc * h * seen_w
-        workspaces = tv_workspaces(spans, block, h, seen_w)
         # During each prox call the iterate and the residual of the last
         # data step are all that is live beside the workspaces.
         residual = 8 * h * wp
         assert len(prox) == 2
-        assert max(p for _, p in prox) <= iterate + residual + workspaces
-        # Over the run: the residual, the next residual, a forward image
-        # and the residual scaled by the Gram diagonal.  The returned crop
-        # is made after the last prox call has freed its workspaces.
-        detector = 4 * residual
-        bound = iterate + max(out.data.nbytes, workspaces) + detector
-        assert peaks.whole(peak) <= bound
+        bound = iterate + residual + tv_workspaces(spans, block, h, seen_w)
+        assert max(p for _, p in prox) <= bound
+        # Outside them, no workspace: the residual, the next residual, a
+        # forward image and the residual scaled by the Gram diagonal, and
+        # without the crop the returned crop beside the iterate (with it,
+        # the iterate is returned as it is).
+        output = 0 if crop else out.data.nbytes
+        assert peaks.outside(peak) <= iterate + output + 4 * residual
 
     def test_stopping_test_costs_one_iterate(self, kernel_pool):
         # With a tolerance the loop keeps one copy of the last iterate and
@@ -1256,22 +1259,22 @@ class TestGapSolveMemory:
         cube = 8 * nc * h * w
         residual = 8 * h * wp
         # The start is the output itself, built beside no array larger than
-        # the two detector images of [y | y]: never a (C, H, W') start,
-        # which a tolerance's extra cube would hide from the peaks below.
-        # x0's copy is not an InitStrategy start.
+        # 4 KiB: never a (C, H, W') start, which a tolerance's extra cube
+        # would hide from the peaks below.  x0's copy is not an
+        # InitStrategy start.
         assert len(starts) == (start != "x0")
         for z, start_peak in starts:
             assert z is out.data and z.shape == (nc, h, w)
-            assert start_peak <= cube + 2 * residual + 4 * 1024
+            assert start_peak <= cube + 4 * 1024
         stop = cube if tol > 0.0 else 0
-        workspaces = tv_workspaces(workers, 2, h, w)
         # During each prox call: the iterate, its copy under a tolerance
         # and the residual of the last data step beside the workspaces.
         assert len(prox) == 3
-        assert max(p for _, p in prox) <= cube + stop + residual + workspaces
-        # Over the run, four detector images (see the test above).
-        bound = cube + stop + workspaces + 4 * residual + 64 * 1024
-        assert peaks.whole(peak) <= bound
+        bound = cube + stop + residual + tv_workspaces(workers, 2, h, w)
+        assert max(p for _, p in prox) <= bound
+        # Outside them, no workspace and four detector images (see the
+        # test above).
+        assert peaks.outside(peak) <= cube + stop + 4 * residual
 
 
 def dispersed_gap_solve(op, meas, prior, cfg, x0=None):
