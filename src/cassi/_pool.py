@@ -8,9 +8,11 @@ process may run on (``taskset`` limits it).  The caller works the first
 span; each other span runs on a helper thread joined before the return.
 
 The calling thread also allocates every span's scratch, as one block cut
-into line-aligned slices, before it starts a helper.  A helper allocates
-nothing block-sized: glibc serves a thread's allocations from an arena of
-its own, and the helpers' arenas kept megabytes resident after each call.
+into line-aligned slices, before it starts a helper.  The scratch holds
+floats of the item size the kernel asks for: 4 bytes for the TV prox's
+float32 workspace, 8 for the SSIM pass.  A helper allocates nothing
+block-sized: glibc serves a thread's allocations from an arena of its own,
+and the helpers' arenas kept megabytes resident after each call.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from typing import Callable
 import numpy as np
 
 # Bytes per working array of one block, for every kernel (see row_block),
-# so that the TV prox's workspace (the block's input, the field and the
-# duals p and q: 4 such arrays, about 2 MiB per span at 256x256) stays in
-# cache instead of streaming the whole stack through DRAM on every step.
+# so that the TV prox's float32 workspace (the block's input, the field and
+# the duals p and q: 4 such arrays, 2 MiB per span of two 256x256 bands)
+# stays in cache instead of streaming the whole stack through DRAM on
+# every step.
 # The SSIM blocks, the detector-row blocks and the finite check's chunks
 # keep to it too.  A small array is one block: low per-call overhead.
 BLOCK_BYTES = 512 * 1024
@@ -35,19 +38,20 @@ BLOCK_BYTES = 512 * 1024
 # a block 16 or 48 bytes past a line than on an aligned one, so the cost of
 # a call changed with the heap's state from one process to the next.
 ALIGN_BYTES = 64
-_LINE = ALIGN_BYTES // 8  # float64 values per line
 
 
-def line_up(n: int) -> int:
-    """``n`` float64 values rounded up to whole ``ALIGN_BYTES`` lines."""
-    return -(-n // _LINE) * _LINE
+def line_up(n: int, itemsize: int) -> int:
+    """``n`` values of ``itemsize`` bytes rounded up to whole
+    ``ALIGN_BYTES`` lines."""
+    line = ALIGN_BYTES // itemsize
+    return -(-n // line) * line
 
 
-def aligned(n: int) -> np.ndarray:
-    """Uninitialised float64 buffer of ``n`` values starting on an
-    ``ALIGN_BYTES`` boundary: one allocation."""
-    raw = np.empty(n + _LINE)
-    start = (-raw.ctypes.data % ALIGN_BYTES) // 8
+def aligned(n: int, itemsize: int) -> np.ndarray:
+    """Uninitialised buffer of ``n`` floats of ``itemsize`` bytes (4 or 8)
+    starting on an ``ALIGN_BYTES`` boundary: one allocation."""
+    raw = np.empty(n + ALIGN_BYTES // itemsize, dtype=f"f{itemsize}")
+    start = (-raw.ctypes.data % ALIGN_BYTES) // itemsize
     return raw[start : start + n]
 
 
@@ -74,15 +78,19 @@ def row_block(rows: int, row_bytes: int) -> int:
 
 
 def run_band_spans(
-    task: Callable[[int, int, np.ndarray], None], n: int, block: int, scratch: int
+    task: Callable[[int, int, np.ndarray], None],
+    n: int,
+    block: int,
+    scratch: int,
+    itemsize: int,
 ) -> None:
     """Call ``task(lo, hi, ws)`` on spans of whole ``block``-band blocks
     that together cover bands ``[0, n)``, and return when every call has.
 
-    ``ws`` is the span's own scratch: ``scratch`` uninitialised float64
-    values starting on an ``ALIGN_BYTES`` line.  The slices of all spans
-    are cut, disjoint, from one :func:`aligned` block that the calling
-    thread allocates before it starts any helper (see the module
+    ``ws`` is the span's own scratch: ``scratch`` uninitialised floats of
+    ``itemsize`` bytes starting on an ``ALIGN_BYTES`` line.  The slices of
+    all spans are cut, disjoint, from one :func:`aligned` block that the
+    calling thread allocates before it starts any helper (see the module
     docstring).  There is at most one span per worker.  The calling thread
     runs the first span and a ``cassi-kernel`` helper thread each of the
     others, so a single span runs on the caller alone, and a single block
@@ -92,8 +100,8 @@ def run_band_spans(
     """
     blocks = -(-n // block)
     spans = 1 if blocks <= 1 else min(kernel_workers(), blocks)
-    stride = line_up(scratch)
-    whole = aligned(spans * stride)
+    stride = line_up(scratch, itemsize)
+    whole = aligned(spans * stride, itemsize)
     ws = [whole[i * stride : i * stride + scratch] for i in range(spans)]
     if spans <= 1:
         task(0, n, ws[0])

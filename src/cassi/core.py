@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import row_block
+from . import _pool
 from .errors import DimensionMismatch, NonFiniteValue
 
 
@@ -75,17 +75,32 @@ class SceneConfig:
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether ``arr`` holds no NaN and no infinity, checked on the calling
     thread in cache-sized chunks (:func:`cassi._pool.row_block`) of its
-    flat values, so no array-sized mask is built.  A non-contiguous view
-    is read one sub-array of its first axis at a time, never copied."""
-    if arr.ndim > 1 and not arr.flags.c_contiguous:
+    flat values, so no array-sized mask is built.
+
+    A view that is not C-contiguous is never copied.  It is read in slabs
+    of its first axis of the same size, or one sub-array at a time where a
+    sub-array alone is larger.  numpy gives each check of a strided slab
+    an iteration buffer of ``getbufsize()`` values (64 KiB by default),
+    which a same-dtype check never uses, so the buffer size is 16 values
+    while the slabs are read.
+    """
+    if arr.ndim < 2 or arr.flags.c_contiguous:
+        arr = arr.reshape(-1)
+    elif arr[0].nbytes > _pool.BLOCK_BYTES:
         return all(_all_finite(part) for part in arr)
-    flat = arr.reshape(-1)
-    block = row_block(flat.size, flat.itemsize)
-    finite = np.empty(min(block, flat.size), dtype=bool)
-    for lo in range(0, flat.size, block):
-        part = flat[lo : lo + block]
-        if not np.isfinite(part, finite[: part.size]).all():
-            return False
+    if not arr.size:
+        return True
+    rows = arr.shape[0]
+    block = _pool.row_block(rows, arr.nbytes // rows)
+    finite = np.empty((min(block, rows), *arr.shape[1:]), dtype=bool)
+    bufsize = np.setbufsize(16)
+    try:
+        for lo in range(0, rows, block):
+            slab = arr[lo : lo + block]
+            if not np.isfinite(slab, finite[: len(slab)]).all():
+                return False
+    finally:
+        np.setbufsize(bufsize)
     return True
 
 

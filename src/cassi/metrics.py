@@ -176,7 +176,7 @@ def _band_pass(
     band_mse = [0.0] * nc
     band_ssim = np.empty(nc) if ssim else None
     block = row_block(nc, 8 * _SSIM_ARRAYS * h * w)
-    rows, row = (_SSIM_ARRAYS if ssim else 3), line_up(block * h * w)
+    rows, row = (_SSIM_ARRAYS if ssim else 3), line_up(block * h * w, 8)
 
     def run_span(start: int, stop: int, scratch: np.ndarray) -> None:
         ws = scratch.reshape(rows, row)
@@ -194,7 +194,7 @@ def _band_pass(
             if band_ssim is not None:
                 _ssim_block(ws, hi - lo, h, w, band_ssim[lo:hi])
 
-    run_band_spans(run_span, nc, block, rows * row)
+    run_band_spans(run_span, nc, block, rows * row, 8)
     return band_mse, band_ssim
 
 

@@ -8,9 +8,10 @@ with a ``denoise(cube, strength) -> cube`` method can serve as the prior, so
 a stronger external denoiser can be plugged in unchanged; the bundled prior
 is an anisotropic per-band total-variation proximal step.  Its band blocks
 are sized and spread over the CPUs as the metrics' are (:mod:`cassi._pool`),
-each span working in its own line-aligned slice of one scratch block that
-the calling thread allocates; the output bytes do not depend on the number
-of workers.
+each span working in its own line-aligned slice of one float32 scratch
+block that the calling thread allocates; the output is float64, and its
+bytes do not depend on the blocking or the number of workers.  The
+iterate, the data step and everything else stay float64.
 
 With the crop off the denoiser is fed the full dispersed tensor, so the
 iterate lives in measurement-width coordinates, (C, H, W').  With the crop
@@ -30,6 +31,7 @@ receives a private copy, and its output is written back into the iterate.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -86,7 +88,14 @@ def _check_tv_strength(strength: float, name: str) -> None:
     ``1/(8*strength)`` is finite.  The prox iterates on the dual scaled by
     that step's inverse, ``v = p / step``, clipped to ``[-8*strength,
     8*strength]``; a step that overflows (a positive strength below about
-    6.95e-310) leaves no finite scaling to the classical dual ``p``."""
+    6.95e-310) leaves no finite scaling to the classical dual ``p``.
+
+    The clip bound is rounded to float32 (times a band's power-of-two
+    scale, see :func:`_tv_prox_planes`), and no weight is refused for it:
+    a bound that rounds to 0 (``8*strength`` below about 7e-46 for a band
+    in range) copies the band, and one that rounds to infinity (above
+    about 4.25e37) never clips, as a float64 bound that large never
+    binds."""
     if not (math.isfinite(strength) and strength >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {strength!r}")
     if strength > 0 and not math.isfinite(1.0 / (8.0 * strength)):
@@ -201,81 +210,162 @@ def _tv_div(
     out *= 0.125
 
 
+# A band's values enter the float32 workspace as they are while their
+# largest magnitude, rounded to float32, lies in this range.  Outside it
+# they would overflow float32, or lose their bits to its subnormals or to
+# zero, so the band is scaled into it by a power of two (see
+# _band_exponents).
+_TV_RANGE = (2.0**-64, 2.0**64)
+
+
+def _band_exponents(f: np.ndarray, fw: np.ndarray) -> list[int] | None:
+    """Per band of the float64 block ``f``, the ``k`` for which ``2**k *
+    f[c]`` has its largest magnitude in [0.5, 1), or 0; None when no band
+    needs a scale.
+
+    ``fw`` is the block cast to float32, one band a row.  A band needs a
+    scale unless its largest magnitude in ``fw`` lies in ``_TV_RANGE``; a
+    band of zeros, or with a NaN or an infinity, keeps ``k = 0``.
+    """
+    big = np.maximum(fw.max(axis=1), -fw.min(axis=1))
+    if ((big >= _TV_RANGE[0]) & (big <= _TV_RANGE[1])).all():
+        return None
+    ks = []
+    for band, m in zip(f, big):
+        k = 0
+        if not _TV_RANGE[0] <= m <= _TV_RANGE[1]:
+            top, bottom = float(band.max()), float(band.min())
+            if math.isfinite(top) and math.isfinite(bottom) and (top or bottom):
+                k = -math.frexp(max(top, -bottom))[1]
+        ks.append(k)
+    return ks
+
+
 def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> bool:
     """Anisotropic TV proximal step on a stack of 2-D planes, written into
     ``out``; returns whether every output value is finite.
 
-    ``f`` and ``out`` are (C, H, W) arrays of any strides, and ``out`` may
-    be ``f`` itself: each block of ``f`` is copied into the workspace
-    before its dual loop, and only the block's final field is written to
-    ``out``, where its finiteness is checked while the block is in cache.
+    ``f`` and ``out`` are float64 (C, H, W) arrays of any strides, and
+    ``out`` may be ``f`` itself: each block of ``f`` is cast into the
+    float32 workspace before its dual loop, and only the block's final
+    field is written to ``out``, as the float64 ``f`` minus the float32
+    divergence, so a value whose divergence is 0 passes through bitwise.
+    Its finiteness is checked while the block is in cache.  The output
+    differs from a float64 workspace's by float32 rounding, about 1e-7 of
+    ``max|f|``.
 
     Projected gradient on the dual (Chambolle's classical 1/(8*lam) step),
     run on the scaled dual ``v = p / step = 8*lam*p``: the field is
     ``f - div(v) * 0.125``, the differences of the field are added
-    straight into ``v``, and ``v`` is clipped to ``[-8*lam, 8*lam]``.
-    Fixed iteration count, fully deterministic.  Planes are independent, so
-    the stack is processed in blocks of whole bands sized by
-    :func:`cassi._pool.row_block`, and spans of blocks run on their own
-    threads, each in its own workspace (a stack of one block runs inline).
-    The workspaces are slices of one line-aligned block that the calling
-    thread allocates (:func:`cassi._pool.run_band_spans`), so no span
-    allocates a block-sized array: a block's finiteness is read from its
-    largest and smallest value, which are NaN or infinite exactly when a
-    value is.
+    straight into ``v``, and ``v`` is clipped to ``[-8*lam, 8*lam]``, the
+    bound rounded to float32.  A bound that rounds to 0 would clip the
+    duals to -0 and +0, so such a band is copied instead (which is what
+    the loop would compute, up to the sign of zero); one that rounds to
+    infinity never clips, as in float64.  Fixed iteration count, fully
+    deterministic.
+
+    Every step is equivariant under a power-of-two scale unless a value
+    over- or underflows, so a band whose largest magnitude lies outside
+    ``_TV_RANGE`` is run as ``2**k * f`` with strength ``2**k * lam``, and
+    its divergence is scaled back by ``2**-k`` in float64: the result is
+    the prox of ``f`` itself, and a finite input beyond float32's range
+    gives a finite output.  The scale is the band's own, so it does not
+    depend on the blocking.
+
+    Planes are independent, so the stack is processed in blocks of whole
+    bands sized by :func:`cassi._pool.row_block`, and spans of blocks run
+    on their own threads, each in its own workspace (a stack of one block
+    runs inline).  The workspaces are slices of one line-aligned float32
+    block that the calling thread allocates
+    (:func:`cassi._pool.run_band_spans`), so no span allocates a
+    block-sized array: a block's finiteness is read from its largest and
+    smallest value, which are NaN or infinite exactly when a value is.
 
     A workspace is three line-aligned buffers, four block-sized arrays in
     all: the block's input ``f``, the field ``x`` and the dual
     ``[lead | p | gap | q]``.  The lead is at least one row
     of +0 ahead of ``p``, and ``q`` starts on the first line after ``p``,
-    behind a gap of up to 7 values (or behind ``p``'s last pad row); the
+    behind a gap of up to 15 values (or behind ``p``'s last pad row); the
     lead and the gap stay +0.  The duals are stored padded to full planes
     (see :func:`_tv_div`); after the flat updates each pad row or column
     is reset to +0, so one clip covers ``p`` and ``q`` together.  Every
     view is built once per block, so a dual step is 12 numpy calls on
     whole blocks: five for the field, two per dual plus its pad reset, and
-    the clip.
+    the clip.  The last divergence is copied to float64 into the spent
+    duals and the field is formed there, then copied out: the subtraction
+    mixes no dtypes and never writes over an operand, either of which
+    would make numpy allocate a buffer or a copy in the span.  The duals
+    are then reset to +0 for the next block.
     """
     nc, h, w = f.shape
-    block = row_block(nc, 8 * h * w)
-    high = np.float64(8.0 * lam)
-    low = -high
-    lead = line_up(w)
-    cap = line_up(block * h * w)
+    hw = h * w
+    block = row_block(nc, 4 * hw)
+    lead = line_up(w, 4)
+    cap = line_up(block * hw, 4)
     finite = [True] * nc
 
     def run_span(start: int, stop: int, ws: np.ndarray) -> None:
         fw, x, dual = ws[:cap], ws[cap : 2 * cap], ws[2 * cap :]
-        for lo in range(start, stop, block):
-            bands = min(block, stop - lo)
-            n = bands * h * w
-            qo = lead + line_up(n)
-            fb, xb = fw[:n], x[:n]
-            fb.reshape(bands, h, w)[...] = f[lo : lo + bands]
-            p, p_prev = dual[lead : lead + n], dual[lead - w : lead - w + n]
-            q, q_prev = dual[qo : qo + n], dual[qo - 1 : qo - 1 + n]
-            pq = dual[lead : qo + n]
-            pad_row = p.reshape(bands, h, w)[:, -1, :]
-            pad_col = q.reshape(bands, h, w)[:, :, -1]
-            x_up, x_down, p_head = xb[:-w], xb[w:], p[:-w]
-            x_left, x_right, q_head = xb[:-1], xb[1:], q[:-1]
-            dual[: qo + n].fill(0.0)
-            for _ in range(iters):
+        dual.fill(0.0)  # and each block leaves it +0
+
+        def prox(lo: int, bands: int, k: int) -> None:
+            # fw holds 2**k * f[lo : lo + bands] in float32.
+            n = bands * hw
+            src, done = f[lo : lo + bands], out[lo : lo + bands]
+            with np.errstate(over="ignore"):
+                high = np.float32(8.0 * np.ldexp(lam, k))
+            if high == 0.0:
+                np.copyto(done, src)
+            else:
+                low = -high
+                qo = lead + line_up(n, 4)
+                fb, xb = fw[:n], x[:n]
+                p, p_prev = dual[lead : lead + n], dual[lead - w : lead - w + n]
+                q, q_prev = dual[qo : qo + n], dual[qo - 1 : qo - 1 + n]
+                pq = dual[lead : qo + n]
+                pad_row = p.reshape(bands, h, w)[:, -1, :]
+                pad_col = q.reshape(bands, h, w)[:, :, -1]
+                x_up, x_down, p_head = xb[:-w], xb[w:], p[:-w]
+                x_left, x_right, q_head = xb[:-1], xb[1:], q[:-1]
+                for _ in range(iters):
+                    _tv_div(xb, p, p_prev, q, q_prev)
+                    np.subtract(fb, xb, xb)
+                    p_head += x_up
+                    p_head -= x_down
+                    pad_row.fill(0.0)
+                    q_head += x_left
+                    q_head -= x_right
+                    pad_col.fill(0.0)
+                    pq.clip(low, high, out=pq)
                 _tv_div(xb, p, p_prev, q, q_prev)
-                np.subtract(fb, xb, xb)
-                p_head += x_up
-                p_head -= x_down
-                pad_row.fill(0.0)
-                q_head += x_left
-                q_head -= x_right
-                pad_col.fill(0.0)
-                pq.clip(low, high, out=pq)
-            _tv_div(xb, p, p_prev, q, q_prev)
-            done = out[lo : lo + bands]
-            np.subtract(fb.reshape(bands, h, w), xb.reshape(bands, h, w), done)
+                # The divergence, then the field, in float64 in the duals.
+                field = dual[: 2 * n].view(np.float64).reshape(bands, h, w)
+                np.copyto(field, xb.reshape(bands, h, w))
+                if k:
+                    np.ldexp(field, -k, out=field)
+                np.subtract(src, field, field)
+                np.copyto(done, field)
+                dual[: qo + n].fill(0.0)
             finite[lo] = bool(np.isfinite(done.max()) and np.isfinite(done.min()))
 
-    run_band_spans(run_span, nc, block, 4 * cap + lead)
+        for lo in range(start, stop, block):
+            bands = min(block, stop - lo)
+            src, fb = f[lo : lo + bands], fw[: bands * hw]
+            with np.errstate(over="ignore"):  # a band beyond float32 is scaled
+                fb.reshape(bands, h, w)[...] = src
+            ks = _band_exponents(src, fb.reshape(bands, hw))
+            if ks is None:
+                prox(lo, bands, 0)
+                continue
+            first = lo
+            for k, run in itertools.groupby(ks):  # bands that share a scale
+                n = len(list(run))
+                with np.errstate(over="ignore"):
+                    np.ldexp(f[first : first + n], k, out=fw[: n * hw].reshape(n, h, w))
+                prox(first, n, k)
+                first += n
+
+    run_band_spans(run_span, nc, block, 4 * cap + lead, 4)
     return all(finite)
 
 

@@ -193,6 +193,27 @@ class TestChunkedFiniteCheck:
                 np.isfinite(self.VIEWS[view](bad)).all()
             )
 
+    @pytest.mark.parametrize("budget", [2 * 8 * 40 * 40, _pool.BLOCK_BYTES])
+    def test_a_view_takes_one_check_per_slab(self, budget, monkeypatch):
+        # The on-support view of a dispersed stack is read in slabs of whole
+        # bands that fit the budget: one np.isfinite call a slab, not one
+        # a row.
+        monkeypatch.setattr(_pool, "BLOCK_BYTES", budget)
+        base = np.random.Generator(np.random.Philox(10)).random((6, 40, 50))
+        seen = _on_support(base, 2)
+        assert seen.shape == (6, 40, 40) and not seen.flags.c_contiguous
+        calls = []
+        isfinite = np.isfinite
+
+        def counting(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        assert _all_finite(seen) is True
+        block = _pool.row_block(6, 8 * 40 * 40)
+        assert calls == [(block, 40, 40)] * -(-6 // block)
+
     @pytest.mark.parametrize("shape", [(0,), (2, 0, 3), ()])
     def test_empty_and_zero_dimensional_arrays(self, shape):
         assert _all_finite(np.zeros(shape)) is True

@@ -288,9 +288,9 @@ class TestScoresOnKernelPool:
         blocks = []
         run_band_spans = metrics.run_band_spans
 
-        def recording(task, n, size, scratch):
+        def recording(task, n, size, scratch, itemsize):
             blocks.append(size)
-            run_band_spans(task, n, size, scratch)
+            run_band_spans(task, n, size, scratch, itemsize)
 
         monkeypatch.setattr(metrics, "run_band_spans", recording)
         self.assert_reference_bytes(*noisy_pair((c, h, w), 60 + block))

@@ -18,7 +18,7 @@ from conftest import make_operator, random_meas, traced_peak
 
 def spans_of(n, block):
     spans = []
-    _pool.run_band_spans(lambda lo, hi, ws: spans.append((lo, hi)), n, block, 0)
+    _pool.run_band_spans(lambda lo, hi, ws: spans.append((lo, hi)), n, block, 0, 8)
     return sorted(spans)
 
 
@@ -43,7 +43,7 @@ class TestRunBandSpans:
         def task(lo, hi, ws):
             ran_in.append(threading.get_ident())
 
-        _pool.run_band_spans(task, 5, 8, 0)
+        _pool.run_band_spans(task, 5, 8, 0, 8)
         assert ran_in == [threading.get_ident()]
 
     def test_spans_run_on_the_pool_at_once(self, kernel_pool):
@@ -55,7 +55,7 @@ class TestRunBandSpans:
             started.wait()  # both spans at once, or the barrier times out
             ran.append((lo, hi, threading.get_ident()))
 
-        _pool.run_band_spans(task, 4, 1, 0)
+        _pool.run_band_spans(task, 4, 1, 0, 8)
         on = {(lo, hi): t for lo, hi, t in ran}
         assert sorted(on) == [(0, 2), (2, 4)]
         # The caller works the first span, a helper thread the second.
@@ -72,29 +72,34 @@ class TestRunBandSpans:
             finished.append(lo)
 
         with pytest.raises(MemoryError, match="span"):
-            _pool.run_band_spans(task, 4, 1, 0)
+            _pool.run_band_spans(task, 4, 1, 0, 8)
         assert finished == [2]
 
 
 class TestSpanScratch:
     @staticmethod
     def spy_on_aligned(mp):
-        """The sizes and threads of ``_pool.aligned``'s allocations."""
+        """The sizes, item sizes and threads of ``_pool.aligned``'s
+        allocations."""
         made = []
         aligned = _pool.aligned
 
-        def spy(n):
-            made.append((n, threading.get_ident()))
-            return aligned(n)
+        def spy(n, itemsize):
+            made.append((n, itemsize, threading.get_ident()))
+            return aligned(n, itemsize)
 
         mp.setattr(_pool, "aligned", spy)
         return made
 
     @given(
-        st.integers(1, 40), st.integers(1, 12), st.integers(1, 4), st.integers(1, 300)
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.integers(1, 300),
+        st.sampled_from([4, 8]),
     )
     def test_one_caller_allocation_cut_into_disjoint_aligned_slices(
-        self, n, block, workers, scratch
+        self, n, block, workers, scratch, itemsize
     ):
         got = []
 
@@ -105,11 +110,11 @@ class TestSpanScratch:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_pool, "kernel_workers", lambda: workers)
             made = self.spy_on_aligned(mp)
-            _pool.run_band_spans(task, n, block, scratch)
-        assert [t for _, t in made] == [threading.get_ident()]
+            _pool.run_band_spans(task, n, block, scratch, itemsize)
+        assert [(k, t) for _, k, t in made] == [(itemsize, threading.get_ident())]
         assert len(got) == min(workers, -(-n // block))
         for lo, ws in got:
-            assert ws.shape == (scratch,) and ws.dtype == np.float64
+            assert ws.shape == (scratch,) and ws.dtype == np.dtype(f"f{itemsize}")
             assert ws.flags.c_contiguous
             assert ws.ctypes.data % _pool.ALIGN_BYTES == 0
             assert (ws == lo).all()  # no other span wrote into it
@@ -124,8 +129,9 @@ class TestSpanScratch:
         monkeypatch.setattr(_pool.threading, "Thread", _Refusing)
         made = self.spy_on_aligned(monkeypatch)
         got = []
-        _pool.run_band_spans(lambda lo, hi, ws: got.append(ws), 5, 8, 10)
-        assert [n for n, _ in made] == [_pool.line_up(10)] and got[0].shape == (10,)
+        _pool.run_band_spans(lambda lo, hi, ws: got.append(ws), 5, 8, 10, 4)
+        assert [n for n, _, _ in made] == [_pool.line_up(10, 4)]
+        assert got[0].shape == (10,)
 
     @pytest.mark.parametrize("kernel", ["tv", "evaluate"])
     def test_kernels_allocate_on_the_calling_thread_alone(
@@ -137,14 +143,14 @@ class TestSpanScratch:
         # SSIM row): the traced peak is the output cube and the scratch,
         # plus 32 KiB for the threads and Python objects.
         kernel_pool(2)
-        c, h, w = 20, 64, 64
+        c, h, w = 40, 64, 64
         config = SceneConfig(h, w, c, 1)
         rng = np.random.Generator(np.random.Philox(11))
         cube = HSICube(config, rng.random((c, h, w)))
         other = HSICube(config, rng.random((c, h, w)))
         if kernel == "tv":
             call, out = lambda: TvPrior(3).denoise(cube, 0.1), cube.data.nbytes
-            block = _pool.row_block(c, 8 * h * w)
+            block = _pool.row_block(c, 4 * h * w)
             smallest = block * h * w
         else:
             call, out = lambda: evaluate(cube, other), 0
@@ -154,8 +160,9 @@ class TestSpanScratch:
         call()  # warm up outside the trace
         made = self.spy_on_aligned(monkeypatch)
         _, peak = traced_peak(call)
-        assert [t for _, t in made] == [threading.get_ident()]
-        assert peak <= out + 8 * (made[0][0] + 8) + 32 * 1024
+        [(n, itemsize, thread)] = made
+        assert thread == threading.get_ident()
+        assert peak <= out + itemsize * n + _pool.ALIGN_BYTES + 32 * 1024
 
 
 class TestRowBlock:
@@ -262,7 +269,7 @@ def spy(self):
 threading.Thread.start = spy
 rng = np.random.Generator(np.random.Philox(3))
 cube = HSICube(SceneConfig(181, 181, 5, 1), rng.random((5, 181, 181)))
-tv_blocks = -(-5 // _pool.row_block(5, 8 * 181 * 181))
+tv_blocks = -(-5 // _pool.row_block(5, 4 * 181 * 181))
 ssim_blocks = -(-5 // _pool.row_block(5, 8 * 7 * 181 * 181))
 assert tv_blocks > 1 and ssim_blocks > 1
 
