@@ -270,7 +270,8 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     its divergence is scaled back by ``2**-k`` in float64: the result is
     the prox of ``f`` itself, and a finite input beyond float32's range
     gives a finite output.  The scale is the band's own, so it does not
-    depend on the blocking.
+    depend on the blocking.  A scaled band is formed in float64 in the
+    duals, which are free before its loop, and cast in from there.
 
     Planes are independent, so the stack is processed in blocks of whole
     bands sized by :func:`cassi._pool.row_block`, and spans of blocks run
@@ -360,8 +361,12 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
             first = lo
             for k, run in itertools.groupby(ks):  # bands that share a scale
                 n = len(list(run))
+                # Scaled in float64 in the duals, then cast in.
+                scaled = dual[: 2 * n * hw].view(np.float64).reshape(n, h, w)
                 with np.errstate(over="ignore"):
-                    np.ldexp(f[first : first + n], k, out=fw[: n * hw].reshape(n, h, w))
+                    np.ldexp(f[first : first + n], k, out=scaled)
+                    fw[: n * hw].reshape(n, h, w)[...] = scaled
+                scaled.fill(0.0)
                 prox(first, n, k)
                 first += n
 

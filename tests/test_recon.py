@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cassi import (
@@ -505,6 +505,35 @@ def assert_band_independent(shape, seed, strength, iterations, data=None):
     assert out.data.tobytes() == reference_tv_prox(data, strength, iterations).tobytes()
 
 
+# Strengths whose float32 bound 8*lam sits at an edge: 2**-150 rounds to 0
+# (the band is copied), the next double and 2**-149 to the smallest
+# subnormal; 4.25e37 gives float32's largest value, and the half-way point
+# above it rounds to infinity (the duals are never clipped), the double
+# below it not.
+TV_EDGE_STRENGTHS = [
+    2.0**-153,
+    float(np.nextafter(2.0**-153, 1.0)),
+    2.0**-152,
+    float(np.finfo(np.float32).max) / 8,
+    float(np.nextafter((2 - 2.0**-24) * 2.0**124, 0.0)),
+    (2 - 2.0**-24) * 2.0**124,
+]
+
+
+TV_INPUT_KINDS = [
+    "signed zeros", "zeros among values", "plateaus", "negative", "tiny", "scales"
+]
+
+
+def at_tv_edge_strengths(test):
+    """Run ``test`` at every edge strength on each kind of input, as a
+    3x4x5 stack in blocks of one band."""
+    for strength in TV_EDGE_STRENGTHS:
+        for kind in TV_INPUT_KINDS:
+            test = example(3, 4, 5, 80, 0, kind, strength, 4)(test)
+    return test
+
+
 class TestTvBandIndependence:
     @given(
         st.integers(1, 7),
@@ -533,28 +562,15 @@ class TestTvBandIndependence:
         shape = (c, long, thin) if transpose else (c, thin, long)
         assert_band_independent(shape, seed, 0.1, 5)
 
-    # Strengths whose float32 bound 8*lam sits at an edge: 2**-150 rounds
-    # to 0 (the band is copied), the next double and 2**-149 to the
-    # smallest subnormal; 4.25e37 gives float32's largest value, and the
-    # half-way point above it rounds to infinity (the duals are never
-    # clipped), the double below it not.
-    EDGE_STRENGTHS = [
-        2.0**-153,
-        float(np.nextafter(2.0**-153, 1.0)),
-        2.0**-152,
-        float(np.finfo(np.float32).max) / 8,
-        float(np.nextafter((2 - 2.0**-24) * 2.0**124, 0.0)),
-        (2 - 2.0**-24) * 2.0**124,
-    ]
-
+    @at_tv_edge_strengths
     @given(
         st.integers(1, 6),
         st.integers(1, 9),
         st.integers(1, 9),
         st.integers(8, 3000),
         st.integers(0, 2**32 - 1),
-        st.sampled_from(["signed zeros", "plateaus", "negative", "tiny", "scales"]),
-        st.one_of(st.floats(0.01, 0.5), st.sampled_from(EDGE_STRENGTHS)),
+        st.sampled_from(TV_INPUT_KINDS),
+        st.one_of(st.floats(0.01, 0.5), st.sampled_from(TV_EDGE_STRENGTHS)),
         st.integers(1, 8),
     )
     @settings(max_examples=200)
@@ -569,6 +585,8 @@ class TestTvBandIndependence:
         shape = (c, h, w)
         if kind == "signed zeros":
             data = rng.choice([0.0, -0.0], shape)
+        elif kind == "zeros among values":
+            data = rng.choice([-0.0, 0.0, 0.25, -1.0, 1.0], shape)
         elif kind == "plateaus":
             data = rng.choice([-0.0, 0.0, 0.25, -1.0], (c, 1, 1)) * np.ones(shape)
             data[:, h // 2 :, :] = rng.choice([-0.0, 0.0, 0.5])
