@@ -99,6 +99,7 @@ def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") ->
 
     A C-contiguous float64 array stored as ``f64`` is written from its own
     memory; other input is first converted into one payload-sized array.
+    Raises CubeFileError, creating no file, if a value overflows ``f32``.
     """
     if dtype not in _CODES:
         raise ValueError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
@@ -108,9 +109,14 @@ def write_cube(path: str | os.PathLike, data: np.ndarray, dtype: str = "f64") ->
     if arr.ndim != 3:
         raise ValueError(f"expected 2-D or 3-D array, got shape {arr.shape}")
     code = _CODES[dtype]
+    with np.errstate(over="raise"):
+        try:
+            payload = np.ascontiguousarray(arr, dtype=_DTYPES[code])
+        except FloatingPointError:
+            raise CubeFileError(f"{path}: a finite value overflows f32") from None
     c, h, w = arr.shape
     header = MAGIC + struct.pack("<HBBIII", VERSION, code, 0, h, w, c)
-    _atomic_write(path, header, np.ascontiguousarray(arr, dtype=_DTYPES[code]))
+    _atomic_write(path, header, payload)
 
 
 def read_cube(path: str | os.PathLike) -> tuple[np.ndarray, str]:

@@ -6,12 +6,13 @@ denoising step (generalized alternating projection); the RND wrapper is one
 more data step on the output, through the same operator kernel.  Any object
 with a ``denoise(cube, strength) -> cube`` method can serve as the prior, so
 a stronger external denoiser can be plugged in unchanged; the bundled prior
-is an anisotropic per-band total-variation proximal step.  Its band blocks
-are sized and spread over the CPUs as the metrics' are (:mod:`cassi._pool`),
-each span working in its own line-aligned slice of one float32 scratch
-block that the calling thread allocates; the output is float64, and its
-bytes do not depend on the blocking or the number of workers.  The
-iterate, the data step and everything else stay float64.
+is an anisotropic per-band total-variation proximal step, one kernel that
+the prior and the solver both call (at strength 0 it copies).  Its band
+blocks are sized and spread over the CPUs as the metrics' are
+(:mod:`cassi._pool`), each span working in its own line-aligned slice of
+one float32 scratch block that the calling thread allocates; the output
+is float64, and its bytes do not depend on the blocking or the number of
+workers.  The iterate, the data step and everything else stay float64.
 
 With the crop off the denoiser is fed the full dispersed tensor, so the
 iterate lives in measurement-width coordinates, (C, H, W').  With the crop
@@ -92,10 +93,11 @@ def _check_tv_strength(strength: float, name: str) -> None:
 
     The clip bound is rounded to float32 (times a band's power-of-two
     scale, see :func:`_tv_prox_planes`), and no weight is refused for it:
-    a bound that rounds to 0 (``8*strength`` below about 7e-46 for a band
-    in range) copies the band, and one that rounds to infinity (above
-    about 4.25e37) never clips, as a float64 bound that large never
-    binds."""
+    a bound that is or rounds to 0 (strength 0, or ``8*strength`` below
+    about 7e-46 for a band in range) copies the band, and one that rounds
+    to infinity (above about 4.25e37) never clips, as a float64 bound that
+    large never binds.  The kernel checks no weight: each
+    :meth:`TvPrior.denoise` call and each :class:`SolverConfig` run this."""
     if not (math.isfinite(strength) and strength >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {strength!r}")
     if strength > 0 and not math.isfinite(1.0 / (8.0 * strength)):
@@ -258,11 +260,11 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     run on the scaled dual ``v = p / step = 8*lam*p``: the field is
     ``f - div(v) * 0.125``, the differences of the field are added
     straight into ``v``, and ``v`` is clipped to ``[-8*lam, 8*lam]``, the
-    bound rounded to float32.  A bound that rounds to 0 would clip the
-    duals to -0 and +0, so such a band is copied instead (which is what
-    the loop would compute, up to the sign of zero); one that rounds to
-    infinity never clips, as in float64.  Fixed iteration count, fully
-    deterministic.
+    bound rounded to float32.  A bound of 0 (``lam`` of 0, or one whose
+    bound rounds to 0) would clip the duals to -0 and +0, so such a band
+    is copied bitwise instead (which is what the loop would compute, up
+    to the sign of zero); one that rounds to infinity never clips, as in
+    float64.  Fixed iteration count, fully deterministic.
 
     Every step is equivariant under a power-of-two scale unless a value
     over- or underflows, so a band whose largest magnitude lies outside
@@ -374,20 +376,6 @@ def _tv_prox_planes(f: np.ndarray, lam: float, iters: int, out: np.ndarray) -> b
     return all(finite)
 
 
-def _tv_prox(
-    planes: np.ndarray, strength: float, iterations: int, out: np.ndarray
-) -> bool:
-    """:class:`TvPrior`'s prox of the (C, H, W) ``planes`` written into
-    ``out``, which may be ``planes``; returns whether every output value is
-    finite.  Checks ``strength`` and copies the input at strength 0."""
-    strength = _as_float(strength, "strength")
-    _check_tv_strength(strength, "strength")
-    if strength == 0.0:
-        np.copyto(out, planes)  # a no-op when out is planes
-        return _all_finite(out)
-    return _tv_prox_planes(planes, strength, iterations, out)
-
-
 @dataclass(frozen=True)
 class TvPrior:
     """Total-variation prior; ``strength`` is the TV weight at call time.
@@ -403,8 +391,10 @@ class TvPrior:
 
     def denoise(self, cube: HSICube, strength: float) -> HSICube:
         """Approximate prox of strength * anisotropic TV, per band independently."""
+        strength = _as_float(strength, "strength")
+        _check_tv_strength(strength, "strength")
         out = np.empty(cube.data.shape)
-        _tv_prox(cube.data, strength, self.inner_iterations, out)
+        _tv_prox_planes(cube.data, strength, self.inner_iterations, out)
         return HSICube._adopt(cube.config, out)
 
 
@@ -469,7 +459,7 @@ def gap_solve_with_stats(
             np.copyto(prev, z)
         op._add_pinv(support, r)
         if in_place:
-            finite = _tv_prox(z, cfg.tv_weight, prior.inner_iterations, z)
+            finite = _tv_prox_planes(z, float(cfg.tv_weight), prior.inner_iterations, z)
         else:
             z[...] = prior.denoise(
                 HSICube._adopt(seen_config, z.copy()), cfg.tv_weight

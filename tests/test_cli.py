@@ -836,6 +836,86 @@ class TestReconstruct:
             assert len(report_lines(report)) == 18
 
 
+class TestF32OutputBeyondItsRange:
+    """An ``--dtype f32`` output holding a finite value beyond float32's
+    range exits 2 with an error naming it, and leaves neither the output
+    nor a temporary file; in a batch the other inputs are still written."""
+
+    MESSAGE = "a finite value overflows f32"
+
+    @staticmethod
+    def files(path):
+        return sorted(p.name for p in path.iterdir())
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        # A 4x6 detector image of a 3-band, 4x4 scene at d = 1, and its
+        # all-ones mask; pinv of 1e300 is finite in float64.
+        huge, mask = tmp_path / "huge.hsic", tmp_path / "mask.hsic"
+        write_cube(huge, np.full((4, 6), 1e300))
+        write_cube(mask, np.ones((4, 4)))
+        return huge, mask
+
+    def test_reconstruct(self, tmp_path, capsys, inputs):
+        huge, mask = inputs
+        out = tmp_path / "out.hsic"
+        code = run_cli(
+            "reconstruct", "--meas", huge, "--mask", mask, "--shift-step", 1,
+            "--method", "pinv", "--dtype", "f32", "--out", out,
+            "--report", tmp_path / "report.txt",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {huge}: {out}: {self.MESSAGE}\n"
+        assert self.files(tmp_path) == ["huge.hsic", "mask.hsic"]
+
+    def test_reconstruct_batch_writes_the_other_inputs(
+        self, tmp_path, capsys, inputs
+    ):
+        huge, mask = inputs
+        fine = tmp_path / "fine.hsic"
+        write_cube(fine, np.ones((4, 6)))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            "reconstruct", "--meas", fine, huge, "--mask", mask,
+            "--shift-step", 1, "--method", "pinv", "--dtype", "f32",
+            "--out", out_dir, "--report", out_dir,
+        )
+        assert code == 2
+        bad_out = out_dir / "huge.recon.hsic"
+        assert capsys.readouterr().err == (
+            f"error: {huge}: {bad_out}: {self.MESSAGE}\n"
+            "reconstructed 1 of 2 inputs\n"
+        )
+        assert self.files(out_dir) == ["fine.recon.hsic", "fine.report.txt"]
+        assert read_cube(out_dir / "fine.recon.hsic")[1] == "f32"
+
+    def test_simulate(self, tmp_path, capsys, inputs):
+        _, mask = inputs
+        cube = tmp_path / "cube.hsic"
+        write_cube(cube, np.full((3, 4, 4), 1e300))
+        out = tmp_path / "meas.hsic"
+        code = run_cli(
+            "simulate", "--cube", cube, "--mask", mask, "--shift-step", 1,
+            "--dtype", "f32", "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}: {self.MESSAGE}\n"
+        assert self.files(tmp_path) == ["cube.hsic", "huge.hsic", "mask.hsic"]
+
+    def test_mask_crop(self, tmp_path, capsys, inputs):
+        huge_mask = tmp_path / "huge_mask.hsic"
+        write_cube(huge_mask, np.full((4, 4), 1e300))
+        out = tmp_path / "crop.hsic"
+        code = run_cli(
+            "mask", "crop", "--mask", huge_mask, "--size", 2, "--seed", 0,
+            "--dtype", "f32", "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}: {self.MESSAGE}\n"
+        assert self.files(tmp_path) == ["huge.hsic", "huge_mask.hsic", "mask.hsic"]
+
+
 class TestOutputCheckedFirst:
     """An output that cannot be written is refused with exit 2 before any
     input is read, so no work is lost and nothing is created."""
@@ -1905,8 +1985,8 @@ _EXPONENTS = st.tuples(st.integers(-300, 299), st.integers(-300, 299))
 class TestNoExit0WithANonFiniteOutput:
     """Over magnitudes from 1e-300 to 1e300 in the cube, the mask and the
     measurement, ``simulate`` and every ``reconstruct`` method exit 0 with
-    a finite output file and a finite report, or exit 2, 3 or 4 with one
-    ``error:`` line and no output file."""
+    a finite output file (``f64`` or ``f32``) and a finite report, or exit
+    2, 3 or 4 with one ``error:`` line and no output file."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200)
@@ -1921,18 +2001,22 @@ class TestNoExit0WithANonFiniteOutput:
         signed=st.booleans(),
         zeros=st.sampled_from([0.0, 0.25]),
         seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["f64", "f32"]),
     )
     # A measurement of 1e10 over a mask of 1e-150 overflows pinv and the
     # solver's first data step; a mask of 1e200 overflows the Gram
     # diagonal; the residual of a measurement of 1e200 overflows its L2
-    # norm.
-    @example("pinv", (4, 4, 2, 1), (10, 10), (-150, -150), False, 0.0, 0)
-    @example("rnd-gap-tv", (4, 4, 2, 1), (10, 10), (-150, -150), False, 0.0, 0)
-    @example("pinv", (4, 4, 3, 2), (0, 0), (200, 200), False, 0.0, 0)
-    @example("simulate", (4, 4, 3, 2), (0, 0), (200, 200), False, 0.0, 0)
-    @example("gap-tv", (4, 4, 3, 2), (200, 200), (0, 0), False, 0.0, 0)
+    # norm; a finite output of 1e200 overflows float32.
+    @example("pinv", (4, 4, 2, 1), (10, 10), (-150, -150), False, 0.0, 0, "f64")
+    @example("rnd-gap-tv", (4, 4, 2, 1), (10, 10), (-150, -150), False, 0.0, 0, "f64")
+    @example("pinv", (4, 4, 3, 2), (0, 0), (200, 200), False, 0.0, 0, "f64")
+    @example("simulate", (4, 4, 3, 2), (0, 0), (200, 200), False, 0.0, 0, "f64")
+    @example("gap-tv", (4, 4, 3, 2), (200, 200), (0, 0), False, 0.0, 0, "f64")
+    @example("pinv", (4, 4, 3, 2), (200, 200), (0, 0), False, 0.0, 0, "f32")
+    @example("simulate", (4, 4, 3, 2), (200, 200), (0, 0), False, 0.0, 0, "f32")
     def test_exit_0_means_finite_files(
-        self, tmp_path_factory, command, geometry, data, mask, signed, zeros, seed
+        self, tmp_path_factory, command, geometry, data, mask, signed, zeros, seed,
+        dtype,
     ):
         root = tmp_path_factory.mktemp("magnitudes")
         rng = np.random.Generator(np.random.Philox(seed))
@@ -1953,7 +2037,8 @@ class TestNoExit0WithANonFiniteOutput:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run_cli(
-                *argv, "--mask", mask_path, "--shift-step", d, "--out", out
+                *argv, "--mask", mask_path, "--shift-step", d, "--dtype", dtype,
+                "--out", out,
             )
         err = err.getvalue()
         if code == 0:
@@ -1967,7 +2052,7 @@ class TestNoExit0WithANonFiniteOutput:
             return
         assert code in (2, 3, 4), err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists() and not report.exists()
+        assert sorted(p.name for p in root.iterdir()) == ["in.hsic", "mask.hsic"]
 
 
 def test_console_entry_point_runs():

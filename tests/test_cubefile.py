@@ -312,6 +312,27 @@ def test_write_of_a_bad_dtype_or_rank_raises_and_creates_nothing(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", [3.5e38, -1e300, np.finfo(np.float64).max])
+def test_f32_write_beyond_float32_range_raises_and_keeps_the_old_file(
+    tmp_path, value
+):
+    path = tmp_path / "c.hsic"
+    write_cube(path, np.zeros((1, 2, 2)))
+    old = path.read_bytes()
+    data = np.array([[np.inf, np.nan], [1.0, value]])
+    with pytest.raises(CubeFileError) as excinfo:
+        write_cube(path, data, dtype="f32")
+    assert str(excinfo.value) == f"{path}: a finite value overflows f32"
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["c.hsic"]
+    # The value f32 rounds to its largest finite number, or an infinity
+    # already in the input, is stored.
+    data[1, 1] = 3.4028235e38
+    write_cube(path, data, dtype="f32")
+    back, _ = read_cube(path)
+    assert back.tobytes() == data.astype(np.float32).astype(np.float64).tobytes()
+
+
 def test_header_constants():
     assert MAGIC == b"HSIC"
     assert HEADER_SIZE == 20

@@ -1182,8 +1182,9 @@ class TestGapSolveInPlacePrior:
 
 
 class TestFiniteChecksInChunks:
-    """The zero-strength prox, the external-prior step and the operator's
-    Gram check test finiteness through ``core._all_finite``, so no
+    """The zero-strength prox reads finiteness from each block's largest
+    and smallest value, and the external-prior step and the operator's
+    Gram check test it through ``core._all_finite``, so no
     ``np.isfinite`` call sees more than one chunk of values."""
 
     CHUNK = 64  # values
@@ -1209,12 +1210,26 @@ class TestFiniteChecksInChunks:
         cube = random_cube(config, 47)
         cfg = SolverConfig(iterations=2, crop_denoiser_input=crop)
         want, _ = gap_solve_with_stats(op, meas, TvPrior(3), cfg)
-        bad = cube.data.copy()
-        bad[-1, -1, -1] = np.inf
+        # Strength 0 is the kernel's zero-bound copy, bitwise, of bands
+        # holding -0, a NaN, an infinity of either sign, or values beyond
+        # float32's range (a band run scaled by a power of two).
+        odd = np.concatenate([cube.data, cube.data])
+        odd[0, ::2] = -0.0
+        odd[1, 1, 1] = np.nan
+        odd[2, 2, 2] = np.inf
+        odd[3, 3, 3] = -np.inf
+        odd[4] *= 1e300
+        odd_cube = HSICube._adopt(SceneConfig(h, w, len(odd), 2), odd)
         with monkeypatch.context() as mp:
             self.chunked(mp)
             assert TvPrior(3).denoise(cube, 0.0).data.tobytes() == cube.data.tobytes()
-            assert recon._tv_prox(bad, 0.0, 3, np.empty_like(bad)) is False
+            assert TvPrior(3).denoise(odd_cube, 0.0).data.tobytes() == odd.tobytes()
+            finite = [
+                recon._tv_prox_planes(band[None], 0.0, 3, np.empty((1, h, w)))
+                for band in odd
+            ]
+            assert finite == [True, False, False, False, True, True]
+            assert recon._tv_prox_planes(odd, 0.0, 3, np.empty_like(odd)) is False
             got, _ = gap_solve_with_stats(op, meas, _DelegatingPrior(TvPrior(3)), cfg)
             rebuilt = build_operator(mask, config)
         assert got.data.tobytes() == want.data.tobytes()
@@ -1393,7 +1408,9 @@ def dispersed_gap_solve(op, meas, prior, cfg, x0=None):
     for _ in range(cfg.iterations):
         prev = support.copy()
         op._add_pinv(support, r)
-        assert recon._tv_prox(support, cfg.tv_weight, prior.inner_iterations, support)
+        assert recon._tv_prox_planes(
+            support, cfg.tv_weight, prior.inner_iterations, support
+        )
         r = meas.data - recon._forward(op.mask, d, support)
         residuals.append(recon._l2_norm(r))
         if cfg.convergence_tol > 0.0:
